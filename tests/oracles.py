@@ -5,6 +5,75 @@ quadratic scans.  None of it shares code with the kernels under test.
 """
 
 from emergelab.ant import HEADING_VECTORS, LEFT_OF, RIGHT_OF, AntState
+from emergelab.eca import BitRow, UnsupportedBackground
+
+
+def step_row_reference(rule, row):
+    """One ECA generation on the unbounded background, cell by cell."""
+    if not rule.quiescent:
+        raise UnsupportedBackground(
+            f"rule {rule.number} flips the white background; use the cyclic mode")
+    if row.bits == 0:
+        return row
+    lo, hi = row.support
+    cells = []
+    for p in range(lo - 1, hi + 2):
+        v = 4 * row[p - 1] + 2 * row[p] + row[p + 1]
+        if rule.outputs[v]:
+            cells.append(p)
+    return BitRow.from_cells(cells)
+
+
+def step_cycle_reference(rule, bits, width):
+    """One ECA generation on a ring of `width` cells, cell by cell."""
+    if width < 1:
+        raise ValueError(f"ring width must be >= 1, got {width}")
+    cell = [(bits >> i) & 1 for i in range(width)]
+    out = 0
+    for i in range(width):
+        v = 4 * cell[(i - 1) % width] + 2 * cell[i] + cell[(i + 1) % width]
+        if rule.outputs[v]:
+            out |= 1 << i
+    return out
+
+
+def eca_cells_reference(rule, seed_text, steps, cyclic_width=None):
+    """The `eca` command's history as lists of 0/1 cells, one per
+    generation: over the seed's light cone, or over the whole ring (seeded
+    with one black cell in the middle)."""
+    if cyclic_width is not None:
+        bits = 1 << (cyclic_width // 2)
+        grid = []
+        for _ in range(steps + 1):
+            grid.append([(bits >> i) & 1 for i in range(cyclic_width)])
+            bits = step_cycle_reference(rule, bits, cyclic_width)
+        return grid
+    row = BitRow.from_string(seed_text) if seed_text else BitRow.single()
+    lo = row.offset - steps
+    hi = row.offset + max(row.width, 1) - 1 + steps
+    grid = []
+    for _ in range(steps + 1):
+        grid.append([row[p] for p in range(lo, hi + 1)])
+        row = step_row_reference(rule, row)
+    return grid
+
+
+def text_reference(grid):
+    """'.'/'#' rows, one line per generation."""
+    return "".join("".join("#" if b else "." for b in row) + "\n" for row in grid)
+
+
+def pbm_reference(grid, comment):
+    """Binary PBM (P4): rows MSB-first, padded with white to whole bytes."""
+    out = bytearray(f"P4\n# {comment}\n{len(grid[0])} {len(grid)}\n".encode())
+    for row in grid:
+        padded = row + [0] * (-len(row) % 8)
+        for i in range(0, len(padded), 8):
+            byte = 0
+            for b in padded[i:i + 8]:
+                byte = (byte << 1) | b
+            out.append(byte)
+    return bytes(out)
 
 
 def binomial_parity_row(n):

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from emergelab import cli, life
+from emergelab import cli, eca, life
 from emergelab.fixtures import fixture_path
+
+from .oracles import eca_cells_reference, pbm_reference, text_reference
 
 GLIDER = str(fixture_path("glider.rle"))
 SUCC = str(fixture_path("succ_enum.tm"))
@@ -95,6 +98,82 @@ def test_eca_determinism(tmp_path, capsys):
     run_cli(capsys, "eca", "--rule", "110", "--steps", "32", "--out", str(a))
     run_cli(capsys, "eca", "--rule", "110", "--steps", "32", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+ECA_RENDER_CASES = [
+    # (rule, steps, seed, cyclic width)
+    (30, 40, None, None),
+    (110, 33, "#..##.#", None),
+    (90, 17, "...#.#..", None),
+    (150, 9, "....", None),  # empty seed: every row white
+    (22, 0, "#.#", None),
+    (30, 50, None, 37),
+    (45, 24, None, 24),
+    (255, 5, None, 1),
+    (105, 12, None, 3),
+    (73, 30, None, 64),
+]
+
+
+@pytest.mark.parametrize("rule,steps,seed,width", ECA_RENDER_CASES)
+def test_eca_text_and_pbm_match_naive_renderer(tmp_path, capsys, rule, steps, seed, width):
+    argv = ["eca", "--rule", str(rule), "--steps", str(steps)]
+    if seed is not None:
+        argv += ["--seed", seed]
+    if width is not None:
+        argv += ["--cyclic-width", str(width)]
+    grid = eca_cells_reference(eca.parse_rule(rule), seed, steps, width)
+    code, out, _ = run_cli(capsys, *argv, "--text")
+    assert code == 0 and out == text_reference(grid)
+    pbm = tmp_path / "out.pbm"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(pbm))
+    assert code == 0 and out == ""
+    assert pbm.read_bytes() == pbm_reference(grid, f"rule {rule}")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == (f"rule={rule}\nsteps={steps}\n"
+                                 f"final_population={sum(grid[-1])}\n")
+
+
+def test_eca_text_spanning_several_write_blocks():
+    # rows are written about 1 MB at a time: 400k-cell rows go two per block
+    grid = np.random.default_rng(5).integers(0, 2, (3, 400_000), dtype=np.uint8)
+    out = io.StringIO()
+    cli._write_text(grid, out)
+    assert out.getvalue() == text_reference(grid.tolist())
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_eca_cyclic_width_must_be_positive(capsys, width):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eca", "--rule", "30", "--steps", "4", "--cyclic-width", width])
+    assert err.value.code == 2
+    assert "--cyclic-width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--cyclic-width", "8"]])
+def test_eca_row_cap_applies_in_both_modes(capsys, extra):
+    code, out, err = run_cli(capsys, "eca", "--rule", "30", "--steps", "20000", *extra)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "cap of 10000" in err
+    code, _, err = run_cli(capsys, "eca", "--rule", "30", "--steps", "20",
+                           "--max-rows", "20", *extra)
+    assert code == 1 and "cap of 20" in err
+    code, _, _ = run_cli(capsys, "eca", "--rule", "30", "--steps", "20",
+                         "--max-rows", "21", *extra)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eca", "--rule", "30", "--steps", "-1"],
+    ["eca", "--rule", "30", "--steps", "-1", "--cyclic-width", "8"],
+    ["analyze", "--rule30-center", "0"],
+    ["analyze", "--rule30-center", "-5"],
+    ["eca", "--rule", "30", "--steps", "3", "--seed", "#x#"],
+])
+def test_eca_and_analyze_domain_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_life_run_bbox_report(capsys):

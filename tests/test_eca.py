@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from emergelab import eca
 
-from .oracles import binomial_parity_row
+from .oracles import binomial_parity_row, step_cycle_reference, step_row_reference
 
 
 def test_parse_rule_254_matches_table():
@@ -141,7 +141,7 @@ def test_packed_matches_naive_unbounded():
         row = seed
         for _ in range(32):
             fast = eca.step_row(rule, row)
-            assert fast == eca.step_row_reference(rule, row), f"rule {n}"
+            assert fast == step_row_reference(rule, row), f"rule {n}"
             row = fast
 
 
@@ -153,8 +153,92 @@ def test_cycle_packed_matches_naive_all_rules():
         bits = seed
         for _ in range(64):
             fast = eca.step_cycle(rule, bits, width)
-            assert fast == eca.step_cycle_reference(rule, bits, width), f"rule {n}"
+            assert fast == step_cycle_reference(rule, bits, width), f"rule {n}"
             bits = fast
+
+
+def test_apply_rule_matches_output_table_all_rules():
+    # planes with one bit per neighbourhood: bit v of l, c, r spells v
+    l, c, r = 0b11110000, 0b11001100, 0b10101010
+    for n in range(256):
+        rule = eca.parse_rule(n)
+        assert eca.apply_rule(rule, l, c, r, 0xFF) == n, f"rule {n}"
+
+
+def test_rule30_normal_form():
+    # rule 30 is l ^ c ^ r ^ cr: the monomials r, c, cr, l
+    assert eca.parse_rule(30).anf == 0b00011110
+
+
+def test_parse_rule_returns_shared_tables():
+    assert eca.parse_rule(110) is eca.parse_rule(110)
+    assert eca.parse_rule(110) == eca.RuleTable(110, eca.parse_rule(110).outputs)
+
+
+def test_step_cycle_matches_naive_random_rings():
+    rng = random.Random(2)
+    for n in range(256):
+        rule = eca.parse_rule(n)
+        for width in (1, 2, 3, rng.randint(4, 70), rng.randint(64, 300)):
+            for _ in range(3):
+                bits = rng.getrandbits(width)
+                assert eca.step_cycle(rule, bits, width) == \
+                    step_cycle_reference(rule, bits, width), f"rule {n} width {width}"
+
+
+def test_step_row_matches_naive_random_rows():
+    rng = random.Random(3)
+    for n in range(0, 256, 2):  # the 128 quiescent rules
+        rule = eca.parse_rule(n)
+        for _ in range(6):
+            row = eca.BitRow.make(rng.randint(-200, 200), rng.getrandbits(rng.randint(1, 90)))
+            assert eca.step_row(rule, row) == step_row_reference(rule, row), f"rule {n}"
+
+
+def test_center_column_matches_naive_column_from_evolve():
+    rng = random.Random(4)
+    for _ in range(60):
+        rule = eca.parse_rule(rng.randrange(0, 256, 2))
+        steps = rng.randint(0, 60)
+        offset = rng.choice([rng.randint(-3 * steps - 5, 3 * steps + 5),
+                             -rng.randint(0, 40), rng.randint(steps, 2 * steps + 40)])
+        seed = eca.BitRow.make(offset, rng.getrandbits(rng.randint(0, 40)))
+        naive = [row[0] for row in eca.evolve(rule, seed, steps).rows]
+        assert eca.center_column(rule, steps, seed) == naive, (rule.number, steps, seed)
+
+
+def test_center_column_seed_far_outside_the_light_cone():
+    rule = eca.parse_rule(30)
+    for offset in (-10 ** 12, 10 ** 12):
+        assert eca.center_column(rule, 5, eca.BitRow.make(offset, 0b101)) == [0] * 6
+
+
+def test_center_column_rule30_long_column():
+    hist = eca.evolve(eca.parse_rule(30), eca.BitRow.single(0), 500)
+    assert eca.center_column(eca.parse_rule(30), 500) == [row[0] for row in hist.rows]
+
+
+def test_center_column_errors():
+    with pytest.raises(eca.InvalidSteps):
+        eca.center_column(eca.parse_rule(30), -1)
+    with pytest.raises(eca.UnsupportedBackground):
+        eca.center_column(eca.parse_rule(255), 3)
+    assert eca.center_column(eca.parse_rule(255), 0) == [1]
+
+
+def test_negative_steps_are_domain_errors():
+    rule = eca.parse_rule(30)
+    for call in (lambda: eca.evolve(rule, eca.BitRow.single(), -1),
+                 lambda: eca.evolve_cycle(rule, 1, 8, -1)):
+        with pytest.raises(eca.InvalidSteps):
+            call()
+    assert issubclass(eca.InvalidSteps, ValueError)
+
+
+def test_evolve_cycle_row_cap():
+    with pytest.raises(eca.RowLimitExceeded):
+        eca.evolve_cycle(eca.parse_rule(30), 1, 8, 100, max_rows=50)
+    assert len(eca.evolve_cycle(eca.parse_rule(30), 1, 8, 49, max_rows=50)) == 50
 
 
 def test_cycle_agrees_with_unbounded_while_light_cone_fits():
