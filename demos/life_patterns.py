@@ -40,7 +40,7 @@ gun = life.parse_rle(load_text("gosper_gun.rle"))
 populations = []
 state = gun
 for _ in range(181):
-    populations.append(life.population(state))
+    populations.append(len(state))
     state = life.step(state)
 for t in (60, 90, 120, 150):
     print(f"population at t={t:3d}: {populations[t]:3d}   "

@@ -20,6 +20,11 @@ class BlockTooLarge(EmergeLabError):
     """Block length exceeds the sequence length."""
 
 
+class InvalidLength(EmergeLabError, ValueError):
+    """Block length or period bound below one, or a sequence too short for
+    the period bound."""
+
+
 @dataclass(frozen=True)
 class CycleResult:
     """Preperiod/period of a repeating sequence: states[mu + t] equals
@@ -79,7 +84,7 @@ def block_entropy(bits, k: int) -> float:
     """
     data = _as_bits(bits)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidLength(f"k must be >= 1, got {k}")
     if k > len(data):
         raise BlockTooLarge(f"block length {k} exceeds {len(data)} bits")
     counts = Counter(data[i:i + k] for i in range(len(data) - k + 1))
@@ -93,9 +98,9 @@ def no_short_period(bits, max_period: int) -> bool:
     candidate period is tested against at least max_period positions."""
     data = _as_bits(bits)
     if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period}")
+        raise InvalidLength(f"max_period must be >= 1, got {max_period}")
     if len(data) <= 2 * max_period:
-        raise ValueError(
+        raise InvalidLength(
             f"need more than {2 * max_period} bits, got {len(data)}")
     for p in range(1, max_period + 1):
         if data[:-p] == data[p:]:

@@ -134,8 +134,17 @@ def _cmd_eca(args) -> int:
     return 0
 
 
+class UnreadablePattern(EmergeLabError):
+    """A pattern file that cannot be read as text."""
+
+
 def _load_pattern(path: str):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadablePattern(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadablePattern(f"{path} is not UTF-8 text: {exc}") from exc
     if path.endswith(".cells"):
         return life.parse_cells(text)
     return life.parse_rle(text)
@@ -147,13 +156,13 @@ def _cmd_life(args) -> int:
         result = life.run(cells, args.steps)
         if args.out_rle:
             Path(args.out_rle).write_text(life.write_rle(result))
+        report = {"steps": args.steps, "population": len(result)}
+        want_box = args.out or args.print == "bbox"
+        box = life.bounding_box(result) if want_box else None
         if args.out:
-            box = life.bounding_box(result)
             if box is None:
                 raise EmergeLabError("cannot render an empty pattern to PBM")
             _write_bytes(args.out, render_pbm(_grid_from_cells(result, box)))
-        report = {"steps": args.steps, "population": life.population(result)}
-        box = life.bounding_box(result)
         if args.print == "bbox":
             report["bbox"] = "empty" if box is None else \
                 f"{box[0]},{box[1]},{box[2]},{box[3]}"
@@ -297,10 +306,10 @@ def _cmd_analyze(args) -> int:
         bits = text
     report = {"bits": len(bits),
               "ones_fraction": float(analysis.ones_fraction(bits))}
-    if args.block_k:
+    if args.block_k is not None:
         report[f"block_entropy_k{args.block_k}"] = round(
             analysis.block_entropy(bits, args.block_k), 6)
-    if args.max_period:
+    if args.max_period is not None:
         report[f"no_short_period_{args.max_period}"] = str(
             analysis.no_short_period(bits, args.max_period)).lower()
     emit_report(report, args.json)

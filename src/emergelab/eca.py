@@ -19,15 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmergeLabError
+from .errors import EmergeLabError, InvalidSteps
 
 
 class InvalidRule(EmergeLabError):
     """Rule number outside 0..255."""
-
-
-class InvalidSteps(EmergeLabError, ValueError):
-    """Negative generation count."""
 
 
 class InvalidRow(EmergeLabError, ValueError):

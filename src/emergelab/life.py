@@ -3,22 +3,34 @@
 Cells are a sparse set of (x, y) pairs with x = column (rightward) and
 y = row (downward), matching RLE reading order.  The rule is fixed B3/S23.
 
-`step` tallies neighbour contributions of the live cells; for big
-populations with moderate coordinates it switches to a packed numpy path
-that is exactly equivalent to the Counter tally.  Pattern I/O covers the
-Life-ecosystem RLE format (read/write) and the plaintext .cells grid
-(read only).
+`step` and `run` share three exact backends, chosen in one place,
+`_backend`, from the population, the bounding-box density and whether the
+coordinates stay within +-2**30:
+- a Counter tally of neighbour contributions, the reference: single
+  generations of patterns under 256 cells, and coordinates beyond +-2**30,
+  which stay arbitrary Python ints;
+- a packed numpy loop over sorted int64 keys: sparse patterns such as the
+  Gosper gun, and small seeds run for many generations;
+- a dense uint8 grid over the bounding box, with neighbour counts from
+  shifted-slice sums: patterns of at least 64 cells that fill at least
+  1/128 of their box, such as random soups.  It hands over to the packed
+  loop if the pattern thins out.
+
+Pattern I/O covers the Life-ecosystem RLE format (read/write) and the
+plaintext .cells grid (read only).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import EmergeLabError
+from .errors import EmergeLabError, InvalidSteps
 
 CellSet = frozenset  # of (x, y) int pairs
 
@@ -31,6 +43,19 @@ _PACK_HALF = 1 << 31
 _PACK_LIMIT = 1 << 30
 _PACKED_OFFSETS = np.array([dx * _PACK_M + dy for dx, dy in NEIGHBOR_OFFSETS],
                            dtype=np.int64)
+# below this magnitude, differences of coordinates fit in int64
+_XY_LIMIT = 1 << 62
+
+# single generations of smaller patterns run on the tally
+_TALLY_MAX_POP = 256
+# the dense grid runs patterns of at least _DENSE_MIN_POP cells that fill at
+# least 1/_DENSE_SPARSITY of their bounding box
+_DENSE_MIN_POP = 64
+_DENSE_SPARSITY = 128
+# dead cells kept around the live ones when the dense grid is (re)built
+_DENSE_MARGIN = 16
+# generations between rebuilds that shrink the grid to the live cells
+_DENSE_RECHECK = 64
 
 
 class PatternParseError(EmergeLabError):
@@ -53,9 +78,8 @@ class UnsupportedRule(EmergeLabError):
     """RLE header names a rule other than B3/S23."""
 
 
-def population(cells: CellSet) -> int:
-    """Number of live cells."""
-    return len(cells)
+class InvalidBudget(EmergeLabError, ValueError):
+    """Fate budget below one generation."""
 
 
 def _step_tally(cells) -> frozenset:
@@ -70,16 +94,67 @@ def _step_tally(cells) -> frozenset:
                      if n == 3 or (n == 2 and c in cells))
 
 
-def _pack(cells) -> np.ndarray:
-    arr = np.fromiter((x * _PACK_M + y + _PACK_HALF for x, y in cells),
-                      dtype=np.int64, count=len(cells))
-    return arr
+def _xy(cells):
+    """The cells as an (n, 2) array of (x, y) rows, with their bounding box.
+
+    The array is int64, or of Python ints (dtype object) once a coordinate
+    reaches 2**62, so that differences of coordinates cannot overflow.
+    """
+    try:
+        xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
+                         count=2 * len(cells)).reshape(-1, 2)
+        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+        if -_XY_LIMIT < min(x0, y0) and max(x1, y1) < _XY_LIMIT:
+            return xy, (x0, y0, x1, y1)
+    except OverflowError:
+        pass
+    xy = np.array(list(chain.from_iterable(cells)), dtype=object).reshape(-1, 2)
+    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    return xy, (x0, y0, x1, y1)
 
 
-def _unpack(keys: np.ndarray) -> frozenset:
-    xs = keys >> 32
-    ys = (keys & np.int64(_PACK_M - 1)) - _PACK_HALF
-    return frozenset(zip(xs.tolist(), ys.tolist()))
+def _packable(box, steps: int) -> bool:
+    """Whether coordinates stay inside +-2**30 for `steps` generations,
+    which the packed keys and the dense grid need."""
+    x0, y0, x1, y1 = box
+    return (-_PACK_LIMIT < min(x0, y0) - steps
+            and max(x1, y1) + steps < _PACK_LIMIT)
+
+
+def _dense_enough(population: int, box) -> bool:
+    """Whether the dense grid beats the packed loop on this pattern."""
+    x0, y0, x1, y1 = box
+    return (population >= _DENSE_MIN_POP and
+            population * _DENSE_SPARSITY >= (x1 - x0 + 1) * (y1 - y0 + 1))
+
+
+def _backend(cells, steps: int):
+    """Choose how to advance `cells` by `steps` generations.
+
+    This is the only place a backend is chosen.  Returns ('tally', None),
+    or ('packed' or 'dense', xy) with the cells as an (n, 2) array:
+    - 'tally' for one generation of a small pattern, where numpy's
+      per-call cost dominates, and for coordinates that may leave
+      +-2**30 (arbitrary Python ints stay off the numpy paths);
+    - 'dense' when the pattern fills enough of its bounding box;
+    - 'packed' otherwise (sparse patterns such as the gun, small seeds).
+    """
+    population = len(cells)
+    if steps == 1 and population < _TALLY_MAX_POP:
+        return "tally", None
+    xy, box = _xy(cells)
+    if not _packable(box, steps):
+        return "tally", None
+    return ("dense" if _dense_enough(population, box) else "packed"), xy
+
+
+def _run_tally(cells, steps: int) -> frozenset:
+    out = frozenset(cells)
+    for _ in range(steps):
+        out = _step_tally(out)
+        if not out:
+            break
+    return out
 
 
 def _step_packed(keys: np.ndarray) -> np.ndarray:
@@ -94,43 +169,93 @@ def _step_packed(keys: np.ndarray) -> np.ndarray:
     return uniq[keep]
 
 
-def _packable(cells) -> bool:
-    return all(-_PACK_LIMIT < x < _PACK_LIMIT and -_PACK_LIMIT < y < _PACK_LIMIT
-               for x, y in cells)
+def _run_packed(xs: np.ndarray, ys: np.ndarray, steps: int):
+    """`steps` generations over sorted packed int64 keys
+    x * 2**32 + (y + 2**31)."""
+    keys = np.sort(xs * _PACK_M + ys + _PACK_HALF)
+    for _ in range(steps):
+        keys = _step_packed(keys)
+        if keys.size == 0:
+            break
+    return keys >> 32, (keys & (_PACK_M - 1)) - _PACK_HALF
+
+
+def _step_grid(grid: np.ndarray):
+    """One generation of a uint8 0/1 grid, in place.  Live cells must be at
+    least two cells from the edge, so births stay inside the grid."""
+    rows = grid[:, :-2] + grid[:, 1:-1]
+    rows += grid[:, 2:]
+    count = rows[:-2] + rows[1:-1]
+    count += rows[2:]
+    inner = grid[1:-1, 1:-1]
+    count -= inner  # the 3x3 sum less the cell: its neighbour count
+    # a dead cell lives on at 3 neighbours, a live one at 2 or 3: count | cell == 3
+    count |= inner
+    np.equal(count, 3, out=inner.view(bool))
+
+
+def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
+    """Advance on a uint8 grid over the bounding box plus a margin.
+
+    The grid is rebuilt around the live cells when one comes within a cell
+    of the edge, and every `_DENSE_RECHECK` generations; each rebuild checks
+    the density again.  Returns (xs, ys, generations left), with
+    generations left > 0 when the pattern became too sparse for the grid.
+    """
+    m = _DENSE_MARGIN
+    x0, y0 = xs.min() - m, ys.min() - m
+    grid = np.zeros((ys.max() - y0 + m + 1, xs.max() - x0 + m + 1), dtype=np.uint8)
+    grid[ys - y0, xs - x0] = 1
+    while steps:
+        _step_grid(grid)
+        steps -= 1
+        if not steps:
+            break
+        if not (steps % _DENSE_RECHECK == 0 or grid[1].any() or grid[-2].any()
+                or grid[:, 1].any() or grid[:, -2].any()):
+            continue
+        live_rows = np.flatnonzero(grid.any(axis=1))
+        if live_rows.size == 0:
+            break
+        live_cols = np.flatnonzero(grid.any(axis=0))
+        r0, r1, c0, c1 = live_rows[0], live_rows[-1] + 1, live_cols[0], live_cols[-1] + 1
+        core = grid[r0:r1, c0:c1]
+        x0, y0 = x0 + c0, y0 + r0
+        box = (x0, y0, x0 + c1 - c0 - 1, y0 + r1 - r0 - 1)
+        if not _dense_enough(np.count_nonzero(core), box):
+            grid = core
+            break
+        grid = np.pad(core, m)
+        x0, y0 = x0 - m, y0 - m
+    ys, xs = np.nonzero(grid)
+    return xs + x0, ys + y0, steps
 
 
 def step(cells: CellSet) -> CellSet:
     """One generation of B3/S23."""
-    if not cells:
-        return frozenset()
-    if len(cells) >= 256 and _packable(cells):
-        return _unpack(_step_packed(np.sort(_pack(cells))))
-    return _step_tally(cells)
+    return _advance(cells, 1)
 
 
 def run(cells: CellSet, steps: int) -> CellSet:
     """`steps`-fold composition of step."""
     if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+        raise InvalidSteps(f"steps must be >= 0, got {steps}")
+    return _advance(cells, steps)
+
+
+def _advance(cells, steps: int) -> frozenset:
+    """`run` without its check of `steps`; `step` calls it directly."""
     if not cells or steps == 0:
         return frozenset(cells)
-    if _packable(cells):
-        # stay in packed form across generations; coordinates cannot leave
-        # the packable range faster than one cell per step
-        if all(abs(x) + steps < _PACK_LIMIT and abs(y) + steps < _PACK_LIMIT
-               for x, y in cells):
-            keys = np.sort(_pack(cells))
-            for _ in range(steps):
-                if keys.size == 0:
-                    return frozenset()
-                keys = _step_packed(keys)
-            return _unpack(keys)
-    out = frozenset(cells)
-    for _ in range(steps):
-        out = _step_tally(out)
-        if not out:
-            break
-    return out
+    backend, xy = _backend(cells, steps)
+    if backend == "tally":
+        return _run_tally(cells, steps)
+    xs, ys = xy[:, 0], xy[:, 1]
+    if backend == "dense":
+        xs, ys, steps = _run_dense(xs, ys, steps)
+    if steps and xs.size:
+        xs, ys = _run_packed(xs, ys, steps)
+    return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
 def bounding_box(cells: CellSet) -> tuple[int, int, int, int] | None:
@@ -186,7 +311,7 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
     general is undecidable, hence the budget and the 'unknown' verdict.
     """
     if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise InvalidBudget(f"budget must be >= 1, got {budget}")
     seen: dict[frozenset, tuple[int, tuple[int, int]]] = {}
     state = frozenset(cells)
     for t in range(budget + 1):
@@ -284,50 +409,53 @@ def write_rle(cells: CellSet) -> str:
     output lines never exceed 69 characters and the encoding is
     byte-deterministic.
     """
-    norm, _ = canonical(cells)
-    box = bounding_box(norm)
-    if box is None:
+    if not cells:
         return "x = 0, y = 0, rule = B3/S23\n!\n"
-    _, _, max_x, max_y = box
-    header = f"x = {max_x + 1}, y = {max_y + 1}, rule = B3/S23\n"
+    xy, (x0, y0, x1, y1) = _xy(cells)
+    width, height = x1 - x0 + 1, y1 - y0 + 1
+    header = f"x = {width}, y = {height}, rule = B3/S23\n"
 
-    rows: dict[int, list[int]] = {}
-    for x, y in norm:
-        rows.setdefault(y, []).append(x)
+    if width * height >= _XY_LIMIT:  # keep row-major keys exact
+        xy = xy.astype(object)
+    xs, ys = xy[:, 0] - x0, xy[:, 1] - y0
+    keys = np.sort(ys * width + xs)
+    ys, xs = keys // width, keys % width
+    # runs of live cells: a run starts on a new row or after a gap
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1))))
+    run_x, run_y = xs[starts], ys[starts]
+    run_len = np.diff(starts, append=xs.size)
+    # per run: rows skipped since the previous run ('$'), dead cells before
+    # it on its row ('b'), its length ('o'); zero counts emit no token
+    skip = np.diff(run_y, prepend=0)
+    cursor = np.concatenate(([0], run_x[:-1] + run_len[:-1]))
+    gap = run_x - np.where(skip > 0, 0, cursor)
+    counts = np.stack([skip, gap, run_len], axis=1).ravel()
+    tags = np.tile(np.frombuffer(b"$bo", dtype=np.uint8), starts.size)
+    keep = counts > 0
+    counts, tags = counts[keep], tags[keep]
 
-    tokens: list[str] = []
-
-    def emit(n: int, tag: str):
-        tokens.append(f"{n}{tag}" if n > 1 else tag)
-
-    last_row = 0
-    for y in sorted(rows):
-        if y > last_row:
-            emit(y - last_row, "$")
-        xs = sorted(rows[y])
-        cursor = 0
-        i = 0
-        while i < len(xs):
-            j = i
-            while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
-                j += 1
-            if xs[i] > cursor:
-                emit(xs[i] - cursor, "b")
-            emit(j - i + 1, "o")
-            cursor = xs[j] + 1
-            i = j + 1
-        last_row = y
-    tokens.append("!")
-
-    lines = []
-    current = ""
-    for tok in tokens:
-        if len(current) + len(tok) > RLE_LINE_LIMIT:
-            lines.append(current)
-            current = ""
-        current += tok
-    lines.append(current)
-    return header + "\n".join(lines) + "\n"
+    # one byte row per token: [newline][count digits, none for 1][tag]
+    places = len(str(counts.max()))
+    table = np.zeros((counts.size + 1, places + 2), dtype=np.uint8)
+    table[:-1, -1] = tags
+    table[-1, -1] = ord("!")
+    multi = counts > 1
+    for col in range(places):
+        place = 10 ** (places - 1 - col)
+        digit = (counts // place % 10 + ord("0")).astype(np.uint8)
+        table[:-1, col + 1] = np.where(multi & (counts >= place), digit, 0)
+    # greedy line filling: a token starts a new line when it would take the
+    # current one past RLE_LINE_LIMIT characters
+    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    line_start = 0
+    while True:
+        i = bisect_right(ends, line_start + RLE_LINE_LIMIT)
+        if i == len(ends):
+            break
+        table[i, 0] = ord("\n")
+        line_start = ends[i - 1]
+    return header + table[table != 0].tobytes().decode("ascii") + "\n"
 
 
 def parse_cells(text: str) -> CellSet:

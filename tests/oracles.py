@@ -118,6 +118,54 @@ def life_run_dense(cells, steps):
     return out
 
 
+def write_rle_reference(cells, line_limit=69):
+    """Canonical RLE text, token by token: rows of sorted runs, then greedy
+    line filling."""
+    if not cells:
+        return "x = 0, y = 0, rule = B3/S23\n!\n"
+    x0 = min(x for x, _ in cells)
+    y0 = min(y for _, y in cells)
+    rows = {}
+    for x, y in cells:
+        rows.setdefault(y - y0, []).append(x - x0)
+    width = max(max(xs) for xs in rows.values()) + 1
+    header = f"x = {width}, y = {max(rows) + 1}, rule = B3/S23\n"
+
+    tokens = []
+
+    def emit(n, tag):
+        tokens.append(f"{n}{tag}" if n > 1 else tag)
+
+    last_row = 0
+    for y in sorted(rows):
+        if y > last_row:
+            emit(y - last_row, "$")
+        xs = sorted(rows[y])
+        cursor = 0
+        i = 0
+        while i < len(xs):
+            j = i
+            while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
+                j += 1
+            if xs[i] > cursor:
+                emit(xs[i] - cursor, "b")
+            emit(j - i + 1, "o")
+            cursor = xs[j] + 1
+            i = j + 1
+        last_row = y
+    tokens.append("!")
+
+    lines = []
+    current = ""
+    for tok in tokens:
+        if len(current) + len(tok) > line_limit:
+            lines.append(current)
+            current = ""
+        current += tok
+    lines.append(current)
+    return header + "\n".join(lines) + "\n"
+
+
 def quadratic_first_repeat(states):
     """Earliest (mu, lam) with states[mu] == states[mu + lam], by full scan."""
     for i in range(len(states)):

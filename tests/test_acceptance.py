@@ -96,7 +96,7 @@ def test_criterion_05_gosper_gun_emission_rate():
         populations = []
         state = gun
         for _ in range(331):
-            populations.append(life.population(state))
+            populations.append(len(state))
             state = life.step(state)
         for t in range(60, 301):
             assert populations[t + 30] - populations[t] == 5, f"t={t}"

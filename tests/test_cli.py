@@ -176,6 +176,66 @@ def test_eca_and_analyze_domain_errors_are_one_line(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["life", "run", "--rle", GLIDER, "--steps", "-1"],
+    ["life", "fate", "--rle", GLIDER, "--budget", "0"],
+    ["life", "fate", "--rle", GLIDER, "--budget", "-3"],
+    ["life", "run", "--rle", str(fixture_path("glider.rle").parent), "--steps", "1"],
+    ["life", "run", "--rle", GLIDER + "/inner.rle", "--steps", "1"],
+    ["analyze", "--rule30-center", "100", "--block-k", "-1"],
+    ["analyze", "--rule30-center", "100", "--block-k", "0"],
+    ["analyze", "--rule30-center", "100", "--block-k", "101"],
+    ["analyze", "--rule30-center", "100", "--max-period", "60"],
+    ["analyze", "--rule30-center", "100", "--max-period", "0"],
+    ["analyze", "--rule30-center", "100", "--max-period", "-2"],
+])
+def test_life_and_analyze_domain_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_life_pattern_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.rle"
+    path.write_bytes(b"#C caf\xe9\nx = 1, y = 1\no!\n")
+    code, out, err = run_cli(capsys, "life", "run", "--rle", str(path), "--steps", "1")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "UTF-8" in err
+
+
+def test_life_pattern_unreadable(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+    monkeypatch.setattr(cli.Path, "read_text", refuse)
+    for argv in (["run", "--steps", "1"], ["fate"]):
+        code, out, err = run_cli(capsys, "life", *argv, "--rle", GLIDER)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "Permission denied" in err
+
+
+def test_analyze_zero_options_are_validated_not_ignored(capsys):
+    code, _, err = run_cli(capsys, "analyze", "--rule30-center", "100",
+                           "--block-k", "0")
+    assert code == 1 and "k must be >= 1" in err
+    code, _, err = run_cli(capsys, "analyze", "--rule30-center", "100",
+                           "--max-period", "0")
+    assert code == 1 and "max_period must be >= 1" in err
+
+
+def test_life_run_bounding_box_only_when_needed(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = life.bounding_box
+    monkeypatch.setattr(life, "bounding_box",
+                        lambda cells: calls.append(1) or real(cells))
+    run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "4",
+            "--out-rle", str(tmp_path / "out.rle"))
+    assert calls == []
+    code, out, _ = run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "4",
+                           "--print", "bbox", "--out", str(tmp_path / "out.pbm"))
+    assert code == 0 and "bbox=1,1,3,3" in out and calls == [1]
+    assert (tmp_path / "out.pbm").read_bytes().startswith(b"P4\n3 3\n")
+
+
 def test_life_run_bbox_report(capsys):
     code, out, _ = run_cli(capsys, "life", "run", "--rle", GLIDER,
                            "--steps", "4", "--print", "bbox")

@@ -1,0 +1,248 @@
+"""The Life backends (tally, packed loop, dense grid) and the vectorised RLE
+writer, checked against the tally and the naive oracles."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from emergelab import life
+from emergelab.fixtures import load_text
+
+from .oracles import life_run_dense, write_rle_reference
+
+GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
+
+
+def tally_run(cells, steps):
+    out = frozenset(cells)
+    for _ in range(steps):
+        out = life._step_tally(out)
+    return out
+
+
+def soup(rng, side, n, dx=0, dy=0):
+    return frozenset((dx + rng.randrange(side), dy + rng.randrange(side))
+                     for _ in range(n))
+
+
+def backend(cells, steps):
+    return life._backend(cells, steps)[0]
+
+
+def spy(monkeypatch):
+    """Record the order in which run() uses the numpy backends."""
+    calls = []
+    for name in ("_run_dense", "_run_packed"):
+        real = getattr(life, name)
+
+        def wrapped(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(life, name, wrapped)
+    return calls
+
+
+def receding_gliders():
+    """Four gliders per diagonal direction, packed tightly: 80 cells in a
+    small box that then spreads out at c/4 in all four directions."""
+    cells = set()
+    for sx in (1, -1):
+        for sy in (1, -1):
+            for k in range(4):
+                ox, oy = 6 * (k % 2) + 4, 6 * (k // 2) + 4
+                cells |= {(sx * (ox + x), sy * (oy + y)) for x, y in GLIDER}
+    return frozenset(cells)
+
+
+# ---------------------------------------------------------------------------
+# backend choice
+
+def test_backend_choice():
+    rng = random.Random(1)
+    dense_soup = soup(rng, 60, 1200)
+    sparse = frozenset((37 * i, 11 * (i % 13)) for i in range(300))
+    gun = life.parse_rle(load_text("gosper_gun.rle"))
+    assert backend(dense_soup, 1) == backend(dense_soup, 50) == "dense"
+    assert backend(sparse, 1) == backend(sparse, 50) == "packed"
+    # a single generation of a small pattern: the tally
+    assert backend(GLIDER, 1) == backend(soup(rng, 12, 100), 1) == "tally"
+    # small patterns over many generations: the packed loop
+    assert backend(GLIDER, 2) == backend(gun, 2000) == "packed"
+    # coordinates that may leave +-2**30, or do not fit in int64: the tally
+    edge = life.translate(dense_soup, (1 << 30) - 100, 0)
+    assert backend(edge, 30) == "dense" and backend(edge, 60) == "tally"
+    assert backend(life.translate(dense_soup, 0, -(10 ** 20)), 5) == "tally"
+
+
+# ---------------------------------------------------------------------------
+# run against the tally and the dense oracle
+
+@pytest.mark.parametrize("side,n", [(30, 300), (40, 500), (60, 400),
+                                    (200, 150), (400, 300)])
+def test_run_matches_tally_on_both_sides_of_the_threshold(side, n):
+    rng = random.Random(side * n)
+    cells = soup(rng, side, n, dx=-side // 2, dy=-side // 3)
+    for steps in (1, 2, 7, 30):
+        assert life.run(cells, steps) == tally_run(cells, steps)
+    assert life.run(cells, 12) == life_run_dense(cells, 12)
+
+
+@given(st.integers(1, 25), st.integers(1, 700), st.integers(0, 40),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_run_matches_tally_on_random_soups(side, n, steps, dx, dy, seed):
+    cells = soup(random.Random(seed), side, n, dx, dy)
+    assert life.run(cells, steps) == tally_run(cells, steps)
+
+
+def test_run_near_the_packing_limit():
+    rng = random.Random(2)
+    base = soup(rng, 30, 400)
+    limit = 1 << 30
+    for dx, dy in [(limit - 60, 0), (0, limit - 60), (-limit + 31, 5),
+                   (3, -limit + 31), (limit - 40, -limit + 40)]:
+        cells = life.translate(base, dx, dy)
+        for steps in (1, 9, 20):
+            assert life.run(cells, steps) == \
+                life.translate(tally_run(base, steps), dx, dy)
+
+
+@pytest.mark.parametrize("offset", [10 ** 20, -(10 ** 20), 2 ** 63, 2 ** 62 - 5])
+def test_run_with_python_ints_beyond_int64(offset):
+    base = soup(random.Random(3), 20, 200)
+    cells = life.translate(base, offset, -offset)
+    want = life.translate(tally_run(base, 6), offset, -offset)
+    assert life.run(cells, 6) == want
+    assert life.step(cells) == life.translate(life._step_tally(base), offset, -offset)
+
+
+@pytest.mark.parametrize("steps", [1, 5, 70, 200])
+def test_patterns_that_die_out(steps):
+    # isolated cells three apart: dense enough for the grid, dead in one step
+    dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
+    assert backend(dots, steps) == "dense"
+    assert life.run(dots, steps) == frozenset()
+    # a sparse spread of blocks and dots: the dots die, the blocks stay
+    blocks = frozenset((40 * i + a, b) for i in range(30) for a in (0, 1) for b in (0, 1))
+    stray = frozenset((40 * i + 20, 0) for i in range(30))
+    assert life.run(blocks | stray, steps) == blocks
+
+
+def test_grid_growing_every_generation(monkeypatch):
+    # with no slack around the live cells, every generation in which the
+    # soup spreads rebuilds the grid
+    monkeypatch.setattr(life, "_DENSE_MARGIN", 2)
+    cells = soup(random.Random(4), 24, 300, dx=-7, dy=11)
+    calls = spy(monkeypatch)
+    assert life.run(cells, 60) == tally_run(cells, 60)
+    assert calls[0] == "_run_dense"
+
+
+def test_run_switches_backend_mid_run(monkeypatch):
+    cells = receding_gliders()
+    assert len(cells) == 80 and backend(cells, 400) == "dense"
+    calls = spy(monkeypatch)
+    result = life.run(cells, 400)
+    assert calls == ["_run_dense", "_run_packed"]
+    assert result == tally_run(cells, 400)
+    assert result == frozenset((x + (100 if x > 0 else -100),
+                                y + (100 if y > 0 else -100)) for x, y in cells)
+
+
+def test_run_zero_steps_returns_the_pattern():
+    cells = soup(random.Random(5), 30, 400)
+    assert life.run(cells, 0) == cells
+    assert life.run(set(cells), 0) == cells
+    assert life.run(frozenset(), 0) == frozenset()
+
+
+def test_negative_steps_is_a_domain_error():
+    with pytest.raises(life.InvalidSteps):
+        life.run(GLIDER, -1)
+    with pytest.raises(ValueError):
+        life.run(GLIDER, -1)
+
+
+def test_run_accepts_plain_sets_and_lists():
+    cells = soup(random.Random(6), 30, 400)
+    want = tally_run(cells, 5)
+    assert life.run(set(cells), 5) == want
+    assert life.run(sorted(cells), 5) == want
+
+
+def test_packed_dense_and_tally_agree_on_step():
+    rng = random.Random(7)
+    for cells in (soup(rng, 40, 700), soup(rng, 300, 300),
+                  receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
+        xy, _ = life._xy(cells)
+        want = life._step_tally(cells)
+        for kernel in (life._run_dense, life._run_packed):
+            out = kernel(xy[:, 0], xy[:, 1], 1)
+            assert frozenset(zip(out[0].tolist(), out[1].tolist())) == want
+
+
+# ---------------------------------------------------------------------------
+# write_rle against the token-by-token writer
+
+CORPUS = ["glider.rle", "block.rle", "blinker.rle", "toad.rle", "beacon.rle",
+          "beehive.rle", "loaf.rle", "boat.rle", "tub.rle", "lwss.rle",
+          "pulsar.rle", "rpentomino.rle", "gosper_gun.rle"]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_write_rle_matches_reference_on_corpus(name):
+    cells = life.parse_rle(load_text(name))
+    assert life.write_rle(cells) == write_rle_reference(cells)
+    moved = life.translate(cells, -17, 1 << 40)
+    assert life.write_rle(moved) == write_rle_reference(cells)
+
+
+def test_write_rle_small_cases():
+    for cells in (frozenset(), frozenset({(0, 0)}), frozenset({(-5, 9)}),
+                  frozenset({(0, 0), (0, 7)}), frozenset({(3, 0), (0, 12)}),
+                  frozenset({(i, 0) for i in range(123)})):
+        assert life.write_rle(cells) == write_rle_reference(cells)
+
+
+def test_write_rle_blank_rows():
+    cells = frozenset({(0, 0), (4, 1), (2, 5), (0, 17), (9, 117)})
+    text = life.write_rle(cells)
+    assert text == write_rle_reference(cells)
+    assert "4$" in text and "12$" in text and "100$" in text
+
+
+@pytest.mark.parametrize("spacing", [2, 3, 12, 123])
+def test_write_rle_line_filling(spacing):
+    cells = frozenset((spacing * i, 0) for i in range(400))
+    text = life.write_rle(cells)
+    assert text == write_rle_reference(cells)
+    lengths = {len(line) for line in text.splitlines()[1:-1]}
+    assert max(lengths) <= life.RLE_LINE_LIMIT
+    if spacing == 2:  # one-character tokens fill every line exactly
+        assert lengths == {life.RLE_LINE_LIMIT}
+
+
+def test_write_rle_huge_coordinates():
+    for cells in (frozenset({(10 ** 20, 3), (10 ** 20 + 2, 3), (-10 ** 20, 7)}),
+                  frozenset({(2 ** 62, 0), (-2 ** 62, 1)}),
+                  frozenset({(0, 0), (2 ** 40, 2 ** 30)}),
+                  frozenset({(2 ** 63 - 1, -2 ** 63), (0, 0)})):
+        assert life.write_rle(cells) == write_rle_reference(cells)
+
+
+def test_write_rle_random_soups():
+    rng = random.Random(8)
+    for _ in range(40):
+        side = rng.randrange(1, 300)
+        cells = soup(rng, side, rng.randrange(1, 2000),
+                     rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(-50, 50))
+        assert life.write_rle(cells) == write_rle_reference(cells)
+
+
+@given(st.frozensets(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                     max_size=200))
+@settings(max_examples=100)
+def test_write_rle_matches_reference(cells):
+    assert life.write_rle(cells) == write_rle_reference(cells)
