@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
 
-from .errors import EmergeLabError
+from .errors import EmergeLabError, InvalidArgument
 
 
 class EmptyInput(EmergeLabError):
@@ -20,7 +20,7 @@ class BlockTooLarge(EmergeLabError):
     """Block length exceeds the sequence length."""
 
 
-class InvalidLength(EmergeLabError, ValueError):
+class InvalidLength(InvalidArgument):
     """Block length or period bound below one, or a sequence too short for
     the period bound."""
 
@@ -54,7 +54,7 @@ def find_cycle(states: Sequence[Hashable]) -> CycleResult:
 def _as_bits(bits) -> bytes:
     """Normalise a 0/1 sequence (str, bytes, ints, bools) to bytes 0/1."""
     if isinstance(bits, bytes):
-        if any(b not in (0, 1) for b in bits):
+        if bits.translate(None, b"\x00\x01"):  # bytes other than 0 and 1
             raise ValueError("byte values must be 0 or 1")
         return bits
     if isinstance(bits, str):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidArgument
+
 HEADING_VECTORS = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 LEFT_OF = {"N": "W", "W": "S", "S": "E", "E": "N"}
 RIGHT_OF = {v: k for k, v in LEFT_OF.items()}
@@ -59,7 +61,7 @@ def step(state: AntState) -> AntState:
 def run(state: AntState, n: int) -> AntState:
     """n-fold step, with mutable internals so long runs stay linear."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     black = set(state.black)
     x, y = state.pos
     heading = state.heading
@@ -100,8 +102,8 @@ def window_fingerprint(state: AntState, radius: int) -> tuple[str, int]:
     """(heading, packed window) built directly from the black set.
 
     Bit (dy + r) * (2r + 1) + (dx + r) is set when the square at the ant's
-    position plus (dx, dy) is black.  Used by tests to replay detector
-    reports independently of the incremental bookkeeping.
+    position plus (dx, dy) is black.  Seeds `detect_highway`'s window, and
+    lets tests replay its reports without the incremental bookkeeping.
     """
     side = 2 * radius + 1
     ax, ay = state.pos
@@ -125,11 +127,11 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
     period and the earliest onset (onset = t1, relative to `start`).
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+        raise InvalidArgument(f"max_steps must be >= 1, got {max_steps}")
     if window_radius < 1:
-        raise ValueError("window_radius must be >= 1")
+        raise InvalidArgument(f"window_radius must be >= 1, got {window_radius}")
     if confirmations < 1:
-        raise ValueError("confirmations must be >= 1")
+        raise InvalidArgument(f"confirmations must be >= 1, got {confirmations}")
 
     side = 2 * window_radius + 1
     area = side * side
@@ -161,10 +163,7 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
                 bits |= 1 << (base + dx + window_radius)
         return bits
 
-    window = 0
-    for dy in range(-window_radius, window_radius + 1):
-        window |= load_row(dy)
-
+    window = window_fingerprint(start, window_radius)[1]
     seen: dict[tuple[str, int], tuple[int, int, int]] = {(heading, window): (0, x, y)}
     candidate = None  # (base_t, base_fp, base_x, base_y, period, dx, dy, k)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import life
-from .errors import EmergeLabError
+from .errors import EmergeLabError, InvalidArgument
 
 
 class InvalidRadicand(EmergeLabError):
@@ -56,7 +56,7 @@ def sqrt_digits(m: int, count: int) -> list[int]:
     if root * root == m:
         raise RationalSqrt(f"{m} is a perfect square; its root has no expansion")
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise InvalidArgument(f"count must be >= 0, got {count}")
     if count == 0:
         return []
     scaled = math.isqrt(m * 10 ** (2 * count))
@@ -80,7 +80,7 @@ class DigitStream:
             cleaned = re.sub(r"\s", "", digits)
             if not cleaned.isdigit():
                 bad = next(c for c in cleaned if not c.isdigit())
-                raise ValueError(f"digit source contains {bad!r}")
+                raise InvalidArgument(f"digit source contains {bad!r}")
             self._digits = cleaned
         else:
             sqrt_digits(sqrt_of, 0)  # validate the radicand eagerly
@@ -110,7 +110,7 @@ class DigitStream:
     def take(self, count: int) -> list[int]:
         """Read the next `count` digits, advancing the cursor."""
         if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+            raise InvalidArgument(f"count must be >= 0, got {count}")
         self._ensure(self._cursor + count)
         out = [int(d) for d in self._digits[self._cursor:self._cursor + count]]
         self._cursor += count
@@ -125,7 +125,7 @@ def digit_chain(stream: DigitStream, n: int) -> list[int]:
     plain decimal integer; a value of 0 stops the chain (ChainDegenerate).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     values: list[int] = []
     length = 1
     for k in range(1, n + 1):
@@ -172,14 +172,16 @@ class DfaSpec:
         for s in range(self.num_states):
             for sym in "01":
                 if (s, sym) not in self.transition:
-                    raise ValueError(f"transition missing for state {s} on {sym!r}")
+                    raise InvalidArgument(
+                        f"transition missing for state {s} on {sym!r}")
                 if not 0 <= self.transition[(s, sym)] < self.num_states:
-                    raise ValueError(f"transition from {s} on {sym!r} leaves the state set")
+                    raise InvalidArgument(
+                        f"transition from {s} on {sym!r} leaves the state set")
         if not 0 <= self.start < self.num_states:
-            raise ValueError("start state out of range")
+            raise InvalidArgument(f"start state {self.start} out of range")
         for a in self.accepting:
             if not 0 <= a < self.num_states:
-                raise ValueError("accepting state out of range")
+                raise InvalidArgument(f"accepting state {a} out of range")
 
     def accepts(self, word: str) -> bool:
         state = self.start
@@ -205,7 +207,7 @@ def parse_dfa(text: str) -> DfaSpec:
                 start = int(tokens[1])
             elif tokens[0] == "accept":
                 accepting.update(int(t) for t in tokens[1:])
-            elif tokens[0] == "trans" and len(tokens) == 4 and tokens[2] in "01":
+            elif tokens[0] == "trans" and len(tokens) == 4 and tokens[2] in ("0", "1"):
                 transition[(int(tokens[1]), tokens[2])] = int(tokens[3])
             else:
                 raise ValueError
@@ -219,7 +221,7 @@ def parse_dfa(text: str) -> DfaSpec:
 def language_count(lang, n: int, skip_epsilon: bool = False) -> int:
     """How many of the words w_1..w_{n-1} the language accepts."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     return sum(1 for i in range(1, n)
                if lang.accepts(enumerate_words(i, skip_epsilon)))
 
@@ -247,5 +249,5 @@ def life_survival_count(n: int,
     exactly n generations.  "Still alive" here is the bounded reading; the
     eternal version is undecidable and out of reach."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     return sum(1 for j in range(1, n + 1) if run(numbering(j), n))

@@ -5,9 +5,9 @@ Reports are flat `key=value` lines (or the same keys as a JSON object with
 --json); images are binary PBM (P4).  All outputs are deterministic:
 identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 1 domain error (one-line message on stderr),
-2 usage error.  The EMERGELAB_BUDGET environment variable overrides the
-default step budgets.
+Exit codes: 0 success, 1 domain error or a file that cannot be read or
+written (one-line message on stderr), 2 usage error.  The EMERGELAB_BUDGET
+environment variable overrides the default step budgets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, ant, candidates, eca, life, turing
-from .errors import EmergeLabError
+from .errors import EmergeLabError, InvalidArgument
 
 
 class EmptyImage(EmergeLabError):
@@ -71,6 +71,28 @@ def emit_report(pairs: dict, as_json: bool, out=None):
 
 def _write_bytes(path: str, data: bytes):
     Path(path).write_bytes(data)
+
+
+class UnreadableFile(EmergeLabError):
+    """An input file whose bytes are not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    """Every input file is read here; OSErrors reach `run_command`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_ints(path: str) -> list[int]:
+    values = []
+    for token in _read_text(path).split():
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise InvalidArgument(f"{path} must hold integers, got {token!r}") from None
+    return values
 
 
 def _bit_grid(rows, width: int) -> np.ndarray:
@@ -134,20 +156,9 @@ def _cmd_eca(args) -> int:
     return 0
 
 
-class UnreadablePattern(EmergeLabError):
-    """A pattern file that cannot be read as text."""
-
-
 def _load_pattern(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UnreadablePattern(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise UnreadablePattern(f"{path} is not UTF-8 text: {exc}") from exc
-    if path.endswith(".cells"):
-        return life.parse_cells(text)
-    return life.parse_rle(text)
+    parse = life.parse_cells if path.endswith(".cells") else life.parse_rle
+    return parse(_read_text(path))
 
 
 def _cmd_life(args) -> int:
@@ -194,10 +205,10 @@ def _cmd_ant(args) -> int:
                          dx=report.dx, dy=report.dy)
         pairs.update(window_radius=report.window_radius,
                      steps_searched=report.steps_searched)
-        emit_report(pairs, args.json)
         if args.report:
             with open(args.report, "w") as fh:
                 emit_report(pairs, False, out=fh)
+        emit_report(pairs, args.json)
         return 0
     state = ant.run(start, steps)
     if args.out:
@@ -214,7 +225,7 @@ def _cmd_ant(args) -> int:
 
 
 def _machine(path: str) -> turing.MachineSpec:
-    return turing.parse_machine(Path(path).read_text(), name=Path(path).stem)
+    return turing.parse_machine(_read_text(path), name=Path(path).stem)
 
 
 def _cmd_tm(args) -> int:
@@ -245,14 +256,13 @@ def _cmd_tm(args) -> int:
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
-    values = list(indices) if args.identity_values else \
-        [int(v) for v in Path(args.values).read_text().split()]
+    values = list(indices) if args.identity_values else _read_ints(args.values)
     if args.timing_from:
         timer = _machine(args.timing_from)
         timing = [turing.run(timer, i, budget).total_steps for i in indices]
     else:
-        timing = [int(v) for v in Path(args.timing).read_text().split()]
-    witness = turing.BigOWitness(Fraction(args.c), args.n0)
+        timing = _read_ints(args.timing)
+    witness = turing.BigOWitness(args.c, args.n0)
     report = turing.audit_approximation(approx, finisher, values, timing,
                                         witness, indices, step_budget=budget)
     pairs = {"verdict": "pass" if report.verdict else "fail",
@@ -276,7 +286,7 @@ def _cmd_candidate(args) -> int:
         if args.sqrt is not None:
             stream = candidates.DigitStream.from_sqrt(args.sqrt)
         else:
-            stream = candidates.DigitStream.from_text(Path(args.digits_file).read_text())
+            stream = candidates.DigitStream.from_text(_read_text(args.digits_file))
         values = candidates.digit_chain(stream, args.n)
         emit_report({"n": args.n,
                      "values": ",".join(map(str, values))}, args.json)
@@ -284,7 +294,7 @@ def _cmd_candidate(args) -> int:
         word = candidates.enumerate_words(args.index, args.skip_epsilon)
         emit_report({"index": args.index, "word": word or "(empty)"}, args.json)
     elif args.candidate_command == "language-count":
-        dfa = candidates.parse_dfa(Path(args.dfa).read_text())
+        dfa = candidates.parse_dfa(_read_text(args.dfa))
         count = candidates.language_count(dfa, args.n, args.skip_epsilon)
         emit_report({"n": args.n, "count": count}, args.json)
     else:  # life-survival
@@ -298,12 +308,12 @@ def _cmd_analyze(args) -> int:
         if args.rule30_center < 1:
             raise eca.InvalidSteps(
                 f"--rule30-center must be >= 1, got {args.rule30_center}")
-        bits = eca.center_column(eca.parse_rule(30), args.rule30_center - 1)
+        bits = bytes(eca.center_column(eca.parse_rule(30), args.rule30_center - 1))
     else:
-        text = "".join(Path(args.bits_file).read_text().split())
-        if any(c not in "01" for c in text):
-            raise EmergeLabError(f"{args.bits_file} must contain only 0/1 characters")
-        bits = text
+        text = "".join(_read_text(args.bits_file).split())
+        if not set(text) <= {"0", "1"}:
+            raise InvalidArgument(f"{args.bits_file} must contain only 0/1 characters")
+        bits = bytes(map(int, text))
     report = {"bits": len(bits),
               "ones_fraction": float(analysis.ones_fraction(bits))}
     if args.block_k is not None:
@@ -314,6 +324,14 @@ def _cmd_analyze(args) -> int:
             analysis.no_short_period(bits, args.max_period)).lower()
     emit_report(report, args.json)
     return 0
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: a malformed value or a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     pta.add_argument("--approx", required=True)
     pta.add_argument("--finisher", required=True)
     pta.add_argument("--max-index", type=int, required=True)
-    pta.add_argument("--c", type=str, default="8", help="bound constant (rational)")
+    pta.add_argument("--c", type=_rational, default="8", help="bound constant (rational)")
     pta.add_argument("--n0", type=int, default=1)
     pta.add_argument("--identity-values", action="store_true",
                      help="reference values f(i) = i")
@@ -439,10 +457,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def run_command(args) -> int:
     try:
         return _HANDLERS[args.command](args)
-    except EmergeLabError as exc:
-        print(f"emergelab {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (EmergeLabError, OSError) as exc:
         print(f"emergelab {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmergeLabError, InvalidSteps
+from .errors import EmergeLabError, InvalidArgument, InvalidSteps
 
 
 class InvalidRule(EmergeLabError):
     """Rule number outside 0..255."""
 
 
-class InvalidRow(EmergeLabError, ValueError):
+class InvalidRow(InvalidArgument):
     """Row text with a character other than '#', '1', '.' or '0'."""
 
 

@@ -6,5 +6,10 @@ class EmergeLabError(Exception):
     exhausted budgets.  The CLI maps these to exit code 1."""
 
 
-class InvalidSteps(EmergeLabError, ValueError):
+class InvalidArgument(EmergeLabError, ValueError):
+    """An argument outside its domain, such as a negative count.  Also a
+    ValueError, so callers that catch ValueError keep working."""
+
+
+class InvalidSteps(InvalidArgument):
     """Negative generation count."""

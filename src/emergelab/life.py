@@ -30,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import EmergeLabError, InvalidSteps
+from .errors import EmergeLabError, InvalidArgument, InvalidSteps
 
 CellSet = frozenset  # of (x, y) int pairs
 
@@ -78,7 +78,7 @@ class UnsupportedRule(EmergeLabError):
     """RLE header names a rule other than B3/S23."""
 
 
-class InvalidBudget(EmergeLabError, ValueError):
+class InvalidBudget(InvalidArgument):
     """Fate budget below one generation."""
 
 

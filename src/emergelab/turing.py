@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmergeLabError
+from .errors import EmergeLabError, InvalidArgument
 
 SYMBOLS = ("0", "1", "#")
 MOVES = ("L", "R", "S")
@@ -108,11 +108,12 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """A parsed and validated machine description.
+    """A parsed machine description; build it with `parse_machine`, which
+    checks every rule.
 
     Transitions key on (state, symbols read from the k work tapes).  The
     output tape is write-only by construction: no transition key mentions
-    it, which `validate` re-asserts.
+    it.
     """
 
     name: str
@@ -120,39 +121,6 @@ class MachineSpec:
     start: str
     halt: str
     transitions: dict[tuple[str, tuple[str, ...]], Transition]
-
-    @property
-    def states(self) -> frozenset:
-        found = {self.start, self.halt}
-        for (state, _), tr in self.transitions.items():
-            found.add(state)
-            found.add(tr.next_state)
-        return frozenset(found)
-
-    def validate(self):
-        if self.tapes < 2:
-            raise TooFewTapes(f"need at least 2 work tapes, got {self.tapes}")
-        sources = {state for state, _ in self.transitions}
-        for (state, symbols), tr in self.transitions.items():
-            if state == self.halt:
-                raise MachineParseError(f"transition out of halt state {state!r}")
-            if len(symbols) != self.tapes or len(tr.writes) != self.tapes \
-                    or len(tr.moves) != self.tapes:
-                raise MachineParseError(
-                    f"transition arity does not match {self.tapes} tapes")
-            for s in symbols + tr.writes:
-                if s not in SYMBOLS:
-                    raise MachineParseError(f"unknown symbol {s!r}")
-            for m in tr.moves:
-                if m not in MOVES:
-                    raise MachineParseError(f"unknown move {m!r}")
-            if tr.output not in OUTPUT_ACTIONS:
-                raise MachineParseError(f"unknown output action {tr.output!r}")
-            if tr.next_state != self.halt and tr.next_state not in sources:
-                raise MachineParseError(
-                    f"state {tr.next_state!r} is reached but never defined")
-        # keys are (state, work-tape symbols) only: output tape is unreadable
-        return self
 
 
 def parse_machine(text: str, name: str | None = None) -> MachineSpec:
@@ -162,7 +130,10 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
     Transition lines: `<state> <s1>..<sk> -> <state'> <w1>..<wk> <m1>..<mk>
     <out>` with symbols in {0,1,#}, moves in {L,R,S} and out in {-,0,1,#}.
     A line is a comment only when column 0 holds '#' followed by a space
-    (a bare '#' would be ambiguous with the tape symbol).
+    (a bare '#' would be ambiguous with the tape symbol).  There is no
+    transition out of the halt state, and every other state a transition
+    enters has transitions of its own; errors in transition lines carry
+    their line number.
     """
     header: dict[str, str] = {}
     raw_transitions: list[tuple[int, list[str]]] = []
@@ -192,13 +163,18 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
     if k < 2:
         raise TooFewTapes(f"need at least 2 work tapes, got {k}")
 
+    halt = header["halt"]
     transitions: dict[tuple[str, tuple[str, ...]], Transition] = {}
+    entered: dict[str, int] = {}  # state -> first line that enters it
     for lineno, tokens in raw_transitions:
         if len(tokens) != 3 * k + 4:
             raise MachineParseError(
                 f"expected {3 * k + 4} tokens for a {k}-tape transition, "
                 f"got {len(tokens)}", line=lineno)
         state = tokens[0]
+        if state == halt:
+            raise MachineParseError(f"transition out of halt state {state!r}",
+                                    line=lineno)
         reads = tuple(tokens[1:1 + k])
         if tokens[1 + k] != "->":
             raise MachineParseError("expected '->' after read symbols", line=lineno)
@@ -219,15 +195,15 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
             raise MachineParseError(
                 f"duplicate transition for {state} {''.join(reads)}", line=lineno)
         transitions[key] = Transition(next_state, writes, moves, output)
+        entered.setdefault(next_state, lineno)
 
-    spec = MachineSpec(
-        name=header.get("name", name or "machine"),
-        tapes=k,
-        start=header["start"],
-        halt=header["halt"],
-        transitions=transitions,
-    )
-    return spec.validate()
+    defined = {state for state, _ in transitions}
+    for state, lineno in entered.items():
+        if state != halt and state not in defined:
+            raise MachineParseError(
+                f"state {state!r} is reached but never defined", line=lineno)
+    return MachineSpec(name=header.get("name", name or "machine"), tapes=k,
+                       start=header["start"], halt=halt, transitions=transitions)
 
 
 class TraceEntry(NamedTuple):
@@ -257,7 +233,7 @@ class EnumTrace:
 def encode_input(n: int) -> list[str]:
     """Binary MSB-first plus the '#' terminator, as written on tape 1."""
     if n < 1:
-        raise ValueError(f"input must be >= 1, got {n}")
+        raise InvalidArgument(f"input must be >= 1, got {n}")
     return list(format(n, "b")) + ["#"]
 
 
@@ -270,7 +246,7 @@ def run(machine: MachineSpec, input_n: int, step_budget: int,
     closes the block and records (value, current step index).
     """
     if step_budget < 1:
-        raise ValueError(f"step_budget must be >= 1, got {step_budget}")
+        raise InvalidArgument(f"step_budget must be >= 1, got {step_budget}")
     tapes = [dict() for _ in range(machine.tapes)]
     for i, sym in enumerate(encode_input(input_n)):
         if sym != BLANK:
@@ -364,9 +340,9 @@ class BigOWitness:
 
     def __post_init__(self):
         if self.c <= 0:
-            raise ValueError("c must be positive")
+            raise InvalidArgument(f"c must be positive, got {self.c}")
         if self.n0 <= 0:
-            raise ValueError("n0 must be positive")
+            raise InvalidArgument(f"n0 must be positive, got {self.n0}")
 
     def bound(self, timing: int, index: int) -> Fraction:
         return Fraction(self.c) * timing / index
@@ -416,9 +392,9 @@ def audit_approximation(approx: MachineSpec, finisher: MachineSpec,
     indices = sorted(set(index_range))
     for i in indices:
         if i < 1:
-            raise ValueError(f"indices must be >= 1, got {i}")
+            raise InvalidArgument(f"indices must be >= 1, got {i}")
         if i > len(reference_values) or i > len(reference_timing):
-            raise ValueError(
+            raise InvalidArgument(
                 f"index {i} outside the supplied reference tables")
     audited = [i for i in indices if i >= witness.n0]
     if not audited:

@@ -5,6 +5,7 @@ import pytest
 
 from emergelab import candidates as cd
 from emergelab import life
+from emergelab.errors import EmergeLabError
 from emergelab.fixtures import load_text
 
 from .oracles import life_run_dense
@@ -181,6 +182,13 @@ def test_language_count_monotone_steps(even_ones):
 def test_parse_dfa_requires_total_transition():
     with pytest.raises(ValueError):
         cd.DfaSpec(2, 0, frozenset({0}), {(0, "0"): 0, (0, "1"): 1, (1, "0"): 1})
+
+
+@pytest.mark.parametrize("symbol", ["01", "2"])
+def test_parse_dfa_rejects_symbols_other_than_0_and_1(symbol):
+    text = f"states 1\nstart 0\naccept 0\ntrans 0 0 0\ntrans 0 1 0\ntrans 0 {symbol} 0\n"
+    with pytest.raises(EmergeLabError, match="bad DFA line 6"):
+        cd.parse_dfa(text)
 
 
 # ---------------------------------------------------------------------------

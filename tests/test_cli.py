@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emergelab import cli, eca, life
 from emergelab.fixtures import fixture_path
@@ -195,6 +197,79 @@ def test_life_and_analyze_domain_errors_are_one_line(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """`{name}` placeholder -> path of a scratch input or output, among them
+    a directory, a non-UTF-8 file, a table with a non-integer token, a DFA
+    with no transition for state 0 on 1, and paths that do not exist."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "dir").mkdir()
+    (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
+    (root / "garbage").write_text("not a pattern, machine or table\n")
+    (root / "bad_ints").write_text("1 2 x\n")
+    (root / "partial_dfa").write_text("states 1\nstart 0\naccept 0\ntrans 0 0 0\n")
+    (root / "ints").write_text("1 2 3 4 5 6 7 8 9 10\n")
+    (root / "bits").write_text("0110 1001 0111 0100 1011\n")
+    names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "ints", "bits",
+             "missing", "out")
+    return {f"{{{name}}}": str(root / name) for name in names}
+
+
+def fill(argv, cli_files):
+    for placeholder, real in cli_files.items():
+        argv = [arg.replace(placeholder, real) for arg in argv]
+    return argv
+
+
+AUDIT = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+         "--identity-values", "--timing-from", SUCC]
+DFA = str(fixture_path("even_ones.dfa"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["ant", "--steps", "-5"],
+    ["ant", "--detect-highway", "--window-radius", "0", "--steps", "100"],
+    ["ant", "--detect-highway", "--steps", "100", "--report", "{dir}"],
+    ["tm", "run", "--machine", SUCC, "--input", "0"],
+    ["tm", "run", "--machine", SUCC, "--input", "3", "--budget", "0"],
+    ["tm", "run", "--machine", "{dir}", "--input", "3"],
+    ["tm", "run", "--machine", "{latin1}", "--input", "3"],
+    ["tm", "run", "--machine", SUCC, "--input", "3", "--trace-out", "{dir}"],
+    AUDIT + ["--c", "abc"],
+    AUDIT + ["--c", "1/0"],
+    AUDIT + ["--c", "0"],
+    AUDIT + ["--n0", "0"],
+    ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+     "--values", "{bad_ints}", "--timing-from", SUCC],
+    ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+     "--identity-values", "--timing", "{bad_ints}"],
+    ["candidate", "sqrt-digits", "--m", "2", "--count", "-1"],
+    ["candidate", "digit-chain", "--sqrt", "2", "--n", "0"],
+    ["candidate", "digit-chain", "--digits-file", SUCC, "--n", "2"],
+    ["candidate", "language-count", "--dfa", DFA, "--n", "0"],
+    ["candidate", "language-count", "--dfa", "{partial_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{dir}", "--n", "3"],
+    ["candidate", "life-survival", "--n", "-1"],
+    ["analyze", "--bits-file", "{dir}"],
+    ["analyze", "--bits-file", "{latin1}"],
+    ["analyze", "--bits-file", "{bad_ints}"],
+])
+def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
+    argv = fill(argv, cli_files)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed option value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if "--c" in argv and argv[-1] in ("abc", "1/0"):
+        assert code == 2 and err.splitlines()[-1].endswith(
+            f"argument --c: not a rational number: {argv[-1]!r}")
+    else:
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("emergelab ")
+
+
 def test_life_pattern_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.rle"
     path.write_bytes(b"#C caf\xe9\nx = 1, y = 1\no!\n")
@@ -379,3 +454,132 @@ def test_module_invocation_round_trip(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "word=1" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# every subcommand under generated arguments
+
+MACHINES = [SUCC, COPY, str(fixture_path("mismatched_finisher.tm"))]
+small = st.integers(-3, 12)
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+def path(*good):
+    """A usable file or one that cannot be read or parsed; `{name}` tokens
+    stand for the files of the `cli_files` fixture."""
+    return st.sampled_from([*good, "{missing}", "{dir}", "{latin1}", "{garbage}"])
+
+
+def _argv(*pairs, flags=()):
+    """Option list from (name, value) pairs, dropping None values."""
+    argv = []
+    for name, value in pairs:
+        if value is not None:
+            argv += [name, str(value)]
+    return argv + [flag for flag, on in flags if on]
+
+
+@st.composite
+def cli_invocations(draw):
+    output = optional(st.sampled_from(["{out}", "{dir}", "{missing}/out"]))
+    machine = path(*MACHINES)
+    command = draw(st.sampled_from(
+        ["eca", "life", "ant", "tm run", "tm compose", "tm audit", "candidate",
+         "analyze"]))
+    if command == "eca":
+        argv = ["eca"] + _argv(
+            ("--rule", draw(st.integers(-2, 260))), ("--steps", draw(st.integers(-2, 24))),
+            ("--seed", draw(optional(st.sampled_from(["#", "#..#", ".", "#x", "01"])))),
+            ("--cyclic-width", draw(optional(st.integers(-1, 20)))),
+            ("--max-rows", draw(optional(st.integers(-1, 30)))),
+            ("--out", draw(output)), flags=[("--text", draw(st.booleans()))])
+    elif command == "life":
+        pattern = draw(path(GLIDER, str(fixture_path("glider.cells"))))
+        if draw(st.booleans()):
+            argv = ["life", "run"] + _argv(
+                ("--rle", pattern), ("--steps", draw(st.integers(-2, 20))),
+                ("--print", draw(optional(st.sampled_from(["bbox", "pop"])))),
+                ("--out-rle", draw(output)), ("--out", draw(output)))
+        else:
+            argv = ["life", "fate"] + _argv(("--rle", pattern),
+                                            ("--budget", draw(optional(small))))
+    elif command == "ant":
+        argv = ["ant"] + _argv(
+            ("--steps", draw(optional(st.integers(-3, 300)))),
+            ("--heading", draw(optional(st.sampled_from("NESW")))),
+            ("--window-radius", draw(optional(st.integers(-1, 4)))),
+            ("--confirmations", draw(optional(st.integers(-1, 3)))),
+            ("--report", draw(output)), ("--out", draw(output)),
+            flags=[("--detect-highway", draw(st.booleans()))])
+    elif command == "tm run":
+        argv = ["tm", "run"] + _argv(
+            ("--machine", draw(machine)), ("--input", draw(small)),
+            ("--budget", draw(optional(st.integers(-1, 200)))),
+            ("--trace-out", draw(output)))
+    elif command == "tm compose":
+        argv = ["tm", "compose"] + _argv(
+            ("--approx", draw(machine)), ("--finisher", draw(machine)),
+            ("--input", draw(small)), ("--budget", draw(optional(st.integers(-1, 200)))))
+    elif command == "tm audit":
+        argv = ["tm", "audit"] + _argv(
+            ("--approx", draw(machine)), ("--finisher", draw(machine)),
+            ("--max-index", draw(st.integers(-1, 5))),
+            ("--c", draw(optional(st.sampled_from(["8", "1/2", "0", "-1", "abc", "1/0"])))),
+            ("--n0", draw(optional(st.integers(-1, 4)))),
+            ("--values", draw(optional(path("{ints}")))),
+            ("--timing-from", draw(optional(machine))),
+            ("--timing", draw(optional(path("{ints}")))),
+            ("--budget", draw(optional(st.integers(-1, 500)))),
+            flags=[("--identity-values", draw(st.booleans()))])
+    elif command == "candidate":
+        which = draw(st.sampled_from(
+            ["sqrt-digits", "digit-chain", "words", "language-count", "life-survival"]))
+        if which == "sqrt-digits":
+            argv = _argv(("--m", draw(st.integers(-1, 30))), ("--count", draw(small)))
+        elif which == "digit-chain":
+            # n stays below 3: f(3) can need up to 10**9 digits of the root
+            argv = _argv(("--n", draw(st.integers(-1, 2))))
+            argv += draw(st.sampled_from([
+                ["--sqrt", str(draw(st.integers(-1, 30)))],
+                ["--digits-file", draw(path(str(fixture_path("pi_digits.txt")), "{ints}"))]]))
+        elif which == "words":
+            argv = _argv(("--index", draw(small)),
+                         flags=[("--skip-epsilon", draw(st.booleans()))])
+        elif which == "language-count":
+            argv = _argv(("--dfa", draw(path(DFA))), ("--n", draw(st.integers(-1, 40))),
+                         flags=[("--skip-epsilon", draw(st.booleans()))])
+        else:
+            argv = _argv(("--n", draw(st.integers(-2, 20))))
+        argv = ["candidate", which] + argv
+    else:
+        source = draw(st.sampled_from([
+            ["--bits-file", draw(path("{bits}", "{ints}"))],
+            ["--rule30-center", str(draw(st.integers(-1, 200)))]]))
+        argv = ["analyze"] + source + _argv(
+            ("--block-k", draw(optional(st.integers(-1, 9)))),
+            ("--max-period", draw(optional(st.integers(-1, 9)))))
+    return (["--json"] if draw(st.booleans()) else []) + argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_invocations())
+def test_every_subcommand_keeps_the_exit_contract(cli_files, argv):
+    argv = fill(argv, cli_files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("emergelab ")
+    else:
+        assert code == 2 and err.splitlines()[-1].startswith("emergelab")
+        assert "error: " in err.splitlines()[-1]

@@ -69,6 +69,39 @@ def test_parse_comment_disambiguation():
         turing.parse_machine("#not-a-comment\n" + text)
 
 
+@pytest.mark.parametrize("bad_line,message", [
+    ("z 0 0 -> z 0 0 S S -", "out of halt state"),
+    ("b 0 0 -> ghost 0 0 S S -", "'ghost' is reached but never defined"),
+    ("b 0 0 -> z 0 0 S S", "expected 10 tokens"),
+    ("b 0 0 => z 0 0 S S -", "expected '->'"),
+    ("b 0 0 -> z 0 2 S S -", "unknown symbol '2'"),
+    ("b 0 0 -> z 0 0 S U -", "unknown move 'U'"),
+    ("b 0 0 -> z 0 0 S S x", "unknown output action 'x'"),
+    ("a 0 0 -> z 0 0 S S -", "duplicate transition"),
+])
+def test_parse_errors_carry_the_transition_line(bad_line, message):
+    text = ("name t\ntapes 2\nstart a\nhalt z\n"
+            "a 0 0 -> b 0 0 S S -\n"
+            "b 1 0 -> z 1 0 S S -\n"
+            "# the offending rule follows\n"
+            f"{bad_line}\n"
+            "b # 0 -> z # 0 S S -\n")
+    with pytest.raises(turing.MachineParseError) as err:
+        turing.parse_machine(text)
+    assert err.value.line == 8
+    assert message in str(err.value) and str(err.value).endswith("(line 8)")
+
+
+def test_parse_undefined_target_names_its_first_line():
+    text = ("name t\ntapes 2\nstart a\nhalt z\n"
+            "a 0 0 -> a 1 0 S R -\n"
+            "a 1 0 -> ghost 0 0 S S -\n"
+            "a # 0 -> ghost 0 0 S S -\n")
+    with pytest.raises(turing.MachineParseError) as err:
+        turing.parse_machine(text)
+    assert err.value.line == 6
+
+
 # ---------------------------------------------------------------------------
 # running
 
