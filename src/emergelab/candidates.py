@@ -20,6 +20,14 @@ from . import life
 from .errors import EmergeLabError, InvalidArgument
 
 
+# digits per int-to-str conversion: under the smallest limit on their
+# number that Python allows (640)
+_STR_CHUNK = 512
+# the most digits a chain value may have: Python's default limit on
+# int/str conversion, past which the value could not be read or printed
+CHAIN_VALUE_DIGITS = 4300
+
+
 class InvalidRadicand(EmergeLabError):
     """sqrt digit source needs an integer >= 2."""
 
@@ -61,7 +69,20 @@ def sqrt_digits(m: int, count: int) -> list[int]:
         return []
     scaled = math.isqrt(m * 10 ** (2 * count))
     block = scaled - root * 10 ** count
-    return [int(d) for d in str(block).zfill(count)]
+    return [int(d) for d in _decimal_text(block, count)]
+
+
+def _decimal_text(value: int, width: int) -> str:
+    """`value` (0 <= value < 10**width) as exactly `width` decimal digits.
+
+    Long values are split by divmod with powers of ten, so no single
+    int-to-str conversion passes Python's limit on their length.
+    """
+    if width <= _STR_CHUNK:
+        return str(value).zfill(width)
+    low = width // 2
+    high, rest = divmod(value, 10 ** low)
+    return _decimal_text(high, width - low) + _decimal_text(rest, low)
 
 
 class DigitStream:
@@ -122,17 +143,23 @@ def digit_chain(stream: DigitStream, n: int) -> list[int]:
     the next f(k-1) digits.  Returns [f(1)..f(n)].
 
     A block may keep leading zeros for its length while its value is the
-    plain decimal integer; a value of 0 stops the chain (ChainDegenerate).
+    plain decimal integer; a value of 0 stops the chain (ChainDegenerate),
+    and one longer than CHAIN_VALUE_DIGITS digits is refused
+    (InvalidArgument).
     """
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     values: list[int] = []
     length = 1
     for k in range(1, n + 1):
-        block = stream.take(length)
-        value = int("".join(map(str, block)))
-        if value == 0:
+        text = "".join(map(str, stream.take(length))).lstrip("0")
+        if not text:
             raise ChainDegenerate(k)
+        if len(text) > CHAIN_VALUE_DIGITS:
+            raise InvalidArgument(
+                f"chain value f({k}) has {len(text)} digits, more than "
+                f"{CHAIN_VALUE_DIGITS}")
+        value = int(text)
         values.append(value)
         length = value
     return values
@@ -244,10 +271,21 @@ def default_numbering(j: int) -> frozenset:
 
 def life_survival_count(n: int,
                         numbering: Callable[[int], frozenset] = default_numbering,
-                        run: Callable = life.run) -> int:
+                        run: Callable | None = None) -> int:
     """Count the seeds numbered 1..n that still have live cells after
     exactly n generations.  "Still alive" here is the bounded reading; the
-    eternal version is undecidable and out of reach."""
+    eternal version is undecidable and out of reach.
+
+    By default each seed runs through `life.detect_fate` with budget n,
+    the recurrence runner, and stops at its first extinction or
+    recurrence: extinction at t <= n means dead at n, a recurrence means
+    alive forever, and an exhausted budget means alive at n.  A `run(cells,
+    n)` returning the cells at generation n, such as a reference
+    simulator, replaces the runner.
+    """
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
+    if run is None:
+        return sum(1 for j in range(1, n + 1)
+                   if life.detect_fate(numbering(j), n).verdict != "extinct")
     return sum(1 for j in range(1, n + 1) if run(numbering(j), n))

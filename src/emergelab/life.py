@@ -16,6 +16,13 @@ coordinates stay within +-2**30:
   1/128 of their box, such as random soups.  It hands over to the packed
   loop if the pattern thins out.
 
+`detect_fate` is the recurrence runner, shared with
+`candidates.life_survival_count`.  It keeps each state re-centred (the
+bounding-box corner at the origin, the corner itself in Python ints) as
+sorted packed keys, steps them with the packed loop and memoises every
+state by its exact bytes, so it stops at the first exact recurrence or at
+extinction.  States too wide to pack go through `step`.
+
 Pattern I/O covers the Life-ecosystem RLE format (read/write) and the
 plaintext .cells grid (read only).
 """
@@ -41,8 +48,12 @@ NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
 _PACK_M = 1 << 32
 _PACK_HALF = 1 << 31
 _PACK_LIMIT = 1 << 30
+_PACK_LOW = _PACK_M - 1
 _PACKED_OFFSETS = np.array([dx * _PACK_M + dy for dx, dy in NEIGHBOR_OFFSETS],
                            dtype=np.int64)
+# a re-centred state packs while its extent is below this: a generation
+# grows it by one cell on each side, which keeps |x|, |y| < 2**30
+_ORBIT_EXTENT = _PACK_LIMIT - 2
 # below this magnitude, differences of coordinates fit in int64
 _XY_LIMIT = 1 << 62
 
@@ -158,26 +169,41 @@ def _run_tally(cells, steps: int) -> frozenset:
 
 
 def _step_packed(keys: np.ndarray) -> np.ndarray:
-    """One generation over sorted packed keys; result is sorted too."""
-    neighbors = (keys[:, None] + _PACKED_OFFSETS[None, :]).ravel()
-    uniq, counts = np.unique(neighbors, return_counts=True)
-    idx = np.searchsorted(keys, uniq)
-    valid = idx < keys.size
-    alive = np.zeros(uniq.size, dtype=bool)
-    alive[valid] = keys[idx[valid]] == uniq[valid]
-    keep = (counts == 3) | ((counts == 2) & alive)
-    return uniq[keep]
+    """One generation over sorted, non-empty packed keys; the result is
+    sorted too."""
+    neighbors = (keys[:, None] + _PACKED_OFFSETS).ravel()
+    neighbors.sort()
+    # runs of equal neighbour keys: each run's last index, key and length
+    last = np.empty(neighbors.size, dtype=bool)
+    np.not_equal(neighbors[1:], neighbors[:-1], out=last[:-1])
+    last[-1] = True
+    ends = np.flatnonzero(last)
+    uniq = neighbors[ends]
+    counts = np.diff(ends, prepend=-1)
+    idx = keys.searchsorted(uniq)
+    np.minimum(idx, keys.size - 1, out=idx)
+    # a dead cell lives on at 3 neighbours, a live one at 2 or 3: count | cell == 3
+    counts |= keys[idx] == uniq
+    return uniq[counts == 3]
+
+
+def _pack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sorted int64 keys x * 2**32 + (y + 2**31) of cells within +-2**30."""
+    return np.sort(xs * _PACK_M + ys + _PACK_HALF)
+
+
+def _unpack(keys: np.ndarray):
+    return keys >> 32, (keys & _PACK_LOW) - _PACK_HALF
 
 
 def _run_packed(xs: np.ndarray, ys: np.ndarray, steps: int):
-    """`steps` generations over sorted packed int64 keys
-    x * 2**32 + (y + 2**31)."""
-    keys = np.sort(xs * _PACK_M + ys + _PACK_HALF)
+    """`steps` generations over sorted packed keys."""
+    keys = _pack(xs, ys)
     for _ in range(steps):
         keys = _step_packed(keys)
         if keys.size == 0:
             break
-    return keys >> 32, (keys & (_PACK_M - 1)) - _PACK_HALF
+    return _unpack(keys)
 
 
 def _step_grid(grid: np.ndarray):
@@ -312,25 +338,57 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
     """
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
-    seen: dict[frozenset, tuple[int, tuple[int, int]]] = {}
-    state = frozenset(cells)
-    for t in range(budget + 1):
-        if not state:
-            return FateReport("extinct", t=t)
-        canon, corner = canonical(state)
-        if canon in seen:
-            t0, corner0 = seen[canon]
+    # Each state is kept re-centred, its bounding-box corner at the origin,
+    # and the corner is accumulated apart in Python ints, so neither the
+    # starting offset nor the budget limits the packed keys.  A state is
+    # sorted packed int64 keys stepped by `_step_packed` and memoised by its
+    # exact bytes.  A state whose extent reaches `_ORBIT_EXTENT` cannot be
+    # packed: it is a re-centred frozenset, stepped by `step` and memoised
+    # as itself, until it shrinks again.
+    seen: dict[bytes | frozenset, tuple[int, int, int]] = {}
+    cx = cy = 0  # corner of the current state
+    wide = frozenset(cells)
+    keys = None  # the packed state, or None while `wide` holds it
+    t = 0
+    while True:
+        if keys is None:
+            if not wide:
+                return FateReport("extinct", t=t)
+            xy, (x0, y0, x1, y1) = _xy(wide)
+            cx, cy = cx + x0, cy + y0
+            if max(x1 - x0, y1 - y0) < _ORBIT_EXTENT:
+                xy = (xy - (x0, y0)).astype(np.int64)
+                keys = _pack(xy[:, 0], xy[:, 1])
+            else:
+                wide = translate(wide, -x0, -y0)
+        key = wide if keys is None else keys.tobytes()
+        if key in seen:
+            t0, cx0, cy0 = seen[key]
             period = t - t0
-            dx, dy = corner[0] - corner0[0], corner[1] - corner0[1]
+            dx, dy = cx - cx0, cy - cy0
             if (dx, dy) != (0, 0):
                 return FateReport("translator", t=t0, period=period, dx=dx, dy=dy)
             if period == 1:
                 return FateReport("still_life", t=t0, period=1)
             return FateReport("oscillator", t=t0, period=period)
-        seen[canon] = (t, corner)
-        if t < budget:
-            state = step(state)
-    return FateReport("unknown", budget=budget)
+        seen[key] = (t, cx, cy)
+        if t == budget:
+            return FateReport("unknown", budget=budget)
+        t += 1
+        if keys is None:
+            wide = step(wide)
+            continue
+        keys = _step_packed(keys)
+        if keys.size == 0:
+            return FateReport("extinct", t=t)
+        low = keys & _PACK_LOW
+        y_lo, y_hi = int(low.min()), int(low.max())
+        x0, y0 = int(keys[0]) >> 32, y_lo - _PACK_HALF
+        keys -= x0 * _PACK_M + y0
+        cx, cy = cx + x0, cy + y0
+        if max(int(keys[-1]) >> 32, y_hi - y_lo) >= _ORBIT_EXTENT:
+            xs, ys = _unpack(keys)
+            wide, keys = frozenset(zip(xs.tolist(), ys.tolist())), None
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Everything here is deliberately naive: dense grids, per-cell loops,
 quadratic scans.  None of it shares code with the kernels under test.
 """
 
+import decimal
+
 from emergelab.ant import HEADING_VECTORS, LEFT_OF, RIGHT_OF, AntState
 from emergelab.eca import BitRow, UnsupportedBackground
+from emergelab.life import FateReport
 
 
 def step_row_reference(rule, row):
@@ -118,6 +121,44 @@ def life_run_dense(cells, steps):
     return out
 
 
+def life_step_sparse(cells):
+    """One Life generation by counting, for every cell next to a live one,
+    its live neighbours; coordinates stay Python ints of any size."""
+    counts = {}
+    for x, y in cells:
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx or dy:
+                    counts[(x + dx, y + dy)] = counts.get((x + dx, y + dy), 0) + 1
+    return frozenset(c for c, n in counts.items()
+                     if n == 3 or (n == 2 and c in cells))
+
+
+def detect_fate_reference(cells, budget):
+    """Fate by exact recurrence: every state within the budget, translated
+    so its bounding-box corner sits at the origin, kept as a frozenset."""
+    seen = {}
+    state = frozenset(cells)
+    for t in range(budget + 1):
+        if not state:
+            return FateReport("extinct", t=t)
+        x0 = min(x for x, _ in state)
+        y0 = min(y for _, y in state)
+        canon = frozenset((x - x0, y - y0) for x, y in state)
+        if canon in seen:
+            t0, a, b = seen[canon]
+            dx, dy = x0 - a, y0 - b
+            if (dx, dy) != (0, 0):
+                return FateReport("translator", t=t0, period=t - t0, dx=dx, dy=dy)
+            if t - t0 == 1:
+                return FateReport("still_life", t=t0, period=1)
+            return FateReport("oscillator", t=t0, period=t - t0)
+        seen[canon] = (t, x0, y0)
+        if t < budget:
+            state = life_step_sparse(state)
+    return FateReport("unknown", budget=budget)
+
+
 def write_rle_reference(cells, line_limit=69):
     """Canonical RLE text, token by token: rows of sorted runs, then greedy
     line filling."""
@@ -173,6 +214,15 @@ def quadratic_first_repeat(states):
             if states[i] == states[j]:
                 return j, i - j
     return None
+
+
+def sqrt_text_reference(m, count):
+    """The first `count` decimals of sqrt(m), truncated from `decimal`'s
+    correctly rounded root with 50 guard digits; exact unless 50 nines or
+    zeros follow the last digit kept."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = count + 50
+        return str(decimal.Decimal(m).sqrt()).split(".")[1][:count]
 
 
 def ant_step_back(state):

@@ -5,10 +5,11 @@ import pytest
 
 from emergelab import candidates as cd
 from emergelab import life
-from emergelab.errors import EmergeLabError
+from emergelab.errors import EmergeLabError, InvalidArgument
 from emergelab.fixtures import load_text
 
-from .oracles import life_run_dense
+from .oracles import life_run_dense, life_step_dense, sqrt_text_reference
+
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,23 @@ def test_sqrt_digits_against_mpmath():
         expansion = mpmath.nstr(mpmath.sqrt(m), 61, strip_zeros=False)
         expected = [int(c) for c in expansion.split(".")[1][:50]]
         assert cd.sqrt_digits(m, 50) == expected
+
+
+@pytest.mark.parametrize("m", [2, 3, 99])
+def test_sqrt_digits_past_the_int_str_limit(m):
+    # 5000 digits is past Python's 4300-digit int-to-str limit
+    want = sqrt_text_reference(m, 5000)
+    assert "".join(map(str, cd.sqrt_digits(m, 5000))) == want
+    stream = cd.DigitStream.from_sqrt(m)
+    assert stream.take(10) + stream.take(4990) == [int(d) for d in want]
+
+
+def test_decimal_text_keeps_leading_zeros():
+    for w in (1, 511, 512, 513, 1025, 9000):
+        cases = {0: "0" * w, 7: "0" * (w - 1) + "7",
+                 10 ** (w - 1): "1" + "0" * (w - 1), 10 ** w - 1: "9" * w}
+        for value, text in cases.items():
+            assert cd._decimal_text(value, w) == text
 
 
 def test_digit_stream_cursor_advances():
@@ -104,6 +122,15 @@ def test_digit_chain_leading_zeros_keep_length():
     # f(2) = 07 -> value 7, but it consumed two digits
     stream = cd.DigitStream.from_text("2071234567")
     assert cd.digit_chain(stream, 3) == [2, 7, 1234567]
+
+
+def test_digit_chain_rejects_values_past_the_digit_limit():
+    # f(2) = 4301, so f(3) is a 4301-digit value
+    stream = cd.DigitStream.from_text("4" + "4301" + "1" * 4301)
+    with pytest.raises(InvalidArgument, match="f\\(3\\) has 4301 digits"):
+        cd.digit_chain(stream, 3)
+    stream = cd.DigitStream.from_text("4" + "4301" + "0" + "1" * 4300)
+    assert cd.digit_chain(stream, 3)[2] == int("1" * 4300)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +254,24 @@ def test_life_survival_count_matches_dense_oracle():
         fast = cd.life_survival_count(n)
         slow = cd.life_survival_count(n, run=life_run_dense)
         assert fast == slow, f"n={n}"
+
+
+def test_life_survival_count_every_n_to_64_matches_dense_oracle():
+    top = 64
+    alive = {}  # seed j -> whether it is alive at generations 0..top
+    for j in range(1, top + 1):
+        state, alive[j] = cd.default_numbering(j), []
+        for _ in range(top + 1):
+            alive[j].append(bool(state))
+            state = life_step_dense(state)
+    for n in range(top + 1):
+        want = sum(alive[j][n] for j in range(1, n + 1))
+        assert cd.life_survival_count(n) == want, f"n={n}"
+
+
+def test_life_survival_count_bench_size_golden():
+    # the bench size, pinned once against `run=life_run_dense`
+    assert cd.life_survival_count(181) == 78
 
 
 def test_life_survival_accepts_custom_numbering():

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from emergelab import cli, eca, life
 from emergelab.fixtures import fixture_path
 
-from .oracles import eca_cells_reference, pbm_reference, text_reference
+from .oracles import (eca_cells_reference, pbm_reference, sqrt_text_reference,
+                      text_reference)
 
 GLIDER = str(fixture_path("glider.rle"))
 SUCC = str(fixture_path("succ_enum.tm"))
@@ -412,6 +413,23 @@ def test_candidate_subcommands(capsys):
     assert code == 0 and "count=2" in out
     code, out, _ = run_cli(capsys, "candidate", "life-survival", "--n", "15")
     assert code == 0 and "survivors=5" in out
+
+
+def test_sqrt_digits_past_the_int_str_limit(capsys):
+    code, out, err = run_cli(capsys, "candidate", "sqrt-digits", "--m", "2",
+                             "--count", "5000")
+    assert code == 0 and err == ""
+    assert out == f"m=2\ncount=5000\ndigits={sqrt_text_reference(2, 5000)}\n"
+
+
+def test_digit_chain_value_past_the_digit_limit_is_one_line(capsys, tmp_path):
+    digits = tmp_path / "digits.txt"
+    digits.write_text("4" + "4301" + "1" * 4301)
+    code, out, err = run_cli(capsys, "candidate", "digit-chain", "--digits-file",
+                             str(digits), "--n", "3")
+    assert code == 1 and out == ""
+    assert err == ("emergelab candidate: chain value f(3) has 4301 digits, "
+                   "more than 4300\n")
 
 
 def test_analyze_rule30(capsys):

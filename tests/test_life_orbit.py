@@ -1,0 +1,116 @@
+"""The recurrence runner behind `life.detect_fate`, checked against the
+frozenset oracle: re-centred packed states, far offsets, states too wide
+to pack, and the empty set."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from emergelab import life
+from emergelab.fixtures import load_text
+
+from .oracles import detect_fate_reference
+
+CORPUS = [
+    "glider", "block", "blinker", "toad", "beacon", "beehive", "loaf", "boat",
+    "tub", "lwss", "pulsar", "rpentomino", "gosper_gun",
+]
+
+# the symmetries of the square as (a, b, c, d): (x, y) -> (ax + by, cx + dy)
+SYMMETRIES = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+              (-1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0)]
+
+BLOCK = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+BLINKER = frozenset({(0, -1), (0, 0), (0, 1)})
+GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
+
+
+def corpus(name):
+    return life.parse_rle(load_text(f"{name}.rle"))
+
+
+def transform(cells, a, b, c, d, ox=0, oy=0):
+    return frozenset((a * x + b * y + ox, c * x + d * y + oy) for x, y in cells)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(life, name)
+
+    def wrapped(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(life, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("budget", (1, 30, 600))
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_under_symmetries_matches_oracle(name, budget):
+    cells = corpus(name)
+    for sym in SYMMETRIES:
+        moved = transform(cells, *sym)
+        assert life.detect_fate(moved, budget) == detect_fate_reference(moved, budget), sym
+
+
+@given(st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+       st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_small_soups_match_oracle(cells, budget):
+    assert life.detect_fate(cells, budget) == detect_fate_reference(cells, budget)
+
+
+@pytest.mark.parametrize("offset", [(2 ** 40, -2 ** 40), (-2 ** 40, 2 ** 40),
+                                    (10 ** 20, 10 ** 20), (-10 ** 20, 2 ** 40)])
+@pytest.mark.parametrize("name", CORPUS)
+def test_far_offsets_match_oracle(name, offset):
+    moved = transform(corpus(name), 1, 0, 0, 1, *offset)
+    report = life.detect_fate(moved, 60)
+    assert report == detect_fate_reference(moved, 60)
+    assert report == life.detect_fate(corpus(name), 60)
+
+
+def test_empty_set_is_extinct_at_zero():
+    assert life.detect_fate(frozenset(), 1) == life.FateReport("extinct", t=0)
+    assert detect_fate_reference(frozenset(), 1) == life.FateReport("extinct", t=0)
+
+
+def test_blocks_two_to_the_31_apart_take_the_wide_path(monkeypatch):
+    cells = BLOCK | life.translate(BLOCK, 2 ** 31, 0)
+    steps = count_calls(monkeypatch, "step")
+    packed = count_calls(monkeypatch, "_step_packed")
+    report = life.detect_fate(cells, 10)
+    assert report == life.FateReport("still_life", t=0, period=1)
+    assert report == detect_fate_reference(cells, 10)
+    assert steps and not packed
+
+
+def test_wide_state_packs_again_once_it_shrinks(monkeypatch):
+    # the far domino dies in one generation, leaving a blinker that packs
+    cells = BLINKER | {(2 ** 31, 0), (2 ** 31 + 1, 0)}
+    steps = count_calls(monkeypatch, "step")
+    packed = count_calls(monkeypatch, "_step_packed")
+    report = life.detect_fate(cells, 10)
+    assert report == life.FateReport("oscillator", t=1, period=2)
+    assert report == detect_fate_reference(cells, 10)
+    assert len(steps) == 1 and packed
+
+
+@pytest.mark.parametrize("ox", [life._ORBIT_EXTENT - 6, -life._ORBIT_EXTENT - 6])
+def test_glider_across_the_packing_limit_matches_oracle(ox):
+    # a glider heading to +x leaves a block from just inside the packed
+    # extent, or approaches it from just outside, so the runner switches
+    # representation part-way
+    cells = BLOCK | life.translate(GLIDER, ox, 0)
+    report = life.detect_fate(cells, 40)
+    assert report == life.FateReport("unknown", budget=40)
+    assert report == detect_fate_reference(cells, 40)
+
+
+def test_recurrence_after_a_wide_preperiod():
+    # the lone far cell dies in one generation; from there the glider
+    # recurs as a translator
+    cells = GLIDER | {(-2 ** 31, 0)}
+    report = life.detect_fate(cells, 20)
+    assert report == detect_fate_reference(cells, 20)
+    assert report == life.FateReport("translator", t=1, period=4, dx=1, dy=1)
