@@ -35,9 +35,9 @@ class AntState:
 
     def __post_init__(self):
         if self.heading not in HEADING_VECTORS:
-            raise ValueError(f"heading must be one of N/E/S/W, got {self.heading!r}")
+            raise InvalidArgument(f"heading must be one of N/E/S/W, got {self.heading!r}")
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise InvalidArgument("steps must be >= 0")
 
 
 def standard_start(heading: str = "N") -> AntState:
@@ -45,21 +45,9 @@ def standard_start(heading: str = "N") -> AntState:
     return AntState((0, 0), heading, frozenset(), 0)
 
 
-def step(state: AntState) -> AntState:
-    """Apply the two-colour turn/flip/advance rule once."""
-    x, y = state.pos
-    if state.pos in state.black:
-        heading = RIGHT_OF[state.heading]
-        black = state.black - {state.pos}
-    else:
-        heading = LEFT_OF[state.heading]
-        black = state.black | {state.pos}
-    dx, dy = HEADING_VECTORS[heading]
-    return AntState((x + dx, y + dy), heading, black, state.steps + 1)
-
-
 def run(state: AntState, n: int) -> AntState:
-    """n-fold step, with mutable internals so long runs stay linear."""
+    """n applications of the turn/flip/advance rule, with mutable internals
+    so long runs stay linear."""
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     black = set(state.black)

@@ -26,6 +26,9 @@ _STR_CHUNK = 512
 # the most digits a chain value may have: Python's default limit on
 # int/str conversion, past which the value could not be read or printed
 CHAIN_VALUE_DIGITS = 4300
+# the most digits `sqrt_digits` computes, for any caller (about 0.4 s on a
+# 2-vCPU Xeon; each doubling costs about four times as much)
+SQRT_DIGITS = 100_000
 
 
 class InvalidRadicand(EmergeLabError):
@@ -53,7 +56,8 @@ class InvalidIndex(EmergeLabError):
 
 
 def sqrt_digits(m: int, count: int) -> list[int]:
-    """First `count` decimal digits of sqrt(m) after the point, exactly.
+    """First `count` (at most SQRT_DIGITS) decimal digits of sqrt(m) after
+    the point, exactly.
 
     Computed as the digit block of isqrt(m * 10**(2*count)) below the
     integer part, so no floating point is involved.
@@ -65,11 +69,19 @@ def sqrt_digits(m: int, count: int) -> list[int]:
         raise RationalSqrt(f"{m} is a perfect square; its root has no expansion")
     if count < 0:
         raise InvalidArgument(f"count must be >= 0, got {count}")
+    if count > SQRT_DIGITS:
+        raise InvalidArgument(f"count must be <= {SQRT_DIGITS}, got {_rough(count)}")
     if count == 0:
         return []
     scaled = math.isqrt(m * 10 ** (2 * count))
     block = scaled - root * 10 ** count
     return [int(d) for d in _decimal_text(block, count)]
+
+
+def _rough(count: int) -> str:
+    """`count` for a message: a power of ten once it is too long to print
+    whole (a block length read from a chain value may have 4301 digits)."""
+    return str(count) if count < 10 ** 12 else f"about 10**{int(math.log10(count))}"
 
 
 def _decimal_text(value: int, width: int) -> str:
@@ -124,8 +136,8 @@ class DigitStream:
             return
         if self._sqrt_of is None:
             raise InsufficientDigits(
-                f"need {upto} digits but the source has {len(self._digits)}")
-        want = max(upto, 2 * len(self._digits), 32)
+                f"need {_rough(upto)} digits but the source has {len(self._digits)}")
+        want = max(upto, min(2 * len(self._digits), SQRT_DIGITS), 32)
         self._digits = "".join(map(str, sqrt_digits(self._sqrt_of, want)))
 
     def take(self, count: int) -> list[int]:

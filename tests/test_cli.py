@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emergelab import cli, eca, life
+from emergelab import candidates, cli, eca, life
 from emergelab.fixtures import fixture_path
 
 from .oracles import (eca_cells_reference, pbm_reference, sqrt_text_reference,
@@ -202,7 +202,8 @@ def test_life_and_analyze_domain_errors_are_one_line(capsys, argv):
 def cli_files(tmp_path_factory):
     """`{name}` placeholder -> path of a scratch input or output, among them
     a directory, a non-UTF-8 file, a table with a non-integer token, a DFA
-    with no transition for state 0 on 1, and paths that do not exist."""
+    with no transition for state 0 on 1, two cells 2**40 apart, an RLE run
+    of 3e9 live cells, and paths that do not exist."""
     root = tmp_path_factory.mktemp("cli")
     (root / "dir").mkdir()
     (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
@@ -211,8 +212,10 @@ def cli_files(tmp_path_factory):
     (root / "partial_dfa").write_text("states 1\nstart 0\naccept 0\ntrans 0 0 0\n")
     (root / "ints").write_text("1 2 3 4 5 6 7 8 9 10\n")
     (root / "bits").write_text("0110 1001 0111 0100 1011\n")
+    (root / "far_apart").write_text(f"x = 0, y = 0\no{(1 << 40) - 1}bo!\n")
+    (root / "huge_run").write_text("x = 1, y = 1\n3000000000o!\n")
     names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "ints", "bits",
-             "missing", "out")
+             "far_apart", "huge_run", "missing", "out")
     return {f"{{{name}}}": str(root / name) for name in names}
 
 
@@ -245,7 +248,9 @@ DFA = str(fixture_path("even_ones.dfa"))
     ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
      "--identity-values", "--timing", "{bad_ints}"],
     ["candidate", "sqrt-digits", "--m", "2", "--count", "-1"],
+    ["candidate", "sqrt-digits", "--m", "2", "--count", "100000000"],
     ["candidate", "digit-chain", "--sqrt", "2", "--n", "0"],
+    ["candidate", "digit-chain", "--sqrt", "2", "--n", "4"],
     ["candidate", "digit-chain", "--digits-file", SUCC, "--n", "2"],
     ["candidate", "language-count", "--dfa", DFA, "--n", "0"],
     ["candidate", "language-count", "--dfa", "{partial_dfa}", "--n", "3"],
@@ -254,6 +259,8 @@ DFA = str(fixture_path("even_ones.dfa"))
     ["analyze", "--bits-file", "{dir}"],
     ["analyze", "--bits-file", "{latin1}"],
     ["analyze", "--bits-file", "{bad_ints}"],
+    ["life", "run", "--rle", "{far_apart}", "--steps", "0", "--out", "{out}"],
+    ["life", "run", "--rle", "{huge_run}", "--steps", "1"],
 ])
 def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     argv = fill(argv, cli_files)
@@ -432,6 +439,43 @@ def test_digit_chain_value_past_the_digit_limit_is_one_line(capsys, tmp_path):
                    "more than 4300\n")
 
 
+def test_digit_chain_block_past_a_short_source_is_one_line(capsys, tmp_path):
+    # f(3) = 10**4300 - 1 passes the value limit; block 4 then needs a
+    # 4301-digit count of digits, which is too long to print whole
+    digits = tmp_path / "digits.txt"
+    digits.write_text("4" + "4300" + "9" * 4300)
+    code, out, err = run_cli(capsys, "candidate", "digit-chain", "--digits-file",
+                             str(digits), "--n", "4")
+    assert code == 1 and out == ""
+    assert err == ("emergelab candidate: need about 10**4300 digits but the "
+                   "source has 4305\n")
+
+
+def test_digit_requests_past_the_cap_are_refused(capsys):
+    code, out, err = run_cli(capsys, "candidate", "sqrt-digits", "--m", "2",
+                             "--count", str(candidates.SQRT_DIGITS + 1))
+    assert code == 1 and out == ""
+    assert err == ("emergelab candidate: count must be <= "
+                   f"{candidates.SQRT_DIGITS}, got {candidates.SQRT_DIGITS + 1}\n")
+    # f(3) of sqrt(2) has 1421 digits, so block 4 asks for about 10**1420
+    code, out, err = run_cli(capsys, "candidate", "digit-chain", "--sqrt", "2",
+                             "--n", "4")
+    assert code == 1 and out == ""
+    assert err == ("emergelab candidate: count must be <= "
+                   f"{candidates.SQRT_DIGITS}, got about 10**1420\n")
+
+
+def test_life_caps_name_the_pattern_size(capsys, cli_files):
+    code, _, err = run_cli(capsys, "life", "run", "--rle", cli_files["{huge_run}"],
+                           "--steps", "1")
+    assert code == 1 and err == ("emergelab life: more than 10000000 live cells "
+                                 "at line 2, column 11\n")
+    code, _, err = run_cli(capsys, "life", "run", "--rle", cli_files["{far_apart}"],
+                           "--steps", "0", "--out", cli_files["{out}"])
+    assert code == 1 and err == (f"emergelab life: {(1 << 40) + 1}x1 image over "
+                                 f"{1 << 26} pixels\n")
+
+
 def test_analyze_rule30(capsys):
     code, out, _ = run_cli(capsys, "--json", "analyze", "--rule30-center",
                            "1024", "--block-k", "4", "--max-period", "64")
@@ -558,8 +602,8 @@ def cli_invocations(draw):
         if which == "sqrt-digits":
             argv = _argv(("--m", draw(st.integers(-1, 30))), ("--count", draw(small)))
         elif which == "digit-chain":
-            # n stays below 3: f(3) can need up to 10**9 digits of the root
-            argv = _argv(("--n", draw(st.integers(-1, 2))))
+            # from n = 3 on, a block can ask for more digits than the cap
+            argv = _argv(("--n", draw(st.integers(-1, 4))))
             argv += draw(st.sampled_from([
                 ["--sqrt", str(draw(st.integers(-1, 30)))],
                 ["--digits-file", draw(path(str(fixture_path("pi_digits.txt")), "{ints}"))]]))

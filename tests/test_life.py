@@ -174,6 +174,15 @@ def test_parse_rle_bad_symbol_position():
     assert err.value.line == 2 and err.value.column == 2
 
 
+def test_parse_rle_cell_cap(monkeypatch):
+    monkeypatch.setattr(life, "CELL_LIMIT", 10)
+    assert len(life.parse_rle("x = 6, y = 2\n4o$6o!")) == 10
+    with pytest.raises(life.RleParseError) as err:
+        life.parse_rle("x = 6, y = 2\n5o$\n6o!")
+    assert err.value.line == 3 and err.value.column == 2
+    assert isinstance(err.value, ValueError)
+
+
 def test_parse_rle_rejects_other_rules():
     with pytest.raises(life.UnsupportedRule):
         life.parse_rle("x = 1, y = 1, rule = B36/S23\no!")

@@ -1,5 +1,5 @@
-"""The Life backends (tally, packed loop, dense grid) and the vectorised RLE
-writer, checked against the tally and the naive oracles."""
+"""The Life backends (tally, packed loop, dense grid), the vectorised RLE
+writer and `raster`, checked against the tally and the naive oracles."""
 
 import random
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from emergelab import life
 from emergelab.fixtures import load_text
 
-from .oracles import life_run_dense, write_rle_reference
+from .oracles import life_run_dense, raster_reference, write_rle_reference
 
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
 
@@ -61,18 +61,23 @@ def receding_gliders():
 def test_backend_choice():
     rng = random.Random(1)
     dense_soup = soup(rng, 60, 1200)
+    small_soup = soup(rng, 12, 100)
     sparse = frozenset((37 * i, 11 * (i % 13)) for i in range(300))
     gun = life.parse_rle(load_text("gosper_gun.rle"))
     assert backend(dense_soup, 1) == backend(dense_soup, 50) == "dense"
     assert backend(sparse, 1) == backend(sparse, 50) == "packed"
-    # a single generation of a small pattern: the tally
-    assert backend(GLIDER, 1) == backend(soup(rng, 12, 100), 1) == "tally"
-    # small patterns over many generations: the packed loop
-    assert backend(GLIDER, 2) == backend(gun, 2000) == "packed"
-    # coordinates that may leave +-2**30, or do not fit in int64: the tally
-    edge = life.translate(dense_soup, (1 << 30) - 100, 0)
-    assert backend(edge, 30) == "dense" and backend(edge, 60) == "tally"
-    assert backend(life.translate(dense_soup, 0, -(10 ** 20)), 5) == "tally"
+    # one generation of a small pattern: numpy too, by the density rule
+    assert backend(GLIDER, 1) == backend(GLIDER, 2) == backend(gun, 2000) == "packed"
+    assert len(small_soup) >= life._DENSE_MIN_POP and backend(small_soup, 1) == "dense"
+    # position never matters
+    for offset in (1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)):
+        moved = life.translate(dense_soup, offset, -offset)
+        assert backend(moved, 1) == backend(moved, 50) == "dense"
+        assert backend(life.translate(GLIDER, offset, 3), 1) == "packed"
+    # only an extent near the limit gives the tally: extent + 2 * steps
+    wide = GLIDER | {(life._FRAME_LIMIT - 100, 0)}
+    assert backend(wide, 49) == "packed" and backend(wide, 50) == "tally"
+    assert backend(life.translate(wide, 10 ** 20, 0), 50) == "tally"
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +115,16 @@ def test_run_near_the_packing_limit():
 
 
 @pytest.mark.parametrize("offset", [10 ** 20, -(10 ** 20), 2 ** 63, 2 ** 62 - 5])
-def test_run_with_python_ints_beyond_int64(offset):
+def test_run_with_python_ints_beyond_int64(offset, monkeypatch):
     base = soup(random.Random(3), 20, 200)
     cells = life.translate(base, offset, -offset)
     want = life.translate(tally_run(base, 6), offset, -offset)
+    calls = spy(monkeypatch)
     assert life.run(cells, 6) == want
+    ran = len(calls)
     assert life.step(cells) == life.translate(life._step_tally(base), offset, -offset)
+    # position never matters: both go through the numpy backends
+    assert ran >= 1 and len(calls) > ran
 
 
 @pytest.mark.parametrize("steps", [1, 5, 70, 200])
@@ -176,11 +185,11 @@ def test_packed_dense_and_tally_agree_on_step():
     rng = random.Random(7)
     for cells in (soup(rng, 40, 700), soup(rng, 300, 300),
                   receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
-        xy, _ = life._xy(cells)
+        off, corner, _ = life._frame(cells)
         want = life._step_tally(cells)
         for kernel in (life._run_dense, life._run_packed):
-            out = kernel(xy[:, 0], xy[:, 1], 1)
-            assert frozenset(zip(out[0].tolist(), out[1].tolist())) == want
+            out = kernel(off[:, 0], off[:, 1], 1)
+            assert life._cells(out[0], out[1], corner) == want
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +255,22 @@ def test_write_rle_random_soups():
 @settings(max_examples=100)
 def test_write_rle_matches_reference(cells):
     assert life.write_rle(cells) == write_rle_reference(cells)
+
+
+# ---------------------------------------------------------------------------
+# raster against the per-cell grid
+
+@pytest.mark.parametrize("offset", [0, 1 << 40, -(1 << 40), 10 ** 20])
+def test_raster_matches_reference(offset):
+    rng = random.Random(9)
+    for cells in (GLIDER, frozenset({(0, 0)}), soup(rng, 50, 700),
+                  life.parse_rle(load_text("gosper_gun.rle"))):
+        cells = life.translate(cells, offset, -offset)
+        assert life.raster(cells).tolist() == raster_reference(cells)
+
+
+def test_raster_pixel_cap(monkeypatch):
+    monkeypatch.setattr(life, "PIXEL_LIMIT", 100)
+    assert life.raster(frozenset({(0, 0), (9, 9)})).shape == (10, 10)
+    with pytest.raises(life.InvalidArgument, match="11x10 image over 100 pixels"):
+        life.raster(frozenset({(0, 0), (10, 9)}))

@@ -96,7 +96,7 @@ def test_wide_state_packs_again_once_it_shrinks(monkeypatch):
     assert len(steps) == 1 and packed
 
 
-@pytest.mark.parametrize("ox", [life._ORBIT_EXTENT - 6, -life._ORBIT_EXTENT - 6])
+@pytest.mark.parametrize("ox", [life._FRAME_LIMIT - 8, -life._FRAME_LIMIT - 4])
 def test_glider_across_the_packing_limit_matches_oracle(ox):
     # a glider heading to +x leaves a block from just inside the packed
     # extent, or approaches it from just outside, so the runner switches
