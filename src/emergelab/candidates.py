@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from . import life
 from .errors import EmergeLabError, InvalidArgument
@@ -281,23 +280,17 @@ def default_numbering(j: int) -> frozenset:
                      for i, b in enumerate(bits) if b == "1")
 
 
-def life_survival_count(n: int,
-                        numbering: Callable[[int], frozenset] = default_numbering,
-                        run: Callable | None = None) -> int:
-    """Count the seeds numbered 1..n that still have live cells after
-    exactly n generations.  "Still alive" here is the bounded reading; the
-    eternal version is undecidable and out of reach.
+def life_survival_count(n: int) -> int:
+    """Count the seeds numbered 1..n (`default_numbering`) that still have
+    live cells after exactly n generations.  "Still alive" here is the
+    bounded reading; the eternal version is undecidable and out of reach.
 
-    By default each seed runs through `life.detect_fate` with budget n,
-    the recurrence runner, and stops at its first extinction or
-    recurrence: extinction at t <= n means dead at n, a recurrence means
-    alive forever, and an exhausted budget means alive at n.  A `run(cells,
-    n)` returning the cells at generation n, such as a reference
-    simulator, replaces the runner.
+    Each seed runs through `life.detect_fate` with budget n, the recurrence
+    runner, and stops at its first extinction or recurrence: extinction at
+    t <= n means dead at n, a recurrence means alive forever, and an
+    exhausted budget means alive at n.
     """
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
-    if run is None:
-        return sum(1 for j in range(1, n + 1)
-                   if life.detect_fate(numbering(j), n).verdict != "extinct")
-    return sum(1 for j in range(1, n + 1) if run(numbering(j), n))
+    return sum(1 for j in range(1, n + 1)
+               if life.detect_fate(default_numbering(j), n).verdict != "extinct")

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
 One subcommand per subsystem: eca, life, ant, tm, candidate, analyze.
-Reports are flat `key=value` lines (or the same keys as a JSON object with
---json); images are binary PBM (P4).  All outputs are deterministic:
+`main` parses the arguments and calls the subcommand's handler, which
+writes any requested files and returns its report as a dict (or None when
+it prints only text or images).  `main` then writes that report to stdout
+once, as flat `key=value` lines or, with --json, as one JSON object with the
+same keys.  Images are binary PBM (P4).  All outputs are deterministic:
 identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
@@ -60,17 +63,8 @@ def default_budget(fallback: int) -> int:
     return value
 
 
-def emit_report(pairs: dict, as_json: bool, out=None):
-    out = out or sys.stdout
-    if as_json:
-        out.write(json.dumps(pairs) + "\n")
-    else:
-        for key, value in pairs.items():
-            out.write(f"{key}={value}\n")
-
-
-def _write_bytes(path: str, data: bytes):
-    Path(path).write_bytes(data)
+def _key_values(report: dict) -> str:
+    return "".join(f"{key}={value}\n" for key, value in report.items())
 
 
 class UnreadableFile(EmergeLabError):
@@ -78,7 +72,7 @@ class UnreadableFile(EmergeLabError):
 
 
 def _read_text(path: str) -> str:
-    """Every input file is read here; OSErrors reach `run_command`."""
+    """Every input file is read here; OSErrors reach `main`."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -122,7 +116,7 @@ def _write_text(grid: np.ndarray, out):
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_eca(args) -> int:
+def _cmd_eca(args) -> dict | None:
     rule = eca.parse_rule(args.rule)
     if args.cyclic_width is not None:
         width = args.cyclic_width
@@ -135,16 +129,15 @@ def _cmd_eca(args) -> int:
         lo = seed.offset - args.steps
         width = max(seed.width, 1) + 2 * args.steps
         rows = [row.bits << (row.offset - lo) if row.bits else 0 for row in history.rows]
-    if args.out or args.text:
-        grid = _bit_grid(rows, width)
-        if args.out:
-            _write_bytes(args.out, render_pbm(grid, comment=f"rule {args.rule}"))
-        if args.text:
-            _write_text(grid, sys.stdout)
-    else:
-        emit_report({"rule": args.rule, "steps": args.steps,
-                     "final_population": rows[-1].bit_count()}, args.json)
-    return 0
+    if not (args.out or args.text):
+        return {"rule": args.rule, "steps": args.steps,
+                "final_population": rows[-1].bit_count()}
+    grid = _bit_grid(rows, width)
+    if args.out:
+        Path(args.out).write_bytes(render_pbm(grid, comment=f"rule {args.rule}"))
+    if args.text:
+        _write_text(grid, sys.stdout)
+    return None
 
 
 def _load_pattern(path: str):
@@ -152,23 +145,20 @@ def _load_pattern(path: str):
     return parse(_read_text(path))
 
 
-def _cmd_life(args) -> int:
+def _cmd_life(args) -> dict:
     cells = _load_pattern(args.rle)
     if args.life_command == "run":
         result = life.run(cells, args.steps)
         if args.out_rle:
             Path(args.out_rle).write_text(life.write_rle(result))
-        report = {"steps": args.steps, "population": len(result)}
         if args.out:
-            if not result:
-                raise EmergeLabError("cannot render an empty pattern to PBM")
-            _write_bytes(args.out, render_pbm(life.raster(result)))
+            Path(args.out).write_bytes(render_pbm(life.raster(result)))
+        report = {"steps": args.steps, "population": len(result)}
         if args.print == "bbox":
             box = life.bounding_box(result)
             report["bbox"] = "empty" if box is None else \
                 f"{box[0]},{box[1]},{box[2]},{box[3]}"
-        emit_report(report, args.json)
-        return 0
+        return report
     # fate
     budget = args.budget if args.budget is not None else default_budget(4096)
     fate = life.detect_fate(cells, budget)
@@ -179,44 +169,37 @@ def _cmd_life(args) -> int:
         report["dx"], report["dy"] = fate.dx, fate.dy
     if fate.verdict == "unknown":
         report["budget"] = fate.budget
-    emit_report(report, args.json)
-    return 0
+    return report
 
 
-def _cmd_ant(args) -> int:
+def _cmd_ant(args) -> dict:
     steps = args.steps if args.steps is not None else default_budget(20_000)
     start = ant.standard_start(args.heading)
     if args.detect_highway:
-        report = ant.detect_highway(start, steps, args.window_radius,
-                                    args.confirmations)
-        pairs = {"found": str(report.found).lower()}
-        if report.found:
-            pairs.update(onset=report.onset, period=report.period,
-                         dx=report.dx, dy=report.dy)
-        pairs.update(window_radius=report.window_radius,
-                     steps_searched=report.steps_searched)
+        highway = ant.detect_highway(start, steps, args.window_radius,
+                                     args.confirmations)
+        report = {"found": str(highway.found).lower()}
+        if highway.found:
+            report.update(onset=highway.onset, period=highway.period,
+                          dx=highway.dx, dy=highway.dy)
+        report.update(window_radius=highway.window_radius,
+                      steps_searched=highway.steps_searched)
         if args.report:
-            with open(args.report, "w") as fh:
-                emit_report(pairs, False, out=fh)
-        emit_report(pairs, args.json)
-        return 0
+            Path(args.report).write_text(_key_values(report))
+        return report
     state = ant.run(start, steps)
     if args.out:
-        if not state.black:
-            raise EmergeLabError("no black cells to render")
         marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={state.steps}"
-        _write_bytes(args.out, render_pbm(life.raster(state.black), comment=marker))
-    emit_report({"steps": state.steps, "x": state.pos[0], "y": state.pos[1],
-                 "heading": state.heading, "black_cells": len(state.black)},
-                args.json)
-    return 0
+        Path(args.out).write_bytes(render_pbm(life.raster(state.black), comment=marker))
+    return {"steps": state.steps, "x": state.pos[0], "y": state.pos[1],
+            "heading": state.heading, "black_cells": len(state.black)}
 
 
 def _machine(path: str) -> turing.MachineSpec:
     return turing.parse_machine(_read_text(path), name=Path(path).stem)
 
 
-def _cmd_tm(args) -> int:
+def _cmd_tm(args) -> dict:
     budget = args.budget if args.budget is not None else default_budget(10 ** 7)
     if args.tm_command == "run":
         machine = _machine(args.machine)
@@ -226,20 +209,18 @@ def _cmd_tm(args) -> int:
             Path(args.trace_out).write_text(text)
         else:
             sys.stdout.write(text)
-        emit_report({"machine": machine.name, "input": args.input,
-                     "total_steps": trace.total_steps,
-                     "halted": str(trace.halted).lower(),
-                     "entries": len(trace.entries)}, args.json)
-        return 0
+        return {"machine": machine.name, "input": args.input,
+                "total_steps": trace.total_steps,
+                "halted": str(trace.halted).lower(),
+                "entries": len(trace.entries)}
     if args.tm_command == "compose":
         approx = _machine(args.approx)
         finisher = _machine(args.finisher)
         value, total, frag = turing.compose(approx, finisher, args.input, budget)
-        emit_report({"value": value, "total_steps": total,
-                     "intermediate": frag.intermediate,
-                     "approx_steps": frag.approx_steps,
-                     "finisher_steps": frag.finisher_steps}, args.json)
-        return 0
+        return {"value": value, "total_steps": total,
+                "intermediate": frag.intermediate,
+                "approx_steps": frag.approx_steps,
+                "finisher_steps": frag.finisher_steps}
     # audit
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
@@ -251,47 +232,43 @@ def _cmd_tm(args) -> int:
     else:
         timing = _read_ints(args.timing)
     witness = turing.BigOWitness(args.c, args.n0)
-    report = turing.audit_approximation(approx, finisher, values, timing,
-                                        witness, indices, step_budget=budget)
-    pairs = {"verdict": "pass" if report.verdict else "fail",
-             "vacuous": str(report.vacuous).lower(),
-             "c": str(witness.c), "n0": witness.n0,
-             "timing_note": report.timing_note}
-    for rec in report.records:
-        pairs[f"index_{rec.index}"] = (
+    audit = turing.audit_approximation(approx, finisher, values, timing,
+                                       witness, indices, step_budget=budget)
+    report = {"verdict": "pass" if audit.verdict else "fail",
+              "vacuous": str(audit.vacuous).lower(),
+              "c": str(witness.c), "n0": witness.n0,
+              "timing_note": audit.timing_note}
+    for rec in audit.records:
+        report[f"index_{rec.index}"] = (
             f"r={rec.intermediate} steps={rec.finisher_steps} "
             f"bound={float(rec.bound):.3f} {'pass' if rec.passed else 'fail'}")
-    emit_report(pairs, args.json)
-    return 0
+    return report
 
 
-def _cmd_candidate(args) -> int:
+def _cmd_candidate(args) -> dict:
     if args.candidate_command == "sqrt-digits":
         digits = candidates.sqrt_digits(args.m, args.count)
-        emit_report({"m": args.m, "count": args.count,
-                     "digits": "".join(map(str, digits))}, args.json)
-    elif args.candidate_command == "digit-chain":
+        return {"m": args.m, "count": args.count,
+                "digits": "".join(map(str, digits))}
+    if args.candidate_command == "digit-chain":
         if args.sqrt is not None:
             stream = candidates.DigitStream.from_sqrt(args.sqrt)
         else:
             stream = candidates.DigitStream.from_text(_read_text(args.digits_file))
         values = candidates.digit_chain(stream, args.n)
-        emit_report({"n": args.n,
-                     "values": ",".join(map(str, values))}, args.json)
-    elif args.candidate_command == "words":
+        return {"n": args.n, "values": ",".join(map(str, values))}
+    if args.candidate_command == "words":
         word = candidates.enumerate_words(args.index, args.skip_epsilon)
-        emit_report({"index": args.index, "word": word or "(empty)"}, args.json)
-    elif args.candidate_command == "language-count":
+        return {"index": args.index, "word": word or "(empty)"}
+    if args.candidate_command == "language-count":
         dfa = candidates.parse_dfa(_read_text(args.dfa))
-        count = candidates.language_count(dfa, args.n, args.skip_epsilon)
-        emit_report({"n": args.n, "count": count}, args.json)
-    else:  # life-survival
-        count = candidates.life_survival_count(args.n)
-        emit_report({"n": args.n, "survivors": count}, args.json)
-    return 0
+        return {"n": args.n,
+                "count": candidates.language_count(dfa, args.n, args.skip_epsilon)}
+    # life-survival
+    return {"n": args.n, "survivors": candidates.life_survival_count(args.n)}
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     if args.rule30_center is not None:
         if args.rule30_center < 1:
             raise eca.InvalidSteps(
@@ -310,8 +287,7 @@ def _cmd_analyze(args) -> int:
     if args.max_period is not None:
         report[f"no_short_period_{args.max_period}"] = str(
             analysis.no_short_period(bits, args.max_period)).lower()
-    emit_report(report, args.json)
-    return 0
+    return report
 
 
 def _rational(text: str) -> Fraction:
@@ -331,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eca", help="elementary cellular automata")
+    p.set_defaults(handler=_cmd_eca)
     p.add_argument("--rule", type=int, required=True, metavar="0..255")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", help="seed row such as '#' or '#..#' (default: single cell)")
@@ -341,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", action="store_true", help="print '.'/'#' rows")
 
     p = sub.add_parser("life", help="Conway's Game of Life")
+    p.set_defaults(handler=_cmd_life)
     lsub = p.add_subparsers(dest="life_command", required=True)
     prun = lsub.add_parser("run", help="advance a pattern")
     prun.add_argument("--rle", required=True, help="pattern file (.rle or .cells)")
@@ -353,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pfate.add_argument("--budget", type=int)
 
     p = sub.add_parser("ant", help="Langton's ant")
+    p.set_defaults(handler=_cmd_ant)
     p.add_argument("--steps", type=int)
     p.add_argument("--heading", choices=list(ant.HEADINGS), default="N")
     p.add_argument("--detect-highway", action="store_true")
@@ -362,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the black cells as a PBM image")
 
     p = sub.add_parser("tm", help="multi-tape Turing machines")
+    p.set_defaults(handler=_cmd_tm)
     tsub = p.add_subparsers(dest="tm_command", required=True)
     ptr = tsub.add_parser("run", help="run a machine and print its trace")
     ptr.add_argument("--machine", required=True)
@@ -387,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     pta.add_argument("--budget", type=int)
 
     p = sub.add_parser("candidate", help="candidate hard-to-shortcut functions")
+    p.set_defaults(handler=_cmd_candidate)
     csub = p.add_subparsers(dest="candidate_command", required=True)
     pc = csub.add_parser("sqrt-digits")
     pc.add_argument("--m", type=int, required=True)
@@ -407,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("analyze", help="bit-stream statistics")
+    p.set_defaults(handler=_cmd_analyze)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--bits-file")
     src.add_argument("--rule30-center", type=int, metavar="N",
@@ -415,16 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-period", type=int)
 
     return parser
-
-
-_HANDLERS = {
-    "eca": _cmd_eca,
-    "life": _cmd_life,
-    "ant": _cmd_ant,
-    "tm": _cmd_tm,
-    "candidate": _cmd_candidate,
-    "analyze": _cmd_analyze,
-}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -442,16 +414,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def run_command(args) -> int:
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        report = args.handler(args)
+        if report is not None:
+            sys.stdout.write(json.dumps(report) + "\n" if args.json
+                             else _key_values(report))
     except (EmergeLabError, OSError) as exc:
         print(f"emergelab {args.command}: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return run_command(parse_args(argv))
+    return 0
 
 
 if __name__ == "__main__":

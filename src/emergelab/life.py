@@ -381,6 +381,11 @@ RLE_LINE_LIMIT = 69
 # the most live cells `parse_rle` builds, and pixels `raster` allocates
 CELL_LIMIT = 10 ** 7
 PIXEL_LIMIT = 1 << 26
+# the most digits of one RLE run count: reading a count costs time
+# quadratic in its length, and a coordinate past 4300 digits cannot be
+# printed.  Twenty digits hold every 64-bit count, so `write_rle` output of
+# any pattern less than 2**64 wide reads back.
+RUN_COUNT_DIGITS = 20
 
 
 def parse_rle(text: str) -> CellSet:
@@ -388,7 +393,9 @@ def parse_rle(text: str) -> CellSet:
 
     Accepts '#'-comment lines before the header, a `x = W, y = H[, rule =
     B3/S23]` header, then runs of `b` (dead) / `o` (live) with `$` row
-    breaks and a `!` terminator.  Anything after `!` is ignored.
+    breaks and a `!` terminator.  Anything after `!` is ignored.  A run
+    count has at most RUN_COUNT_DIGITS digits, and the pattern at most
+    CELL_LIMIT live cells.
     """
     lines = text.splitlines()
     header = None
@@ -410,16 +417,19 @@ def parse_rle(text: str) -> CellSet:
     cells = set()
     room = CELL_LIMIT  # live cells still allowed
     x = y = 0
-    count = 0
-    have_count = False
+    count = digits = 0
     for i in range(body_start, len(lines)):
         line = lines[i]
         for j, ch in enumerate(line):
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # not isdigit(), which also takes '²' and '٣'
+                if digits == RUN_COUNT_DIGITS:
+                    raise RleParseError(
+                        f"run count longer than {RUN_COUNT_DIGITS} digits",
+                        line=i + 1, column=j + 1)
                 count = count * 10 + int(ch)
-                have_count = True
+                digits += 1
             elif ch in "bo":
-                n = count if have_count else 1
+                n = count if digits else 1
                 if ch == "o":
                     room -= n
                     if room < 0:
@@ -428,14 +438,14 @@ def parse_rle(text: str) -> CellSet:
                     for k in range(n):
                         cells.add((x + k, y))
                 x += n
-                count, have_count = 0, False
+                count = digits = 0
             elif ch == "$":
-                n = count if have_count else 1
+                n = count if digits else 1
                 y += n
                 x = 0
-                count, have_count = 0, False
+                count = digits = 0
             elif ch == "!":
-                if have_count:
+                if digits:
                     raise RleParseError("dangling run count before '!'",
                                         line=i + 1, column=j + 1)
                 return frozenset(cells)
@@ -503,9 +513,12 @@ def write_rle(cells: CellSet) -> str:
 
 
 def raster(cells: CellSet) -> np.ndarray:
-    """A non-empty cell set as a (height, width) uint8 0/1 grid over its
-    bounding box, cell (x, y) at row y - min y, column x - min x.  Refuses a
-    grid of more than PIXEL_LIMIT pixels (InvalidArgument)."""
+    """A cell set as a (height, width) uint8 0/1 grid over its bounding
+    box, cell (x, y) at row y - min y, column x - min x.  Refuses an empty
+    set, which has no box, and a grid of more than PIXEL_LIMIT pixels
+    (InvalidArgument)."""
+    if not cells:
+        raise InvalidArgument("cannot render an empty cell set")
     off, _, (w, h) = _frame(cells)
     if (w + 1) * (h + 1) > PIXEL_LIMIT:
         raise InvalidArgument(f"{w + 1}x{h + 1} image over {PIXEL_LIMIT} pixels")

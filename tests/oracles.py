@@ -7,6 +7,7 @@ quadratic scans.  None of it shares code with the kernels under test.
 import decimal
 
 from emergelab.ant import HEADING_VECTORS, LEFT_OF, RIGHT_OF, AntState
+from emergelab.candidates import default_numbering
 from emergelab.eca import BitRow, UnsupportedBackground
 from emergelab.life import FateReport
 
@@ -119,6 +120,12 @@ def life_run_dense(cells, steps):
     for _ in range(steps):
         out = life_step_dense(out)
     return out
+
+
+def survival_count_reference(n):
+    """`candidates.life_survival_count(n)` by plain simulation: seeds 1..n
+    of `default_numbering`, each run n generations on the dense grid."""
+    return sum(1 for j in range(1, n + 1) if life_run_dense(default_numbering(j), n))
 
 
 def life_step_sparse(cells):

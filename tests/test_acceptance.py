@@ -14,7 +14,7 @@ import pytest
 from emergelab import analysis, ant, candidates, eca, life, turing
 from emergelab.fixtures import load_text
 
-from .oracles import life_run_dense, step_cycle_reference
+from .oracles import step_cycle_reference, survival_count_reference
 
 
 @contextmanager
@@ -168,7 +168,7 @@ def test_criterion_09_candidate_functions():
 
         for n in (0, 1, 7, 15, 32, 64):
             assert candidates.life_survival_count(n) == \
-                candidates.life_survival_count(n, run=life_run_dense), f"n={n}"
+                survival_count_reference(n), f"n={n}"
 
 
 def test_criterion_10_kernel_equivalence():

@@ -8,7 +8,7 @@ from emergelab import life
 from emergelab.errors import EmergeLabError, InvalidArgument
 from emergelab.fixtures import load_text
 
-from .oracles import life_run_dense, life_step_dense, sqrt_text_reference
+from .oracles import life_step_dense, sqrt_text_reference, survival_count_reference
 
 
 
@@ -252,7 +252,7 @@ def test_life_survival_count_goldens():
 def test_life_survival_count_matches_dense_oracle():
     for n in (0, 1, 3, 8, 15, 33, 64):
         fast = cd.life_survival_count(n)
-        slow = cd.life_survival_count(n, run=life_run_dense)
+        slow = survival_count_reference(n)
         assert fast == slow, f"n={n}"
 
 
@@ -270,10 +270,5 @@ def test_life_survival_count_every_n_to_64_matches_dense_oracle():
 
 
 def test_life_survival_count_bench_size_golden():
-    # the bench size, pinned once against `run=life_run_dense`
+    # the bench size, pinned once against `survival_count_reference`
     assert cd.life_survival_count(181) == 78
-
-
-def test_life_survival_accepts_custom_numbering():
-    always_block = lambda j: frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
-    assert cd.life_survival_count(10, numbering=always_block) == 10

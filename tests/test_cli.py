@@ -203,7 +203,8 @@ def cli_files(tmp_path_factory):
     """`{name}` placeholder -> path of a scratch input or output, among them
     a directory, a non-UTF-8 file, a table with a non-integer token, a DFA
     with no transition for state 0 on 1, two cells 2**40 apart, an RLE run
-    of 3e9 live cells, and paths that do not exist."""
+    of 3e9 live cells, a run count of 5000 digits, a lone cell that dies in
+    one generation, and paths that do not exist."""
     root = tmp_path_factory.mktemp("cli")
     (root / "dir").mkdir()
     (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
@@ -214,8 +215,10 @@ def cli_files(tmp_path_factory):
     (root / "bits").write_text("0110 1001 0111 0100 1011\n")
     (root / "far_apart").write_text(f"x = 0, y = 0\no{(1 << 40) - 1}bo!\n")
     (root / "huge_run").write_text("x = 1, y = 1\n3000000000o!\n")
+    (root / "long_count").write_text("x = 1, y = 1\n" + "1" * 5000 + "bo!\n")
+    (root / "dies").write_text("x = 1, y = 1\no!\n")
     names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "ints", "bits",
-             "far_apart", "huge_run", "missing", "out")
+             "far_apart", "huge_run", "long_count", "dies", "missing", "out")
     return {f"{{{name}}}": str(root / name) for name in names}
 
 
@@ -261,6 +264,9 @@ DFA = str(fixture_path("even_ones.dfa"))
     ["analyze", "--bits-file", "{bad_ints}"],
     ["life", "run", "--rle", "{far_apart}", "--steps", "0", "--out", "{out}"],
     ["life", "run", "--rle", "{huge_run}", "--steps", "1"],
+    ["life", "run", "--rle", "{long_count}", "--steps", "0", "--print", "bbox"],
+    ["life", "run", "--rle", "{dies}", "--steps", "1", "--out", "{out}"],
+    ["ant", "--steps", "0", "--out", "{out}"],
 ])
 def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     argv = fill(argv, cli_files)
@@ -276,6 +282,41 @@ def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     else:
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("emergelab ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eca", "--rule", "30", "--steps", "20"], id="eca"),
+    pytest.param(["life", "run", "--rle", GLIDER, "--steps", "4"], id="life-run-pop"),
+    pytest.param(["life", "run", "--rle", GLIDER, "--steps", "4", "--print", "bbox"],
+                 id="life-run-bbox"),
+    pytest.param(["life", "fate", "--rle", GLIDER, "--budget", "16"], id="life-fate"),
+    pytest.param(["ant", "--steps", "500"], id="ant"),
+    pytest.param(["ant", "--steps", "12000", "--detect-highway"], id="ant-highway"),
+    pytest.param(["tm", "run", "--machine", SUCC, "--input", "3"], id="tm-run"),
+    pytest.param(["tm", "compose", "--approx", SUCC, "--finisher", COPY, "--input", "5"],
+                 id="tm-compose"),
+    pytest.param(AUDIT, id="tm-audit"),
+    pytest.param(["candidate", "sqrt-digits", "--m", "2", "--count", "5"],
+                 id="candidate-sqrt-digits"),
+    pytest.param(["candidate", "digit-chain", "--sqrt", "2", "--n", "2"],
+                 id="candidate-digit-chain"),
+    pytest.param(["candidate", "words", "--index", "8"], id="candidate-words"),
+    pytest.param(["candidate", "language-count", "--dfa", DFA, "--n", "4"],
+                 id="candidate-language-count"),
+    pytest.param(["candidate", "life-survival", "--n", "15"], id="candidate-life-survival"),
+    pytest.param(["analyze", "--rule30-center", "256", "--block-k", "4",
+                  "--max-period", "16"], id="analyze"),
+])
+def test_json_report_matches_key_value_report(capsys, argv):
+    code, lines, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, as_json, _ = run_cli(capsys, "--json", *argv)
+    assert code == 0
+    # `tm run` prints its trace before the report, the same in both forms
+    *trace, last = as_json.splitlines()
+    report = json.loads(last)
+    assert isinstance(report, dict) and report
+    assert lines.splitlines() == trace + [f"{key}={value}" for key, value in report.items()]
 
 
 def test_life_pattern_not_utf8(tmp_path, capsys):

@@ -183,6 +183,28 @@ def test_parse_rle_cell_cap(monkeypatch):
     assert isinstance(err.value, ValueError)
 
 
+def test_parse_rle_run_count_cap():
+    top = "9" * life.RUN_COUNT_DIGITS
+    assert life.parse_rle(f"x = 1, y = 1\n{top}bo!") == frozenset({(int(top), 0)})
+    wide = frozenset({(0, 0), (2 ** 64 - 1, 0)})
+    assert life.parse_rle(life.write_rle(wide)) == wide
+    with pytest.raises(life.RleParseError) as err:
+        life.parse_rle(f"x = 1, y = 1\n\nb{top}0$o!")
+    assert err.value.line == 3 and err.value.column == life.RUN_COUNT_DIGITS + 2
+
+
+def test_parse_rle_refuses_a_100000_digit_count():
+    with pytest.raises(life.RleParseError, match="run count longer than"):
+        life.parse_rle("x = 1, y = 1\n" + "1" * 10 ** 5 + "bo!")
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_parse_rle_counts_are_ascii_digits(digit):
+    with pytest.raises(life.RleParseError) as err:
+        life.parse_rle(f"x = 3, y = 1\n{digit}o!")
+    assert err.value.line == 2 and err.value.column == 1
+
+
 def test_parse_rle_rejects_other_rules():
     with pytest.raises(life.UnsupportedRule):
         life.parse_rle("x = 1, y = 1, rule = B36/S23\no!")

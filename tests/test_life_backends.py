@@ -274,3 +274,8 @@ def test_raster_pixel_cap(monkeypatch):
     assert life.raster(frozenset({(0, 0), (9, 9)})).shape == (10, 10)
     with pytest.raises(life.InvalidArgument, match="11x10 image over 100 pixels"):
         life.raster(frozenset({(0, 0), (10, 9)}))
+
+
+def test_raster_refuses_an_empty_set():
+    with pytest.raises(life.InvalidArgument, match="empty cell set"):
+        life.raster(frozenset())
