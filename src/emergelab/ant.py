@@ -3,13 +3,16 @@
 Conventions: N = (0, +1), E = (+1, 0); a left turn is counterclockwise in
 this frame.  On a white square the ant turns left, paints the square black
 and advances; on a black square it turns right, repaints it white and
-advances.
+advances.  `HEADINGS` is the one heading order, clockwise from north:
+`run` and `detect_highway` carry the heading as its index there, and one
+lookup table per turn gives the new index and the move; states and
+reports keep the letter.
 
 The highway detector fingerprints each step by the ant's heading plus the
 black cells within a Chebyshev window around it (relative coordinates).
 The window is maintained incrementally as one big integer: each move
-shifts the mask and only the entering edge is queried from the grid, which
-keeps 20,000-step searches well under a second.
+shifts the mask and only the entering edge is read from the grid, by the
+line reader that also builds the first window.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgument
 
-HEADING_VECTORS = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
-LEFT_OF = {"N": "W", "W": "S", "S": "E", "E": "N"}
-RIGHT_OF = {v: k for k, v in LEFT_OF.items()}
 HEADINGS = "NESW"
+_MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # unit steps, indexed like HEADINGS
+# heading index -> (new heading index, dx, dy) after a right or a left turn
+_RIGHT = tuple(((h + 1) % 4, *_MOVES[(h + 1) % 4]) for h in range(4))
+_LEFT = tuple(((h - 1) % 4, *_MOVES[(h - 1) % 4]) for h in range(4))
+# detector windows are (2r + 1)**2 bits; r = 256 takes seconds per 20,000 steps
+WINDOW_RADIUS_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,8 @@ class AntState:
     steps: int = 0
 
     def __post_init__(self):
-        if self.heading not in HEADING_VECTORS:
+        # against the four letters: "" and "NE" are substrings of HEADINGS
+        if self.heading not in tuple(HEADINGS):
             raise InvalidArgument(f"heading must be one of N/E/S/W, got {self.heading!r}")
         if self.steps < 0:
             raise InvalidArgument("steps must be >= 0")
@@ -52,19 +59,18 @@ def run(state: AntState, n: int) -> AntState:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     black = set(state.black)
     x, y = state.pos
-    heading = state.heading
+    h = HEADINGS.index(state.heading)
     for _ in range(n):
         pos = (x, y)
         if pos in black:
-            heading = RIGHT_OF[heading]
             black.discard(pos)
+            h, dx, dy = _RIGHT[h]
         else:
-            heading = LEFT_OF[heading]
             black.add(pos)
-        dx, dy = HEADING_VECTORS[heading]
+            h, dx, dy = _LEFT[h]
         x += dx
         y += dy
-    return AntState((x, y), heading, frozenset(black), state.steps + n)
+    return AntState((x, y), HEADINGS[h], frozenset(black), state.steps + n)
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,19 @@ class HighwayReport:
     steps_searched: int = 0
 
 
+def _line_bits(black, x, y, dx, dy, bit, stride, count) -> int:
+    """Window bits of `count` squares from (x, y) on in steps of (dx, dy):
+    the k-th square, when black, sets bit `bit + k * stride`."""
+    bits = 0
+    for _ in range(count):
+        if (x, y) in black:
+            bits |= 1 << bit
+        x += dx
+        y += dy
+        bit += stride
+    return bits
+
+
 def window_fingerprint(state: AntState, radius: int) -> tuple[str, int]:
     """(heading, packed window) built directly from the black set.
 
@@ -94,13 +113,10 @@ def window_fingerprint(state: AntState, radius: int) -> tuple[str, int]:
     lets tests replay its reports without the incremental bookkeeping.
     """
     side = 2 * radius + 1
-    ax, ay = state.pos
+    x, y = state.pos[0] - radius, state.pos[1] - radius
     mask = 0
-    for dy in range(-radius, radius + 1):
-        base = (dy + radius) * side
-        for dx in range(-radius, radius + 1):
-            if (ax + dx, ay + dy) in state.black:
-                mask |= 1 << (base + dx + radius)
+    for row in range(side):
+        mask |= _line_bits(state.black, x, y + row, 1, 0, row * side, 1, side)
     return state.heading, mask
 
 
@@ -113,71 +129,54 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
     candidate period p = t2 - t1 is verified over the next `confirmations`
     multiples of p; the first verified recurrence yields the smallest
     period and the earliest onset (onset = t1, relative to `start`).
+    The window radius is at most WINDOW_RADIUS_LIMIT.
     """
     if max_steps < 1:
         raise InvalidArgument(f"max_steps must be >= 1, got {max_steps}")
-    if window_radius < 1:
-        raise InvalidArgument(f"window_radius must be >= 1, got {window_radius}")
+    if not 1 <= window_radius <= WINDOW_RADIUS_LIMIT:
+        raise InvalidArgument(
+            f"window_radius must be in 1..{WINDOW_RADIUS_LIMIT}, got {window_radius}")
     if confirmations < 1:
         raise InvalidArgument(f"confirmations must be >= 1, got {confirmations}")
 
-    side = 2 * window_radius + 1
-    area = side * side
-    full_mask = (1 << area) - 1
-    center_bit = 1 << (window_radius * side + window_radius)
-    # column masks for horizontal shifts
-    low_col = 0
-    for row in range(side):
-        low_col |= 1 << (row * side)
+    r = window_radius
+    side = 2 * r + 1
+    full_mask = (1 << side * side) - 1
+    center_bit = 1 << (r * side + r)
+    # column masks for horizontal shifts: bit 0, then bit 2r, of every row
+    low_col = full_mask // ((1 << side) - 1)
     high_col = low_col << (side - 1)
 
     black = set(start.black)
     x, y = start.pos
-    heading = start.heading
-
-    def load_column(dx: int) -> int:
-        bits = 0
-        col = dx + window_radius
-        for dy in range(-window_radius, window_radius + 1):
-            if (x + dx, y + dy) in black:
-                bits |= 1 << ((dy + window_radius) * side + col)
-        return bits
-
-    def load_row(dy: int) -> int:
-        bits = 0
-        base = (dy + window_radius) * side
-        for dx in range(-window_radius, window_radius + 1):
-            if (x + dx, y + dy) in black:
-                bits |= 1 << (base + dx + window_radius)
-        return bits
-
-    window = window_fingerprint(start, window_radius)[1]
-    seen: dict[tuple[str, int], tuple[int, int, int]] = {(heading, window): (0, x, y)}
+    h = HEADINGS.index(start.heading)
+    window = window_fingerprint(start, r)[1]
+    seen: dict[tuple[int, int], tuple[int, int, int]] = {(h, window): (0, x, y)}
     candidate = None  # (base_t, base_fp, base_x, base_y, period, dx, dy, k)
 
     for t in range(1, max_steps + 1):
         pos = (x, y)
         if pos in black:
-            heading = RIGHT_OF[heading]
             black.discard(pos)
             window &= ~center_bit
+            h, mx, my = _RIGHT[h]
         else:
-            heading = LEFT_OF[heading]
             black.add(pos)
             window |= center_bit
-        mx, my = HEADING_VECTORS[heading]
+            h, mx, my = _LEFT[h]
         x += mx
         y += my
-        if mx == 1:
-            window = ((window & ~low_col) >> 1) | load_column(window_radius)
-        elif mx == -1:
-            window = (((window & ~high_col) << 1) & full_mask) | load_column(-window_radius)
-        elif my == 1:
-            window = (window >> side) | load_row(window_radius)
+        # shift the window against the move; the edge at offset r in the
+        # direction of the move enters, its first bit at 0 or 2r along the axis
+        if mx:
+            window = ((window & ~low_col) >> 1 if mx == 1
+                      else (window & ~high_col) << 1 & full_mask)
+            window |= _line_bits(black, x + mx * r, y - r, 0, 1, r + mx * r, side, side)
         else:
-            window = ((window << side) & full_mask) | load_row(-window_radius)
+            window = window >> side if my == 1 else window << side & full_mask
+            window |= _line_bits(black, x - r, y + my * r, 1, 0, (r + my * r) * side, 1, side)
 
-        fp = (heading, window)
+        fp = (h, window)
 
         if candidate is not None:
             base_t, base_fp, base_x, base_y, period, cdx, cdy, k = candidate

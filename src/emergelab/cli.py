@@ -404,8 +404,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command == "eca" and not 0 <= args.rule <= 255:
         parser.error(f"--rule must be in 0..255, got {args.rule}")
-    if args.command == "eca" and args.cyclic_width is not None and args.cyclic_width < 1:
-        parser.error(f"--cyclic-width must be >= 1, got {args.cyclic_width}")
+    if args.command == "eca" and args.cyclic_width is not None \
+            and not 1 <= args.cyclic_width <= eca.HISTORY_CELL_LIMIT:
+        parser.error(f"--cyclic-width must be in 1..{eca.HISTORY_CELL_LIMIT}, "
+                     f"got {args.cyclic_width}")
     if args.command == "tm" and args.tm_command == "audit":
         if not args.identity_values and not args.values:
             parser.error("audit needs --identity-values or --values FILE")

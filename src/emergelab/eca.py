@@ -37,7 +37,13 @@ class UnsupportedBackground(EmergeLabError):
 
 
 class RowLimitExceeded(EmergeLabError):
-    """Requested history is larger than the configured row cap."""
+    """Requested history is larger than the configured row cap or than
+    HISTORY_CELL_LIMIT cells."""
+
+
+# Cells of a kept history, (steps + 1) x width: 2**28 holds 10,000 rows of
+# the 19,999-cell light cone of one seed cell, about 2e8 cells.
+HISTORY_CELL_LIMIT = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -216,12 +222,17 @@ def _require_white_background(rule: RuleTable):
             f"rule {rule.number} flips the white background; use the cyclic mode")
 
 
-def _check_steps(steps: int, max_rows: int | None = None):
+def _check_steps(steps: int, max_rows: int | None = None, width: int = 0):
+    """Refuse negative steps and, for a kept history of rows `width` cells
+    wide, more than max_rows rows or HISTORY_CELL_LIMIT cells."""
     if steps < 0:
         raise InvalidSteps(f"steps must be >= 0, got {steps}")
     if max_rows is not None and steps + 1 > max_rows:
         raise RowLimitExceeded(
             f"{steps + 1} rows exceed the cap of {max_rows}; raise max_rows to allow this")
+    if (steps + 1) * width > HISTORY_CELL_LIMIT:
+        raise RowLimitExceeded(f"{steps + 1} rows of {width} cells exceed the cap of "
+                               f"{HISTORY_CELL_LIMIT} cells")
 
 
 def step_row(rule: RuleTable, row: BitRow) -> BitRow:
@@ -266,8 +277,9 @@ class EcaHistory:
 
 
 def evolve(rule: RuleTable, seed: BitRow, steps: int, max_rows: int = 10_000) -> EcaHistory:
-    """Evolve `seed` for `steps` generations, keeping every row."""
-    _check_steps(steps, max_rows)
+    """Evolve `seed` for `steps` generations, keeping every row; the rows
+    span the seed's light cone, max(seed.width, 1) + 2 * steps cells."""
+    _check_steps(steps, max_rows, max(seed.width, 1) + 2 * steps)
     rows = [seed]
     row = seed
     for _ in range(steps):
@@ -319,7 +331,7 @@ def step_cycle(rule: RuleTable, bits: int, width: int) -> int:
 def evolve_cycle(rule: RuleTable, bits: int, width: int, steps: int,
                  max_rows: int = 10_000) -> list[int]:
     """Ring evolution keeping every generation (generation 0 included)."""
-    _check_steps(steps, max_rows)
+    _check_steps(steps, max_rows, width)
     states = [bits & ((1 << width) - 1)]
     for _ in range(steps):
         states.append(step_cycle(rule, states[-1], width))

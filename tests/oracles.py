@@ -6,7 +6,7 @@ quadratic scans.  None of it shares code with the kernels under test.
 
 import decimal
 
-from emergelab.ant import HEADING_VECTORS, LEFT_OF, RIGHT_OF, AntState
+from emergelab.ant import AntState
 from emergelab.candidates import default_numbering
 from emergelab.eca import BitRow, UnsupportedBackground
 from emergelab.life import FateReport
@@ -242,29 +242,35 @@ def sqrt_text_reference(m, count):
         return str(decimal.Decimal(m).sqrt()).split(".")[1][:count]
 
 
+# Langton's ant, with its own turn tables: a right turn goes clockwise
+ANT_RIGHT_OF = {"N": "E", "E": "S", "S": "W", "W": "N"}
+ANT_LEFT_OF = {after: before for before, after in ANT_RIGHT_OF.items()}
+ANT_MOVE = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
+
+
 def ant_step(state):
     """One application of the two-colour turn/flip/advance rule, on frozen
     sets: the reference for `ant.run`."""
     x, y = state.pos
     if state.pos in state.black:
-        heading = RIGHT_OF[state.heading]
+        heading = ANT_RIGHT_OF[state.heading]
         black = state.black - {state.pos}
     else:
-        heading = LEFT_OF[state.heading]
+        heading = ANT_LEFT_OF[state.heading]
         black = state.black | {state.pos}
-    dx, dy = HEADING_VECTORS[heading]
+    dx, dy = ANT_MOVE[heading]
     return AntState((x + dx, y + dy), heading, black, state.steps + 1)
 
 
 def ant_step_back(state):
     """Inverse ant step: undo the move, the repaint and the turn."""
-    dx, dy = HEADING_VECTORS[state.heading]
+    dx, dy = ANT_MOVE[state.heading]
     prev = (state.pos[0] - dx, state.pos[1] - dy)
     if prev in state.black:  # square was just painted, so it was white: left turn
-        heading = RIGHT_OF[state.heading]
+        heading = ANT_RIGHT_OF[state.heading]
         black = state.black - {prev}
     else:  # square was just cleared, so it was black: right turn
-        heading = LEFT_OF[state.heading]
+        heading = ANT_LEFT_OF[state.heading]
         black = state.black | {prev}
     return AntState(prev, heading, black, state.steps - 1)
 
@@ -272,11 +278,65 @@ def ant_step_back(state):
 def ant_step_mirrored(state):
     """Ant step with swapped chirality (white -> right turn)."""
     if state.pos in state.black:
-        heading = LEFT_OF[state.heading]
+        heading = ANT_LEFT_OF[state.heading]
         black = state.black - {state.pos}
     else:
-        heading = RIGHT_OF[state.heading]
+        heading = ANT_RIGHT_OF[state.heading]
         black = state.black | {state.pos}
-    dx, dy = HEADING_VECTORS[heading]
+    dx, dy = ANT_MOVE[heading]
     return AntState((state.pos[0] + dx, state.pos[1] + dy), heading, black,
                     state.steps + 1)
+
+
+def detect_highway_reference(start, max_steps, radius, confirmations):
+    """`ant.detect_highway` by brute force: the ant moves by the tables
+    above on a mutable set, and every step's window is rebuilt square by
+    square as the set of black offsets within `radius` of the ant.
+
+    A fingerprint (heading, window) first seen at t1 and seen again at t2,
+    with the ant moved by d != 0 in between, starts a candidate of period
+    p = t2 - t1 unless one is pending.  The candidate is confirmed when at
+    t2 + k p, for k = 1..confirmations, the fingerprint is that of t2 and
+    the ant is k d from where it was at t2; it is dropped at the first due
+    step that differs, and that step may start the next candidate.
+    Returns the fields of the `HighwayReport` the detector should give.
+    """
+    black = set(start.black)
+    (x, y), heading = start.pos, start.heading
+    offsets = range(-radius, radius + 1)
+
+    def fingerprint():
+        return heading, frozenset((dx, dy) for dx in offsets for dy in offsets
+                                  if (x + dx, y + dy) in black)
+
+    first_seen = {fingerprint(): (0, x, y)}
+    pending = None  # (t2, fingerprint, x2, y2, period, dx, dy, k)
+    for t in range(1, max_steps + 1):
+        if (x, y) in black:
+            black.remove((x, y))
+            heading = ANT_RIGHT_OF[heading]
+        else:
+            black.add((x, y))
+            heading = ANT_LEFT_OF[heading]
+        mx, my = ANT_MOVE[heading]
+        x, y = x + mx, y + my
+        fp = fingerprint()
+        if pending is not None:
+            t2, fp2, x2, y2, period, dx, dy, k = pending
+            if t == t2 + k * period:
+                if fp != fp2 or (x, y) != (x2 + k * dx, y2 + k * dy):
+                    pending = None
+                elif k == confirmations:
+                    return dict(found=True, onset=first_seen[fp2][0], period=period,
+                                dx=dx, dy=dy, window_radius=radius,
+                                confirmations=confirmations, steps_searched=t)
+                else:
+                    pending = (t2, fp2, x2, y2, period, dx, dy, k + 1)
+        if fp not in first_seen:
+            first_seen[fp] = (t, x, y)
+        elif pending is None:
+            t1, x1, y1 = first_seen[fp]
+            if (x, y) != (x1, y1):
+                pending = (t, fp, x, y, t - t1, x - x1, y - y1, 1)
+    return dict(found=False, onset=0, period=0, dx=0, dy=0, window_radius=radius,
+                confirmations=0, steps_searched=max_steps)

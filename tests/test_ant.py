@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from emergelab import ant
 from emergelab.errors import InvalidArgument
 
-from .oracles import ant_step, ant_step_back, ant_step_mirrored
+from .oracles import ant_step, ant_step_back, ant_step_mirrored, detect_highway_reference
 
 GOLDEN = Path(__file__).parent / "data" / "ant_highway.golden"
 
@@ -38,8 +39,9 @@ def test_black_rule_mirrors_white_rule():
 
 
 def test_bad_state_is_a_domain_error():
-    with pytest.raises(InvalidArgument):
-        ant.AntState(heading="Q")
+    for heading in ("Q", "", "NE", "n"):
+        with pytest.raises(InvalidArgument):
+            ant.AntState(heading=heading)
     with pytest.raises(ValueError):
         ant.AntState(steps=-1)
 
@@ -127,9 +129,32 @@ def test_detect_highway_argument_validation():
         ant.detect_highway(ant.standard_start(), 10, window_radius=0)
     with pytest.raises(ValueError):
         ant.detect_highway(ant.standard_start(), 10, confirmations=0)
+    limit = ant.WINDOW_RADIUS_LIMIT
+    with pytest.raises(InvalidArgument, match=f"1..{limit}, got {limit + 1}"):
+        ant.detect_highway(ant.standard_start(), 10, window_radius=limit + 1)
+    assert ant.detect_highway(ant.standard_start(), 10, window_radius=limit).steps_searched == 10
 
 
 def test_highway_reached_from_every_heading():
     for heading in "NESW":
         report = ant.detect_highway(ant.standard_start(heading), 20_000, 16, 5)
         assert report.found and report.period == 104, heading
+
+
+@pytest.mark.parametrize("heading", "NESW")
+def test_detect_highway_matches_rebuilt_window_reference(heading):
+    """The incremental window against one rebuilt square by square at every
+    step: radii 1-3, one and five confirmations, from the start, from step
+    5000 (neither finds the highway at these radii) and from step 10,000
+    (both verdicts found, at onsets past 0); then r = 4, the smallest
+    radius that finds the highway from the start within 12,000 steps."""
+    start = ant.standard_start(heading)
+    for base in (start, ant.run(start, 5000), ant.run(start, 10_000)):
+        for radius in (1, 2, 3):
+            for confirmations in (1, 5):
+                report = ant.detect_highway(base, 3000, radius, confirmations)
+                assert asdict(report) == detect_highway_reference(
+                    base, 3000, radius, confirmations), (base.steps, radius, confirmations)
+    expected = detect_highway_reference(start, 12_000, 4, 5)
+    assert expected["found"] and expected["period"] == 104
+    assert asdict(ant.detect_highway(start, 12_000, 4, 5)) == expected

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emergelab import candidates, cli, eca, life
+from emergelab import ant, candidates, cli, eca, life
 from emergelab.fixtures import fixture_path
 
 from .oracles import (eca_cells_reference, pbm_reference, sqrt_text_reference,
@@ -145,7 +145,7 @@ def test_eca_text_spanning_several_write_blocks():
     assert out.getvalue() == text_reference(grid.tolist())
 
 
-@pytest.mark.parametrize("width", ["0", "-3"])
+@pytest.mark.parametrize("width", ["0", "-3", str(eca.HISTORY_CELL_LIMIT + 1)])
 def test_eca_cyclic_width_must_be_positive(capsys, width):
     with pytest.raises(SystemExit) as err:
         cli.main(["eca", "--rule", "30", "--steps", "4", "--cyclic-width", width])
@@ -172,6 +172,10 @@ def test_eca_row_cap_applies_in_both_modes(capsys, extra):
     ["analyze", "--rule30-center", "0"],
     ["analyze", "--rule30-center", "-5"],
     ["eca", "--rule", "30", "--steps", "3", "--seed", "#x#"],
+    # one cell past the history cap: 11586 rows of 23171 cells, and 100 rows
+    ["eca", "--rule", "30", "--steps", "11585", "--max-rows", "20000"],
+    ["eca", "--rule", "30", "--steps", "99", "--cyclic-width",
+     str(eca.HISTORY_CELL_LIMIT // 100 + 1)],
 ])
 def test_eca_and_analyze_domain_errors_are_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -201,24 +205,32 @@ def test_life_and_analyze_domain_errors_are_one_line(capsys, argv):
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """`{name}` placeholder -> path of a scratch input or output, among them
-    a directory, a non-UTF-8 file, a table with a non-integer token, a DFA
-    with no transition for state 0 on 1, two cells 2**40 apart, an RLE run
-    of 3e9 live cells, a run count of 5000 digits, a lone cell that dies in
-    one generation, and paths that do not exist."""
+    a directory, a non-UTF-8 file, a table with a non-integer token, DFAs
+    with no transition for state 0 on 1, with a transition to a state that
+    does not exist and with no start line, machines with two `tapes` lines
+    and with `tapes two`, two cells 2**40 apart, an RLE run of 3e9 live
+    cells, a run count of 5000 digits, a run count with nothing to repeat,
+    a lone cell that dies in one generation, and paths that do not exist."""
     root = tmp_path_factory.mktemp("cli")
     (root / "dir").mkdir()
     (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
     (root / "garbage").write_text("not a pattern, machine or table\n")
     (root / "bad_ints").write_text("1 2 x\n")
     (root / "partial_dfa").write_text("states 1\nstart 0\naccept 0\ntrans 0 0 0\n")
+    (root / "stray_dfa").write_text("states 1\nstart 0\naccept 0\ntrans 0 0 0\ntrans 0 1 5\n")
+    (root / "startless_dfa").write_text("states 1\naccept 0\ntrans 0 0 0\ntrans 0 1 0\n")
+    (root / "two_tapes_lines").write_text("tapes 2\ntapes 2\nstart s\nhalt h\n")
+    (root / "tapes_word").write_text("tapes two\nstart s\nhalt h\n")
     (root / "ints").write_text("1 2 3 4 5 6 7 8 9 10\n")
     (root / "bits").write_text("0110 1001 0111 0100 1011\n")
     (root / "far_apart").write_text(f"x = 0, y = 0\no{(1 << 40) - 1}bo!\n")
     (root / "huge_run").write_text("x = 1, y = 1\n3000000000o!\n")
     (root / "long_count").write_text("x = 1, y = 1\n" + "1" * 5000 + "bo!\n")
+    (root / "dangling").write_text("x = 2, y = 1\n2o3!\n")
     (root / "dies").write_text("x = 1, y = 1\no!\n")
-    names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "ints", "bits",
-             "far_apart", "huge_run", "long_count", "dies", "missing", "out")
+    names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "stray_dfa",
+             "startless_dfa", "two_tapes_lines", "tapes_word", "ints", "bits",
+             "far_apart", "huge_run", "long_count", "dangling", "dies", "missing", "out")
     return {f"{{{name}}}": str(root / name) for name in names}
 
 
@@ -267,6 +279,13 @@ DFA = str(fixture_path("even_ones.dfa"))
     ["life", "run", "--rle", "{long_count}", "--steps", "0", "--print", "bbox"],
     ["life", "run", "--rle", "{dies}", "--steps", "1", "--out", "{out}"],
     ["ant", "--steps", "0", "--out", "{out}"],
+    ["ant", "--detect-highway", "--steps", "100", "--window-radius",
+     str(ant.WINDOW_RADIUS_LIMIT + 1)],
+    ["tm", "run", "--machine", "{two_tapes_lines}", "--input", "3"],
+    ["tm", "run", "--machine", "{tapes_word}", "--input", "3"],
+    ["candidate", "language-count", "--dfa", "{stray_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{startless_dfa}", "--n", "3"],
+    ["life", "run", "--rle", "{dangling}", "--steps", "1"],
 ])
 def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     argv = fill(argv, cli_files)
@@ -290,6 +309,8 @@ def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     pytest.param(["life", "run", "--rle", GLIDER, "--steps", "4", "--print", "bbox"],
                  id="life-run-bbox"),
     pytest.param(["life", "fate", "--rle", GLIDER, "--budget", "16"], id="life-fate"),
+    pytest.param(["life", "fate", "--rle", str(fixture_path("rpentomino.rle")),
+                  "--budget", "5"], id="life-fate-unknown"),
     pytest.param(["ant", "--steps", "500"], id="ant"),
     pytest.param(["ant", "--steps", "12000", "--detect-highway"], id="ant-highway"),
     pytest.param(["tm", "run", "--machine", SUCC, "--input", "3"], id="tm-run"),
@@ -545,9 +566,10 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EMERGELAB_BUDGET", "5")
     code, _, err = run_cli(capsys, "tm", "run", "--machine", SUCC, "--input", "3")
     assert code == 1 and "budget of 5" in err
-    monkeypatch.setenv("EMERGELAB_BUDGET", "junk")
-    code, _, err = run_cli(capsys, "tm", "run", "--machine", SUCC, "--input", "3")
-    assert code == 1 and "EMERGELAB_BUDGET" in err
+    for value in ("junk", "0"):
+        monkeypatch.setenv("EMERGELAB_BUDGET", value)
+        code, _, err = run_cli(capsys, "tm", "run", "--machine", SUCC, "--input", "3")
+        assert code == 1 and f"EMERGELAB_BUDGET must be a positive integer, got {value!r}" in err
 
 
 def test_module_invocation_round_trip(tmp_path):
@@ -596,7 +618,8 @@ def cli_invocations(draw):
         argv = ["eca"] + _argv(
             ("--rule", draw(st.integers(-2, 260))), ("--steps", draw(st.integers(-2, 24))),
             ("--seed", draw(optional(st.sampled_from(["#", "#..#", ".", "#x", "01"])))),
-            ("--cyclic-width", draw(optional(st.integers(-1, 20)))),
+            ("--cyclic-width", draw(optional(
+                st.one_of(st.integers(-1, 20), st.just(eca.HISTORY_CELL_LIMIT + 1))))),
             ("--max-rows", draw(optional(st.integers(-1, 30)))),
             ("--out", draw(output)), flags=[("--text", draw(st.booleans()))])
     elif command == "life":
@@ -613,7 +636,8 @@ def cli_invocations(draw):
         argv = ["ant"] + _argv(
             ("--steps", draw(optional(st.integers(-3, 300)))),
             ("--heading", draw(optional(st.sampled_from("NESW")))),
-            ("--window-radius", draw(optional(st.integers(-1, 4)))),
+            ("--window-radius", draw(optional(
+                st.one_of(st.integers(-1, 4), st.just(ant.WINDOW_RADIUS_LIMIT + 1))))),
             ("--confirmations", draw(optional(st.integers(-1, 3)))),
             ("--report", draw(output)), ("--out", draw(output)),
             flags=[("--detect-highway", draw(st.booleans()))])

@@ -241,6 +241,23 @@ def test_evolve_cycle_row_cap():
     assert len(eca.evolve_cycle(eca.parse_rule(30), 1, 8, 49, max_rows=50)) == 50
 
 
+def test_history_cell_cap_applies_in_both_modes(monkeypatch):
+    rule, limit = eca.parse_rule(30), eca.HISTORY_CELL_LIMIT
+    # refused before any row is built, so past the cap costs nothing
+    with pytest.raises(eca.RowLimitExceeded, match=f"100 rows of {limit // 100 + 1} cells"):
+        eca.evolve_cycle(rule, 1, limit // 100 + 1, 99)
+    with pytest.raises(eca.RowLimitExceeded, match=f"cap of {limit} cells"):
+        eca.evolve(rule, eca.BitRow.single(), 11585, max_rows=20_000)  # 11586 x 23171
+    # the boundary, on a cap small enough to reach
+    monkeypatch.setattr(eca, "HISTORY_CELL_LIMIT", 100)
+    assert len(eca.evolve_cycle(rule, 1, 10, 9)) == 10
+    with pytest.raises(eca.RowLimitExceeded):
+        eca.evolve_cycle(rule, 1, 10, 10)
+    assert len(eca.evolve(rule, eca.BitRow.single(), 6)) == 7  # 7 rows x 13 cells
+    with pytest.raises(eca.RowLimitExceeded):
+        eca.evolve(rule, eca.BitRow.single(), 7)  # 8 x 15
+
+
 def test_cycle_agrees_with_unbounded_while_light_cone_fits():
     width = 131
     for n in (30, 90, 110, 254):
