@@ -88,6 +88,8 @@ def block_entropy(bits, k: int) -> float:
     if k > len(data):
         raise BlockTooLarge(f"block length {k} exceeds {len(data)} bits")
     counts = Counter(data[i:i + k] for i in range(len(data) - k + 1))
+    if len(counts) == 1:
+        return 0.0  # one block: the sum below would give -0.0
     total = len(data) - k + 1
     return -sum((c / total) * math.log2(c / total) for c in counts.values())
 

@@ -100,7 +100,8 @@ class DigitStream:
     """A forward-only reader of decimal digits after the point.
 
     Sources: the expansion of sqrt(m) for non-square m >= 2, or literal
-    digit text (whitespace ignored, first digit = first decimal place).
+    digit text of ASCII 0-9 (whitespace ignored, first digit = first
+    decimal place); empty text is a stream that has run out.
     """
 
     def __init__(self, digits: str | None = None, sqrt_of: int | None = None):
@@ -110,9 +111,9 @@ class DigitStream:
         self._cursor = 0
         if digits is not None:
             cleaned = re.sub(r"\s", "", digits)
-            if not cleaned.isdigit():
-                bad = next(c for c in cleaned if not c.isdigit())
-                raise InvalidArgument(f"digit source contains {bad!r}")
+            bad = re.search(r"[^0-9]", cleaned)  # not isdigit(): '²' and '٣'
+            if bad:
+                raise InvalidArgument(f"digit source contains {bad.group()!r}")
             self._digits = cleaned
         else:
             sqrt_digits(sqrt_of, 0)  # validate the radicand eagerly
@@ -230,8 +231,10 @@ class DfaSpec:
 
 def parse_dfa(text: str) -> DfaSpec:
     """Parse the DFA file format: `states <n>`, `start <id>`,
-    `accept <id list>`, `trans <from> <0|1> <to>` lines."""
-    num_states = start = None
+    `accept <id list>`, `trans <from> <0|1> <to>` lines.  A second
+    `states` or `start` line, or a second `trans` line for one state and
+    symbol, is refused."""
+    header: dict[str, int] = {}
     accepting: set[int] = set()
     transition: dict[tuple[int, str], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -239,21 +242,23 @@ def parse_dfa(text: str) -> DfaSpec:
         if not tokens or tokens[0].startswith("#"):
             continue
         try:
-            if tokens[0] == "states" and len(tokens) == 2:
-                num_states = int(tokens[1])
-            elif tokens[0] == "start" and len(tokens) == 2:
-                start = int(tokens[1])
-            elif tokens[0] == "accept":
+            if tokens[0] == "accept":
                 accepting.update(int(t) for t in tokens[1:])
+                continue
+            if tokens[0] in ("states", "start") and len(tokens) == 2:
+                table, key, value = header, tokens[0], int(tokens[1])
             elif tokens[0] == "trans" and len(tokens) == 4 and tokens[2] in ("0", "1"):
-                transition[(int(tokens[1]), tokens[2])] = int(tokens[3])
+                table, key, value = transition, (int(tokens[1]), tokens[2]), int(tokens[3])
             else:
                 raise ValueError
         except ValueError:
             raise EmergeLabError(f"bad DFA line {lineno}: {line!r}")
-    if num_states is None or start is None:
+        if key in table:
+            raise EmergeLabError(f"duplicate DFA line {lineno}: {line!r}")
+        table[key] = value
+    if "states" not in header or "start" not in header:
         raise EmergeLabError("DFA file needs 'states' and 'start' lines")
-    return DfaSpec(num_states, start, frozenset(accepting), transition)
+    return DfaSpec(header["states"], header["start"], frozenset(accepting), transition)
 
 
 def language_count(lang, n: int, skip_epsilon: bool = False) -> int:

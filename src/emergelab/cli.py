@@ -226,7 +226,7 @@ def _cmd_tm(args) -> dict:
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
     values = list(indices) if args.identity_values else _read_ints(args.values)
-    if args.timing_from:
+    if args.timing_from is not None:
         timer = _machine(args.timing_from)
         timing = [turing.run(timer, i, budget).total_steps for i in indices]
     else:
@@ -359,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     pta.add_argument("--max-index", type=int, required=True)
     pta.add_argument("--c", type=_rational, default="8", help="bound constant (rational)")
     pta.add_argument("--n0", type=int, default=1)
-    pta.add_argument("--identity-values", action="store_true",
+    src = pta.add_mutually_exclusive_group(required=True)
+    src.add_argument("--identity-values", action="store_true",
                      help="reference values f(i) = i")
-    pta.add_argument("--values", help="whitespace-separated reference values file")
-    pta.add_argument("--timing-from", help="measure T(i) by running this machine")
-    pta.add_argument("--timing", help="whitespace-separated timing table file")
+    src.add_argument("--values", help="whitespace-separated reference values file")
+    src = pta.add_mutually_exclusive_group(required=True)
+    src.add_argument("--timing-from", help="measure T(i) by running this machine")
+    src.add_argument("--timing", help="whitespace-separated timing table file")
     pta.add_argument("--budget", type=int)
 
     p = sub.add_parser("candidate", help="candidate hard-to-shortcut functions")
@@ -408,11 +410,6 @@ def parse_args(argv=None) -> argparse.Namespace:
             and not 1 <= args.cyclic_width <= eca.HISTORY_CELL_LIMIT:
         parser.error(f"--cyclic-width must be in 1..{eca.HISTORY_CELL_LIMIT}, "
                      f"got {args.cyclic_width}")
-    if args.command == "tm" and args.tm_command == "audit":
-        if not args.identity_values and not args.values:
-            parser.error("audit needs --identity-values or --values FILE")
-        if not args.timing_from and not args.timing:
-            parser.error("audit needs --timing-from MACHINE or --timing FILE")
     return args
 
 

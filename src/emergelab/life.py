@@ -5,20 +5,20 @@ y = row (downward), matching RLE reading order.  The rule is fixed B3/S23.
 
 Every numpy path sees a pattern through `_frame`: its cells as offsets from
 the bounding-box corner, the corner kept in Python ints, so a pattern's
-position never matters.  `step` and `run` share three exact backends,
-chosen in one place, `_backend`:
-- a Counter tally, the reference: only states too wide for the frame, whose
-  extent plus two cells per generation reaches 2**30;
-- a packed numpy loop over sorted int64 keys: sparse patterns such as the
-  Gosper gun, and small seeds;
+position never matters.  A state takes one of three forms:
 - a dense uint8 grid over the bounding box, with neighbour counts from
-  shifted-slice sums: patterns of at least 64 cells that fill at least
-  1/128 of their box, such as random soups.  It hands over to the packed
-  loop if the pattern thins out.
+  shifted-slice sums: `run` starts there with patterns of at least 64 cells
+  that fill at least 1/128 of their box, such as random soups, and goes on
+  in the packed form if the pattern thins out;
+- sorted packed int64 keys, stepped by a numpy loop: every other state
+  whose extent plus two is below 2**30, such as the Gosper gun and small
+  seeds;
+- a frozenset stepped by a Counter tally, the reference: any wider state.
 
-`detect_fate` is the recurrence runner, shared with
-`candidates.life_survival_count`: it steps re-centred packed keys and
-memoises each state by its exact bytes, so it stops at the first exact
+One runner, `_orbit`, steps the last two forms and alone applies the frame
+limit; `step`, `run` and `detect_fate` read their states from it.
+`detect_fate`, shared with `candidates.life_survival_count`, memoises each
+state by a key that all its translates share, so it stops at the first
 recurrence or at extinction.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`
@@ -48,8 +48,8 @@ _PACK_HALF = 1 << 31
 _PACK_LOW = _PACK_M - 1
 _PACKED_OFFSETS = np.array([dx * _PACK_M + dy for dx, dy in NEIGHBOR_OFFSETS],
                            dtype=np.int64)
-# the numpy backends run a frame while its extent plus two cells per
-# generation stays below this, so every offset stays within +-2**30
+# `_orbit` packs a state while its extent plus two stays below this, and
+# re-frames it before any offset leaves +-2**30
 _FRAME_LIMIT = 1 << 30
 # frame offsets are int64 below this extent, Python ints (dtype object) from
 # it on; below it, sums and differences of offsets and corners fit in int64
@@ -89,14 +89,12 @@ class InvalidBudget(InvalidArgument):
     """Fate budget below one generation."""
 
 
-def _step_tally(cells) -> frozenset:
+def _step_tally(cells: frozenset) -> frozenset:
     """Reference step: neighbour counts in an associative tally."""
     tally = Counter()
     for x, y in cells:
         for dx, dy in NEIGHBOR_OFFSETS:
             tally[(x + dx, y + dy)] += 1
-    if not isinstance(cells, (set, frozenset)):
-        cells = set(cells)
     return frozenset(c for c, n in tally.items()
                      if n == 3 or (n == 2 and c in cells))
 
@@ -135,21 +133,6 @@ def _dense_enough(population: int, width: int, height: int) -> bool:
             population * _DENSE_SPARSITY >= width * height)
 
 
-def _backend(cells, steps: int):
-    """Choose how to advance non-empty `cells` by `steps` generations.
-
-    The only place a backend is chosen; returns (name, offsets, corner):
-    - 'tally' for a frame too wide for the numpy paths (see _FRAME_LIMIT);
-    - 'dense' when the pattern fills enough of its bounding box;
-    - 'packed' otherwise (sparse patterns such as the gun, small seeds).
-    """
-    off, corner, span = _frame(cells)
-    if max(span) + 2 * steps >= _FRAME_LIMIT:
-        return "tally", off, corner
-    dense = _dense_enough(len(off), span[0] + 1, span[1] + 1)
-    return ("dense" if dense else "packed"), off, corner
-
-
 def _step_packed(keys: np.ndarray) -> np.ndarray:
     """One generation over sorted, non-empty packed keys; the result is
     sorted too."""
@@ -178,14 +161,36 @@ def _unpack(keys: np.ndarray):
     return keys >> 32, (keys & _PACK_LOW) - _PACK_HALF
 
 
-def _run_packed(xs: np.ndarray, ys: np.ndarray, steps: int):
-    """`steps` generations over sorted packed keys."""
-    keys = _pack(xs, ys)
-    for _ in range(steps):
-        keys = _step_packed(keys)
-        if keys.size == 0:
-            break
-    return _unpack(keys)
+def _orbit(xs: np.ndarray, ys: np.ndarray, corner):
+    """The states of the pattern at frame offsets (xs, ys) from `corner`, at
+    generations 0, 1, 2, ...; the last is empty if the pattern dies out.
+
+    The one place a state's form is chosen.  A frame of extent s (its
+    larger side less one) has room = (_FRAME_LIMIT - 1 - s) // 2.  With
+    room > 0 it yields `room` states as (sorted packed keys, corner): each
+    has extent plus two below _FRAME_LIMIT and offsets within +-2**30.  The
+    state after them is framed again.  Any other state, and the empty one,
+    is (frozenset, None), stepped by the tally.
+    """
+    while True:
+        room = (_FRAME_LIMIT - 1 - int(max(xs.max(), ys.max()))) // 2
+        if room > 0:
+            keys = _pack(xs, ys)
+            for _ in range(room):
+                yield keys, corner
+                keys = _step_packed(keys)
+                if keys.size == 0:
+                    break
+            cells = _cells(*_unpack(keys), corner)
+        else:
+            cells = _cells(xs, ys, corner)
+            yield cells, None
+            cells = _step_tally(cells)
+        if not cells:
+            yield cells, None
+            return
+        off, corner, _ = _frame(cells)
+        xs, ys = off[:, 0], off[:, 1]
 
 
 def _step_grid(grid: np.ndarray):
@@ -207,8 +212,9 @@ def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
 
     The grid is rebuilt around the live cells when one comes within a cell
     of the edge, and every `_DENSE_RECHECK` generations; each rebuild checks
-    the density again.  Returns (xs, ys, generations left), with
-    generations left > 0 when the pattern became too sparse for the grid.
+    the density again.  Returns (xs, ys, grid corner, generations left):
+    offsets from the grid corner, which are a frame when generations are
+    left, that is when the pattern became too sparse for the grid.
     """
     m = _DENSE_MARGIN
     x0 = y0 = -m  # xs and ys are frame offsets, so at least 0
@@ -235,7 +241,7 @@ def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
         grid = np.pad(core, m)
         x0, y0 = x0 - m, y0 - m
     ys, xs = np.nonzero(grid)
-    return xs + x0, ys + y0, steps
+    return xs, ys, (int(x0), int(y0)), steps
 
 
 def step(cells: CellSet) -> CellSet:
@@ -251,22 +257,21 @@ def run(cells: CellSet, steps: int) -> CellSet:
 
 
 def _advance(cells, steps: int) -> frozenset:
-    """`run` without its check of `steps`; `step` calls it directly."""
+    """`run` without its check of `steps`; `step` calls it directly.  A
+    pattern dense enough starts on the grid; `_orbit` runs the rest."""
+    cells = frozenset(cells)  # a repeated cell would count twice when packed
     if not cells or steps == 0:
-        return frozenset(cells)
-    backend, off, corner = _backend(cells, steps)
-    if backend == "tally":
-        for _ in range(steps):
-            cells = _step_tally(cells)
-            if not cells:
-                break
         return cells
+    off, (cx, cy), (w, h) = _frame(cells)
     xs, ys = off[:, 0], off[:, 1]
-    if backend == "dense":
-        xs, ys, steps = _run_dense(xs, ys, steps)
-    if steps and xs.size:
-        xs, ys = _run_packed(xs, ys, steps)
-    return _cells(xs, ys, corner)
+    if _dense_enough(xs.size, w + 1, h + 1):
+        xs, ys, (x0, y0), steps = _run_dense(xs, ys, steps)
+        cx, cy = cx + x0, cy + y0
+        if not (steps and xs.size):
+            return _cells(xs, ys, (cx, cy))
+    for _, (state, corner) in zip(range(steps + 1), _orbit(xs, ys, (cx, cy))):
+        pass  # on to the state at generation `steps`, or the empty one
+    return state if corner is None else _cells(*_unpack(state), corner)
 
 
 def bounding_box(cells: CellSet) -> tuple[int, int, int, int] | None:
@@ -323,51 +328,36 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
     """
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
-    # States are re-centred sorted int64 keys memoised by their exact bytes,
-    # the corner kept apart in Python ints; a state too wide for one more
-    # generation in the frame is a re-centred frozenset stepped by `step`.
-    seen: dict[bytes | frozenset, tuple[int, int, int]] = {}
-    cx = cy = 0  # corner of the current state
-    wide = frozenset(cells)
-    keys = None  # the packed state, or None while `wide` holds it
-    t = 0
-    while True:
-        if keys is None:
-            if not wide:
+    cells = frozenset(cells)
+    if not cells:
+        return FateReport("extinct", t=0)
+    # Each state is memoised by a key that all its translates share, with
+    # its first packed key and frame corner, decoded once the key repeats.
+    off, corner, _ = _frame(cells)
+    seen: dict[bytes | frozenset, tuple] = {}
+    for t, (state, corner) in enumerate(_orbit(off[:, 0], off[:, 1], corner)):
+        if corner is None:  # a wide state, or the empty one at extinction
+            if not state:
                 return FateReport("extinct", t=t)
-            off, (x0, y0), span = _frame(wide)
-            cx, cy = cx + x0, cy + y0
-            if max(span) + 2 < _FRAME_LIMIT:
-                keys = _pack(off[:, 0], off[:, 1])
-            else:
-                wide = _cells(off[:, 0], off[:, 1], (0, 0))
-        key = wide if keys is None else keys.tobytes()
+            key, corner = canonical(state)
+            first = _PACK_HALF  # the key of offset (0, 0): the corner itself
+        else:  # a translate adds one constant to every packed key
+            first = int(state[0])
+            key = (state - first).tobytes()
         if key in seen:
-            t0, cx0, cy0 = seen[key]
+            t0, first0, corner0 = seen[key]
+            (x0, y0), (x1, y1) = _unpack(first0), _unpack(first)
             period = t - t0
-            dx, dy = cx - cx0, cy - cy0
+            dx = corner[0] + x1 - corner0[0] - x0
+            dy = corner[1] + y1 - corner0[1] - y0
             if (dx, dy) != (0, 0):
                 return FateReport("translator", t=t0, period=period, dx=dx, dy=dy)
             if period == 1:
                 return FateReport("still_life", t=t0, period=1)
             return FateReport("oscillator", t=t0, period=period)
-        seen[key] = (t, cx, cy)
+        seen[key] = (t, first, corner)
         if t == budget:
             return FateReport("unknown", budget=budget)
-        t += 1
-        if keys is None:
-            wide = step(wide)
-            continue
-        keys = _step_packed(keys)
-        if keys.size == 0:
-            return FateReport("extinct", t=t)
-        low = keys & _PACK_LOW
-        y_lo, y_hi = int(low.min()), int(low.max())
-        x0, y0 = int(keys[0]) >> 32, y_lo - _PACK_HALF
-        keys -= x0 * _PACK_M + y0
-        cx, cy = cx + x0, cy + y0
-        if max(int(keys[-1]) >> 32, y_hi - y_lo) + 2 >= _FRAME_LIMIT:
-            wide, keys = _cells(*_unpack(keys), (0, 0)), None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -73,6 +74,9 @@ def test_ones_fraction_complement(bits):
 
 def test_block_entropy_degenerate():
     assert analysis.block_entropy("0" * 32, 3) == 0.0
+    # a constant stream scores 0.0, not -0.0, which the CLI would print
+    for bits, k in (("0" * 32, 3), ("1" * 10, 2), ("1", 1)):
+        assert math.copysign(1.0, analysis.block_entropy(bits, k)) == 1.0
 
 
 def test_block_entropy_alternating():

@@ -78,11 +78,21 @@ def test_digit_stream_file_exhaustion():
     stream.take(2)
     with pytest.raises(cd.InsufficientDigits):
         stream.take(2)
+    # a blank source is a stream that has already run out
+    for text in ("", " \n\t"):
+        stream = cd.DigitStream.from_text(text)
+        assert stream.take(0) == []
+        with pytest.raises(cd.InsufficientDigits):
+            stream.take(1)
 
 
 def test_digit_stream_rejects_junk():
     with pytest.raises(ValueError):
         cd.DigitStream.from_text("12a4")
+    # only ASCII digits: '²' and '٣' pass str.isdigit()
+    for text, bad in (("1\u00b23", "\u00b2"), ("2\u0663\u0663", "\u0663")):
+        with pytest.raises(cd.InvalidArgument, match=f"contains {bad!r}"):
+            cd.DigitStream.from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +226,15 @@ def test_parse_dfa_rejects_symbols_other_than_0_and_1(symbol):
     text = f"states 1\nstart 0\naccept 0\ntrans 0 0 0\ntrans 0 1 0\ntrans 0 {symbol} 0\n"
     with pytest.raises(EmergeLabError, match="bad DFA line 6"):
         cd.parse_dfa(text)
+
+
+@pytest.mark.parametrize("line", ["trans 0 0 1", "trans 0 0 0", "states 2", "start 0"])
+def test_parse_dfa_refuses_a_second_line_for_one_slot(line):
+    text = "states 2\nstart 0\naccept 0\ntrans 0 0 1\ntrans 0 1 0\ntrans 1 0 1\ntrans 1 1 1\n"
+    with pytest.raises(EmergeLabError, match=f"duplicate DFA line 8: '{line}'"):
+        cd.parse_dfa(text + line)
+    # repeated accept lines add to one set
+    assert cd.parse_dfa(text + "accept 1").accepting == {0, 1}
 
 
 # ---------------------------------------------------------------------------

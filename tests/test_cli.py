@@ -207,10 +207,12 @@ def cli_files(tmp_path_factory):
     """`{name}` placeholder -> path of a scratch input or output, among them
     a directory, a non-UTF-8 file, a table with a non-integer token, DFAs
     with no transition for state 0 on 1, with a transition to a state that
-    does not exist and with no start line, machines with two `tapes` lines
-    and with `tapes two`, two cells 2**40 apart, an RLE run of 3e9 live
-    cells, a run count of 5000 digits, a run count with nothing to repeat,
-    a lone cell that dies in one generation, and paths that do not exist."""
+    does not exist, with no start line and with a second `trans`, `states`
+    or `start` line for one slot, machines with two `tapes` lines and with
+    `tapes two`, two cells 2**40 apart, an RLE run of 3e9 live cells, a run
+    count of 5000 digits, a run count with nothing to repeat, a lone cell
+    that dies in one generation, digit files that are blank or hold the
+    non-ASCII digits '²' and '٣', and paths that do not exist."""
     root = tmp_path_factory.mktemp("cli")
     (root / "dir").mkdir()
     (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
@@ -219,6 +221,10 @@ def cli_files(tmp_path_factory):
     (root / "partial_dfa").write_text("states 1\nstart 0\naccept 0\ntrans 0 0 0\n")
     (root / "stray_dfa").write_text("states 1\nstart 0\naccept 0\ntrans 0 0 0\ntrans 0 1 5\n")
     (root / "startless_dfa").write_text("states 1\naccept 0\ntrans 0 0 0\ntrans 0 1 0\n")
+    dfa = "states 2\nstart 0\naccept 0\ntrans 0 0 0\ntrans 0 1 1\ntrans 1 0 1\ntrans 1 1 0\n"
+    (root / "two_trans_dfa").write_text(dfa + "trans 0 0 1\n")
+    (root / "two_states_dfa").write_text(dfa + "states 2\n")
+    (root / "two_starts_dfa").write_text(dfa + "start 1\n")
     (root / "two_tapes_lines").write_text("tapes 2\ntapes 2\nstart s\nhalt h\n")
     (root / "tapes_word").write_text("tapes two\nstart s\nhalt h\n")
     (root / "ints").write_text("1 2 3 4 5 6 7 8 9 10\n")
@@ -228,9 +234,14 @@ def cli_files(tmp_path_factory):
     (root / "long_count").write_text("x = 1, y = 1\n" + "1" * 5000 + "bo!\n")
     (root / "dangling").write_text("x = 2, y = 1\n2o3!\n")
     (root / "dies").write_text("x = 1, y = 1\no!\n")
+    (root / "blank_digits").write_text(" \n\t\n")
+    (root / "superscript_digits").write_text("1\u00b23\n", encoding="utf-8")
+    (root / "arabic_digits").write_text("2\u0663\u0663\n", encoding="utf-8")
     names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "stray_dfa",
-             "startless_dfa", "two_tapes_lines", "tapes_word", "ints", "bits",
-             "far_apart", "huge_run", "long_count", "dangling", "dies", "missing", "out")
+             "startless_dfa", "two_trans_dfa", "two_states_dfa", "two_starts_dfa",
+             "two_tapes_lines", "tapes_word", "ints", "bits", "far_apart", "huge_run",
+             "long_count", "dangling", "dies", "blank_digits", "superscript_digits",
+             "arabic_digits", "missing", "out")
     return {f"{{{name}}}": str(root / name) for name in names}
 
 
@@ -286,6 +297,12 @@ DFA = str(fixture_path("even_ones.dfa"))
     ["candidate", "language-count", "--dfa", "{stray_dfa}", "--n", "3"],
     ["candidate", "language-count", "--dfa", "{startless_dfa}", "--n", "3"],
     ["life", "run", "--rle", "{dangling}", "--steps", "1"],
+    ["candidate", "digit-chain", "--digits-file", "{blank_digits}", "--n", "2"],
+    ["candidate", "digit-chain", "--digits-file", "{superscript_digits}", "--n", "2"],
+    ["candidate", "digit-chain", "--digits-file", "{arabic_digits}", "--n", "2"],
+    ["candidate", "language-count", "--dfa", "{two_trans_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{two_states_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{two_starts_dfa}", "--n", "3"],
 ])
 def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     argv = fill(argv, cli_files)
@@ -460,6 +477,22 @@ def test_tm_audit_pass_and_fail(capsys):
                            "--finisher", SUCC, "--max-index", "10",
                            "--identity-values", "--timing-from", SUCC)
     assert code == 0 and "verdict=fail" in out
+
+
+@pytest.mark.parametrize("sources,message", [
+    (["--identity-values", "--values", SUCC, "--timing-from", SUCC],
+     "argument --values: not allowed with argument --identity-values"),
+    (["--identity-values", "--timing-from", SUCC, "--timing", SUCC],
+     "argument --timing: not allowed with argument --timing-from"),
+    (["--timing-from", SUCC], "one of the arguments --identity-values --values is required"),
+    (["--identity-values"], "one of the arguments --timing-from --timing is required"),
+])
+def test_tm_audit_takes_one_source_of_each(capsys, sources, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["tm", "audit", "--approx", SUCC, "--finisher", COPY,
+                  "--max-index", "3", *sources])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
 def test_tm_compose(capsys):

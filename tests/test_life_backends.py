@@ -1,5 +1,6 @@
-"""The Life backends (tally, packed loop, dense grid), the vectorised RLE
-writer and `raster`, checked against the tally and the naive oracles."""
+"""The Life kernels (tally, packed loop, dense grid) and where `run`
+uses them, the vectorised RLE writer and `raster`, checked against the
+tally and the naive oracles."""
 
 import random
 
@@ -12,12 +13,13 @@ from emergelab.fixtures import load_text
 from .oracles import life_run_dense, raster_reference, write_rle_reference
 
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
+TALLY = life._step_tally  # bound before any test spies on it
 
 
 def tally_run(cells, steps):
     out = frozenset(cells)
     for _ in range(steps):
-        out = life._step_tally(out)
+        out = TALLY(out)
     return out
 
 
@@ -26,14 +28,11 @@ def soup(rng, side, n, dx=0, dy=0):
                      for _ in range(n))
 
 
-def backend(cells, steps):
-    return life._backend(cells, steps)[0]
-
-
 def spy(monkeypatch):
-    """Record the order in which run() uses the numpy backends."""
+    """Record, in order, each call of the dense grid, the packed step and
+    the tally step."""
     calls = []
-    for name in ("_run_dense", "_run_packed"):
+    for name in ("_run_dense", "_step_packed", "_step_tally"):
         real = getattr(life, name)
 
         def wrapped(*args, _real=real, _name=name):
@@ -41,6 +40,13 @@ def spy(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(life, name, wrapped)
     return calls
+
+
+def kernels(calls, cells, steps):
+    """The kernels one run() calls, in order of first use."""
+    calls.clear()
+    life.run(cells, steps)
+    return list(dict.fromkeys(calls))
 
 
 def receding_gliders():
@@ -58,26 +64,36 @@ def receding_gliders():
 # ---------------------------------------------------------------------------
 # backend choice
 
-def test_backend_choice():
+def test_backend_choice(monkeypatch):
     rng = random.Random(1)
     dense_soup = soup(rng, 60, 1200)
     small_soup = soup(rng, 12, 100)
     sparse = frozenset((37 * i, 11 * (i % 13)) for i in range(300))
     gun = life.parse_rle(load_text("gosper_gun.rle"))
-    assert backend(dense_soup, 1) == backend(dense_soup, 50) == "dense"
-    assert backend(sparse, 1) == backend(sparse, 50) == "packed"
+    calls = spy(monkeypatch)
+    assert kernels(calls, dense_soup, 1) == kernels(calls, dense_soup, 50) == ["_run_dense"]
+    assert kernels(calls, sparse, 1) == kernels(calls, sparse, 50) == ["_step_packed"]
     # one generation of a small pattern: numpy too, by the density rule
-    assert backend(GLIDER, 1) == backend(GLIDER, 2) == backend(gun, 2000) == "packed"
-    assert len(small_soup) >= life._DENSE_MIN_POP and backend(small_soup, 1) == "dense"
+    assert kernels(calls, GLIDER, 1) == kernels(calls, GLIDER, 2) == \
+        kernels(calls, gun, 2000) == ["_step_packed"]
+    assert len(small_soup) >= life._DENSE_MIN_POP
+    assert kernels(calls, small_soup, 1) == ["_run_dense"]
     # position never matters
     for offset in (1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)):
         moved = life.translate(dense_soup, offset, -offset)
-        assert backend(moved, 1) == backend(moved, 50) == "dense"
-        assert backend(life.translate(GLIDER, offset, 3), 1) == "packed"
-    # only an extent near the limit gives the tally: extent + 2 * steps
-    wide = GLIDER | {(life._FRAME_LIMIT - 100, 0)}
-    assert backend(wide, 49) == "packed" and backend(wide, 50) == "tally"
-    assert backend(life.translate(wide, 10 ** 20, 0), 50) == "tally"
+        assert kernels(calls, moved, 1) == kernels(calls, moved, 50) == ["_run_dense"]
+        assert kernels(calls, life.translate(GLIDER, offset, 3), 1) == ["_step_packed"]
+    # an extent near the limit still packs while it stays below the limit:
+    # the far cell dies, and the glider is framed again
+    limit = life._FRAME_LIMIT
+    for dx in (0, 10 ** 20):
+        wide = life.translate(GLIDER | {(limit - 100, 0)}, dx, 0)
+        assert kernels(calls, wide, 49) == kernels(calls, wide, 50) == ["_step_packed"]
+        assert life.run(wide, 50) == tally_run(wide, 50)
+    # two gliders moving apart reach the limit, and the tally takes over
+    apart = GLIDER | frozenset((12 - limit - x, y) for x, y in GLIDER)
+    assert kernels(calls, apart, 40) == ["_step_packed", "_step_tally"]
+    assert life.run(apart, 40) == tally_run(apart, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +137,16 @@ def test_run_with_python_ints_beyond_int64(offset, monkeypatch):
     want = life.translate(tally_run(base, 6), offset, -offset)
     calls = spy(monkeypatch)
     assert life.run(cells, 6) == want
-    ran = len(calls)
-    assert life.step(cells) == life.translate(life._step_tally(base), offset, -offset)
-    # position never matters: both go through the numpy backends
-    assert ran >= 1 and len(calls) > ran
+    assert life.step(cells) == life.translate(TALLY(base), offset, -offset)
+    # position never matters: both start on the grid, and neither tallies
+    assert calls.count("_run_dense") == 2 and "_step_tally" not in calls
 
 
 @pytest.mark.parametrize("steps", [1, 5, 70, 200])
-def test_patterns_that_die_out(steps):
+def test_patterns_that_die_out(steps, monkeypatch):
     # isolated cells three apart: dense enough for the grid, dead in one step
     dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
-    assert backend(dots, steps) == "dense"
+    assert kernels(spy(monkeypatch), dots, steps) == ["_run_dense"]
     assert life.run(dots, steps) == frozenset()
     # a sparse spread of blocks and dots: the dots die, the blocks stay
     blocks = frozenset((40 * i + a, b) for i in range(30) for a in (0, 1) for b in (0, 1))
@@ -151,10 +166,10 @@ def test_grid_growing_every_generation(monkeypatch):
 
 def test_run_switches_backend_mid_run(monkeypatch):
     cells = receding_gliders()
-    assert len(cells) == 80 and backend(cells, 400) == "dense"
+    assert len(cells) == 80
     calls = spy(monkeypatch)
     result = life.run(cells, 400)
-    assert calls == ["_run_dense", "_run_packed"]
+    assert calls[0] == "_run_dense" and set(calls[1:]) == {"_step_packed"}
     assert result == tally_run(cells, 400)
     assert result == frozenset((x + (100 if x > 0 else -100),
                                 y + (100 if y > 0 else -100)) for x, y in cells)
@@ -179,17 +194,21 @@ def test_run_accepts_plain_sets_and_lists():
     want = tally_run(cells, 5)
     assert life.run(set(cells), 5) == want
     assert life.run(sorted(cells), 5) == want
+    # a cell listed twice is one cell
+    row = [(0, 0), (1, 0), (2, 0)]
+    assert life.run(row + row[:1], 1) == life.step(row + row) == tally_run(row, 1)
 
 
 def test_packed_dense_and_tally_agree_on_step():
     rng = random.Random(7)
     for cells in (soup(rng, 40, 700), soup(rng, 300, 300),
                   receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
-        off, corner, _ = life._frame(cells)
-        want = life._step_tally(cells)
-        for kernel in (life._run_dense, life._run_packed):
-            out = kernel(off[:, 0], off[:, 1], 1)
-            assert life._cells(out[0], out[1], corner) == want
+        off, (cx, cy), _ = life._frame(cells)
+        want = TALLY(cells)
+        xs, ys, (x0, y0), _ = life._run_dense(off[:, 0], off[:, 1], 1)
+        assert life._cells(xs, ys, (cx + x0, cy + y0)) == want
+        keys = life._step_packed(life._pack(off[:, 0], off[:, 1]))
+        assert life._cells(*life._unpack(keys), (cx, cy)) == want
 
 
 # ---------------------------------------------------------------------------

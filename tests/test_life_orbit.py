@@ -1,6 +1,9 @@
-"""The recurrence runner behind `life.detect_fate`, checked against the
-frozenset oracle: re-centred packed states, far offsets, states too wide
-to pack, and the empty set."""
+"""The generation runner `life._orbit` and `life.detect_fate` on top of
+it, checked against the tally and the frozenset oracle: packed states, far
+offsets, states too wide to pack, re-framing, and the empty set."""
+
+import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,7 @@ SYMMETRIES = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
 BLOCK = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
 BLINKER = frozenset({(0, -1), (0, 0), (0, 1)})
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
+TALLY = life._step_tally  # bound before any test spies on it
 
 
 def corpus(name):
@@ -77,23 +81,23 @@ def test_empty_set_is_extinct_at_zero():
 
 def test_blocks_two_to_the_31_apart_take_the_wide_path(monkeypatch):
     cells = BLOCK | life.translate(BLOCK, 2 ** 31, 0)
-    steps = count_calls(monkeypatch, "step")
+    tallies = count_calls(monkeypatch, "_step_tally")
     packed = count_calls(monkeypatch, "_step_packed")
     report = life.detect_fate(cells, 10)
     assert report == life.FateReport("still_life", t=0, period=1)
     assert report == detect_fate_reference(cells, 10)
-    assert steps and not packed
+    assert tallies and not packed
 
 
 def test_wide_state_packs_again_once_it_shrinks(monkeypatch):
     # the far domino dies in one generation, leaving a blinker that packs
     cells = BLINKER | {(2 ** 31, 0), (2 ** 31 + 1, 0)}
-    steps = count_calls(monkeypatch, "step")
+    tallies = count_calls(monkeypatch, "_step_tally")
     packed = count_calls(monkeypatch, "_step_packed")
     report = life.detect_fate(cells, 10)
     assert report == life.FateReport("oscillator", t=1, period=2)
     assert report == detect_fate_reference(cells, 10)
-    assert len(steps) == 1 and packed
+    assert len(tallies) == 1 and packed
 
 
 @pytest.mark.parametrize("ox", [life._FRAME_LIMIT - 8, -life._FRAME_LIMIT - 4])
@@ -114,3 +118,45 @@ def test_recurrence_after_a_wide_preperiod():
     report = life.detect_fate(cells, 20)
     assert report == detect_fate_reference(cells, 20)
     assert report == life.FateReport("translator", t=1, period=4, dx=1, dy=1)
+
+
+def extent(cells):
+    x0, y0, x1, y1 = life.bounding_box(cells)
+    return max(x1 - x0, y1 - y0)
+
+
+def test_reframing_under_a_small_frame_limit(monkeypatch):
+    # At a frame limit of 40 a frame runs few generations before it is
+    # framed again, and states cross the limit both ways: gliders part and
+    # meet, soups spread and settle.  Every state `_orbit` yields is in the
+    # form its extent asks for, whatever the frame it came from.
+    limit = 40
+    monkeypatch.setattr(life, "_FRAME_LIMIT", limit)
+    rng = random.Random(12)
+    westward = frozenset((-x, y) for x, y in GLIDER)
+    patterns = [
+        GLIDER | life.translate(westward, -20, 0),  # parting
+        life.translate(GLIDER, -50, 0) | westward,  # meeting
+        BLOCK | life.translate(GLIDER, limit - 8, 0),
+        BLOCK | life.translate(westward, limit + 20, 0),
+        BLINKER | {(limit, 0), (limit + 1, 0)},
+    ] + [soup for soup in (frozenset((rng.randrange(side), rng.randrange(side))
+                                     for _ in range(rng.randrange(10, 300)))
+                           for side in rng.choices(range(6, 46), k=20)) if soup]
+    budget = 120
+    for cells in patterns:
+        states = [cells]
+        while len(states) <= budget and states[-1]:
+            states.append(TALLY(states[-1]))
+        off, corner, _ = life._frame(cells)
+        orbit = list(islice(life._orbit(off[:, 0], off[:, 1], corner), budget + 1))
+        assert len(orbit) == len(states)
+        for want, (state, corner) in zip(states, orbit):
+            if corner is None:
+                assert state == want and (not want or extent(want) + 2 >= limit)
+            else:
+                assert life._cells(*life._unpack(state), corner) == want
+                assert extent(want) + 2 < limit
+        for steps in (1, 7, 30, budget):
+            assert life.run(cells, steps) == states[min(steps, len(states) - 1)]
+        assert life.detect_fate(cells, budget) == detect_fate_reference(cells, budget)
