@@ -5,8 +5,9 @@ One subcommand per subsystem: eca, life, ant, tm, candidate, analyze.
 writes any requested files and returns its report as a dict (or None when
 it prints only text or images).  `main` then writes that report to stdout
 once, as flat `key=value` lines or, with --json, as one JSON object with the
-same keys.  Images are binary PBM (P4).  All outputs are deterministic:
-identical invocations produce byte-identical files.
+same keys.  Images are binary PBM (P4); ECA histories reach PBM and text
+from their packed rows, never one byte per cell.  All outputs are
+deterministic: identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
 written (one-line message on stderr), 2 usage error.  The EMERGELAB_BUDGET
@@ -32,6 +33,11 @@ class EmptyImage(EmergeLabError):
     """PBM images need at least one row and one column."""
 
 
+def _pbm_header(width: int, height: int, comment: str | None) -> bytes:
+    note = "" if comment is None else f"# {comment}\n"
+    return f"P4\n{note}{width} {height}\n".encode("ascii")
+
+
 def render_pbm(grid, comment: str | None = None) -> bytes:
     """Encode a 2-D bit matrix as binary PBM (P4).
 
@@ -42,12 +48,21 @@ def render_pbm(grid, comment: str | None = None) -> bytes:
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise EmptyImage(f"image must be 2-D and non-empty, got shape {arr.shape}")
     height, width = arr.shape
-    header = "P4\n"
-    if comment is not None:
-        header += f"# {comment}\n"
-    header += f"{width} {height}\n"
     packed = np.packbits(arr, axis=1)  # any nonzero value packs as a 1
-    return header.encode("ascii") + packed.tobytes()
+    return _pbm_header(width, height, comment) + packed.tobytes()
+
+
+# byte b with its bits reversed: little-endian row bytes to PBM's MSB-first
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _write_pbm_rows(path: str, rows, width: int, comment: str):
+    """Write row integers (bit i = column i) as a PBM image, a row at a time."""
+    nbytes = (width + 7) // 8
+    with open(path, "wb") as out:
+        out.write(_pbm_header(width, len(rows), comment))
+        out.writelines(bits.to_bytes(nbytes, "little").translate(_REVERSED_BITS)
+                       for bits in rows)
 
 
 def default_budget(fallback: int) -> int:
@@ -89,26 +104,20 @@ def _read_ints(path: str) -> list[int]:
     return values
 
 
-def _bit_grid(rows, width: int) -> np.ndarray:
-    """Stack row integers (bit i = column i) into a (len(rows), width) 0/1
-    uint8 grid: one byte string, one unpackbits."""
+def _write_text(rows, width: int, out):
+    """Write row integers as '.'/'#' lines, unpacking ~1 MB of text at a time."""
     nbytes = (width + 7) // 8
-    raw = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def _write_text(grid: np.ndarray, out):
-    """Write '.'/'#' rows, each ending in a newline, about 1 MB at a time."""
-    height, width = grid.shape
     block = max(1, (1 << 20) // (width + 1))
-    for start in range(0, height, block):
-        rows = grid[start:start + block]
-        text = np.full((len(rows), width + 1), ord("\n"), dtype=np.uint8)
+    for start in range(0, len(rows), block):
+        chunk = rows[start:start + block]
+        raw = b"".join(bits.to_bytes(nbytes, "little") for bits in chunk)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), nbytes)
+        text = np.full((len(chunk), width + 1), ord("\n"), dtype=np.uint8)
         # '#' sits 11 below '.' in ASCII, so cell g prints as '.' - 11 g;
         # in place, as arithmetic: an indexed lookup is ~20x slower
         cells = text[:, :width]
-        np.multiply(rows, ord(".") - ord("#"), out=cells)
+        cells[...] = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+        np.multiply(cells, ord(".") - ord("#"), out=cells)
         np.subtract(ord("."), cells, out=cells)
         out.write(str(text.data, "ascii"))
 
@@ -125,18 +134,14 @@ def _cmd_eca(args) -> dict | None:
     else:
         seed = eca.BitRow.from_string(args.seed) if args.seed else eca.BitRow.single()
         history = eca.evolve(rule, seed, args.steps, max_rows=args.max_rows)
-        # window = the seed's full light cone (width 2*steps+1 for one cell)
-        lo = seed.offset - args.steps
-        width = max(seed.width, 1) + 2 * args.steps
-        rows = [row.bits << (row.offset - lo) if row.bits else 0 for row in history.rows]
+        rows, width = history.bits, history.width
     if not (args.out or args.text):
         return {"rule": args.rule, "steps": args.steps,
                 "final_population": rows[-1].bit_count()}
-    grid = _bit_grid(rows, width)
     if args.out:
-        Path(args.out).write_bytes(render_pbm(grid, comment=f"rule {args.rule}"))
+        _write_pbm_rows(args.out, rows, width, comment=f"rule {args.rule}")
     if args.text:
-        _write_text(grid, sys.stdout)
+        _write_text(rows, width, sys.stdout)
     return None
 
 

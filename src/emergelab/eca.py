@@ -9,14 +9,16 @@ stay white.
 Rows are packed into arbitrary-precision integers (bit i is one cell), and
 one kernel, `apply_rule`, computes a whole generation from the left, centre
 and right neighbour planes with the rule's algebraic normal form: a XOR of
-the monomials 1, r, c, cr, l, lr, lc, lcr.  The unbounded row, the ring and
-the centre column all step through it.  The naive per-cell oracles it is
-checked against live in the test suite (`tests/oracles.py`).
+the monomials 1, r, c, cr, l, lr, lc, lcr.  The ring, the single unbounded
+step and the centre column all step through it; a whole unbounded history
+runs as a ring over the seed's light cone.  The naive per-cell oracles it
+is checked against live in the test suite (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmergeLabError, InvalidArgument, InvalidSteps
@@ -117,8 +119,6 @@ class BitRow:
     @classmethod
     def make(cls, offset: int, bits: int) -> "BitRow":
         """Build a row from any (offset, bits) pair, trimming white margins."""
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
         if bits == 0:
             return cls()
         trailing = (bits & -bits).bit_length() - 1
@@ -132,13 +132,8 @@ class BitRow:
     @classmethod
     def from_cells(cls, cells: Iterable[int]) -> "BitRow":
         positions = set(cells)
-        if not positions:
-            return cls()
-        lo = min(positions)
-        bits = 0
-        for p in positions:
-            bits |= 1 << (p - lo)
-        return cls(lo, bits)
+        lo = min(positions, default=0)
+        return cls.make(lo, sum(1 << (p - lo) for p in positions))
 
     @classmethod
     def from_string(cls, text: str, offset: int = 0) -> "BitRow":
@@ -177,14 +172,13 @@ class BitRow:
             yield base + low.bit_length() - 1
             bits ^= low
 
-    def to_string(self, lo: int | None = None, hi: int | None = None,
-                  black: str = "#", white: str = ".") -> str:
+    def to_string(self, lo: int | None = None, hi: int | None = None) -> str:
         """Render the window [lo, hi] as text (defaults to the stored span)."""
         if lo is None:
             lo = self.offset
         if hi is None:
             hi = self.offset + max(self.width, 1) - 1
-        return "".join(black if self[p] else white for p in range(lo, hi + 1))
+        return "".join("#" if self[p] else "." for p in range(lo, hi + 1))
 
 
 def apply_rule(rule: RuleTable, l: int, c: int, r: int, mask: int) -> int:
@@ -252,40 +246,40 @@ def step_row(rule: RuleTable, row: BitRow) -> BitRow:
 
 @dataclass(frozen=True)
 class EcaHistory:
-    """A rule plus the stacked generations rows[0..t] it produced."""
+    """A rule plus the generations 0..t it produced: bit i of bits[n] is
+    cell lo + i of generation n, and every cell outside the window
+    [lo, lo + width), the seed's light cone, is white."""
 
     rule: RuleTable
-    rows: tuple[BitRow, ...]
+    lo: int
+    width: int
+    bits: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.bits)
 
-    def bounds(self) -> tuple[int, int]:
-        """Tightest (lo, hi) window covering every row's support."""
-        spans = [r.support for r in self.rows if r.bits]
-        if not spans:
-            return 0, 0
-        return min(s[0] for s in spans), max(s[1] for s in spans)
+    @cached_property
+    def rows(self) -> tuple[BitRow, ...]:
+        """The generations as canonical rows (built once, on first use)."""
+        return tuple(BitRow.make(self.lo, b) for b in self.bits)
 
     def to_text(self, lo: int | None = None, hi: int | None = None) -> list[str]:
-        """One '.'/'#' line per generation over a common window."""
-        if lo is None or hi is None:
-            blo, bhi = self.bounds()
-            lo = blo if lo is None else lo
-            hi = bhi if hi is None else hi
+        """One '.'/'#' line per generation over [lo, hi], by default the window."""
+        lo = self.lo if lo is None else lo
+        hi = self.lo + self.width - 1 if hi is None else hi
         return [row.to_string(lo, hi) for row in self.rows]
 
 
 def evolve(rule: RuleTable, seed: BitRow, steps: int, max_rows: int = 10_000) -> EcaHistory:
-    """Evolve `seed` for `steps` generations, keeping every row; the rows
-    span the seed's light cone, max(seed.width, 1) + 2 * steps cells."""
-    _check_steps(steps, max_rows, max(seed.width, 1) + 2 * steps)
-    rows = [seed]
-    row = seed
-    for _ in range(steps):
-        row = step_row(rule, row)
-        rows.append(row)
-    return EcaHistory(rule, tuple(rows))
+    """Evolve `seed` for `steps` generations, keeping every row.  The seed's
+    light cone runs as a ring: no black cell reaches its edge before the last
+    generation, so the wrap only reads a quiescent rule's white background."""
+    width = max(seed.width, 1) + 2 * steps
+    _check_steps(steps, max_rows, width)
+    if steps:
+        _require_white_background(rule)
+    states = evolve_cycle(rule, seed.bits << steps, width, steps, max_rows)
+    return EcaHistory(rule, seed.offset - steps, width, tuple(states))
 
 
 def center_column(rule: RuleTable, steps: int, seed: BitRow | None = None) -> list[int]:

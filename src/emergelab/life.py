@@ -56,7 +56,7 @@ _FRAME_LIMIT = 1 << 30
 _INT64_SPAN = 1 << 62
 
 # the dense grid runs patterns of at least _DENSE_MIN_POP cells that fill at
-# least 1/_DENSE_SPARSITY of their bounding box
+# least 1/_DENSE_SPARSITY of the grid, their bounding box plus the margin
 _DENSE_MIN_POP = 64
 _DENSE_SPARSITY = 128
 # dead cells kept around the live ones when the dense grid is (re)built
@@ -129,8 +129,9 @@ def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
 
 def _dense_enough(population: int, width: int, height: int) -> bool:
     """Whether the dense grid beats the packed loop on this pattern."""
+    m = 2 * _DENSE_MARGIN
     return (population >= _DENSE_MIN_POP and
-            population * _DENSE_SPARSITY >= width * height)
+            population * _DENSE_SPARSITY >= (width + m) * (height + m))
 
 
 def _step_packed(keys: np.ndarray) -> np.ndarray:

@@ -55,10 +55,10 @@ def eca_cells_reference(rule, seed_text, steps, cyclic_width=None):
     row = BitRow.from_string(seed_text) if seed_text else BitRow.single()
     lo = row.offset - steps
     hi = row.offset + max(row.width, 1) - 1 + steps
-    grid = []
-    for _ in range(steps + 1):
-        grid.append([row[p] for p in range(lo, hi + 1)])
+    grid = [[row[p] for p in range(lo, hi + 1)]]
+    for _ in range(steps):
         row = step_row_reference(rule, row)
+        grid.append([row[p] for p in range(lo, hi + 1)])
     return grid
 
 

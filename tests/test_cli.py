@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,7 @@ ECA_RENDER_CASES = [
     (90, 17, "...#.#..", None),
     (150, 9, "....", None),  # empty seed: every row white
     (22, 0, "#.#", None),
+    (1, 0, "#.#", None),  # a background flipper at 0 steps: just the seed
     (30, 50, None, 37),
     (45, 24, None, 24),
     (255, 5, None, 1),
@@ -140,8 +143,9 @@ def test_eca_text_and_pbm_match_naive_renderer(tmp_path, capsys, rule, steps, se
 def test_eca_text_spanning_several_write_blocks():
     # rows are written about 1 MB at a time: 400k-cell rows go two per block
     grid = np.random.default_rng(5).integers(0, 2, (3, 400_000), dtype=np.uint8)
+    rows = [int("".join(map(str, row[::-1].tolist())), 2) for row in grid]
     out = io.StringIO()
-    cli._write_text(grid, out)
+    cli._write_text(rows, 400_000, out)
     assert out.getvalue() == text_reference(grid.tolist())
 
 
@@ -181,6 +185,36 @@ def test_eca_and_analyze_domain_errors_are_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_eca_error_order(capsys):
+    # negative steps first, then the row caps, then the white background
+    for steps, message in (("-1", "steps must be >= 0"), ("20000", "cap of 10000"),
+                           ("3", "flips the white background")):
+        code, out, err = run_cli(capsys, "eca", "--rule", "1", "--steps", steps)
+        assert code == 1 and out == "" and message in err, (steps, err)
+
+
+# Runs one CLI child and prints its peak RSS (kB on Linux).  The child's
+# parent is this fresh process, so no other test's children are counted.
+PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "emergelab", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("output", ["--out", "--text"])
+def test_eca_long_history_memory_is_bounded(tmp_path, output):
+    # 10 000 rows of 19 999 cells: 2e8 cells, a 25 MB image
+    argv = ["eca", "--rule", "30", "--steps", "9999", output]
+    if output == "--out":
+        argv.append(str(tmp_path / "r30.pbm"))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                            capture_output=True, text=True, check=True)
+    assert int(result.stdout) < 160 * 1024
 
 
 @pytest.mark.parametrize("argv", [

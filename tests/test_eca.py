@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from emergelab import eca
 
@@ -193,6 +193,23 @@ def test_step_row_matches_naive_random_rows():
         for _ in range(6):
             row = eca.BitRow.make(rng.randint(-200, 200), rng.getrandbits(rng.randint(1, 90)))
             assert eca.step_row(rule, row) == step_row_reference(rule, row), f"rule {n}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 127), st.text("#.", max_size=16), st.integers(-60, 60),
+       st.integers(0, 40))
+def test_evolve_matches_iterated_reference(half, seed_text, offset, steps):
+    # quiescent rules only; the seed may be empty or start with white cells
+    rule = eca.parse_rule(2 * half)
+    seed = eca.BitRow.from_string(seed_text, offset)
+    rows = [seed]
+    for _ in range(steps):
+        rows.append(step_row_reference(rule, rows[-1]))
+    hist = eca.evolve(rule, seed, steps)
+    assert len(hist) == steps + 1 and hist.rows == tuple(rows)
+    lo, hi = seed.offset - steps, seed.offset + max(seed.width, 1) - 1 + steps
+    assert hist.to_text() == ["".join(".#"[row[p]] for p in range(lo, hi + 1))
+                              for row in rows]
 
 
 def test_center_column_matches_naive_column_from_evolve():

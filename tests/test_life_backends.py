@@ -73,6 +73,9 @@ def test_backend_choice(monkeypatch):
     calls = spy(monkeypatch)
     assert kernels(calls, dense_soup, 1) == kernels(calls, dense_soup, 50) == ["_run_dense"]
     assert kernels(calls, sparse, 1) == kernels(calls, sparse, 50) == ["_step_packed"]
+    # a row of cells 100 apart fills 1/100 of its box, but far less of the grid
+    spaced = frozenset((100 * i, 0) for i in range(1000))
+    assert kernels(calls, spaced, 1) == ["_step_packed"]
     # one generation of a small pattern: numpy too, by the density rule
     assert kernels(calls, GLIDER, 1) == kernels(calls, GLIDER, 2) == \
         kernels(calls, gun, 2000) == ["_step_packed"]
