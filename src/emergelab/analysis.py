@@ -55,16 +55,16 @@ def _as_bits(bits) -> bytes:
     """Normalise a 0/1 sequence (str, bytes, ints, bools) to bytes 0/1."""
     if isinstance(bits, bytes):
         if bits.translate(None, b"\x00\x01"):  # bytes other than 0 and 1
-            raise ValueError("byte values must be 0 or 1")
+            raise InvalidArgument("byte values must be 0 or 1")
         return bits
-    if isinstance(bits, str):
-        try:
-            return bytes(int(c) for c in bits)
-        except ValueError:
-            raise ValueError("bit string characters must be '0' or '1'")
-    out = bytes(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise ValueError("bit values must be 0 or 1")
+    if isinstance(bits, str) and not set(bits) <= {"0", "1"}:  # int() takes '2', '٣'
+        raise InvalidArgument("bit string characters must be '0' or '1'")
+    try:
+        out = bytes(int(b) for b in bits)
+    except (TypeError, ValueError):  # not a number, or outside 0..255
+        raise InvalidArgument("bit values must be 0 or 1") from None
+    if out.translate(None, b"\x00\x01"):
+        raise InvalidArgument("bit values must be 0 or 1")
     return out
 
 

@@ -106,7 +106,7 @@ class DigitStream:
 
     def __init__(self, digits: str | None = None, sqrt_of: int | None = None):
         if (digits is None) == (sqrt_of is None):
-            raise ValueError("provide exactly one of digits / sqrt_of")
+            raise InvalidArgument("provide exactly one of digits / sqrt_of")
         self._sqrt_of = sqrt_of
         self._cursor = 0
         if digits is not None:
@@ -193,7 +193,7 @@ def enumerate_words(i: int, skip_epsilon: bool = False) -> str:
 def word_index(word: str, skip_epsilon: bool = False) -> int:
     """Inverse of enumerate_words."""
     if any(c not in "01" for c in word):
-        raise ValueError(f"not a binary word: {word!r}")
+        raise InvalidArgument(f"not a binary word: {word!r}")
     i = int("1" + word, 2)
     return i - 1 if skip_epsilon else i
 

@@ -132,7 +132,7 @@ def _cmd_eca(args) -> dict | None:
         rows = eca.evolve_cycle(rule, 1 << (width // 2), width, args.steps,
                                 max_rows=args.max_rows)
     else:
-        seed = eca.BitRow.from_string(args.seed) if args.seed else eca.BitRow.single()
+        seed = eca.BitRow.single() if args.seed is None else eca.BitRow.from_string(args.seed)
         history = eca.evolve(rule, seed, args.steps, max_rows=args.max_rows)
         rows, width = history.bits, history.width
     if not (args.out or args.text):

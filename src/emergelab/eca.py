@@ -46,6 +46,9 @@ class RowLimitExceeded(EmergeLabError):
 # Cells of a kept history, (steps + 1) x width: 2**28 holds 10,000 rows of
 # the 19,999-cell light cone of one seed cell, about 2e8 cells.
 HISTORY_CELL_LIMIT = 1 << 28
+# the most generations `center_column` runs (2**16 take about 0.7 s on a
+# 2-vCPU Xeon; each doubling costs about four times as much)
+CENTER_COLUMN_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,12 @@ class BitRow:
 
     def __post_init__(self):
         if self.bits < 0:
-            raise ValueError("bits must be non-negative")
+            raise InvalidArgument("bits must be non-negative")
         if self.bits == 0:
             if self.offset != 0:
-                raise ValueError("canonical empty row has offset 0")
+                raise InvalidArgument("canonical empty row has offset 0")
         elif self.bits & 1 == 0:
-            raise ValueError("not canonical: first stored cell is white (use BitRow.make)")
+            raise InvalidArgument("not canonical: first stored cell is white (use BitRow.make)")
 
     @classmethod
     def make(cls, offset: int, bits: int) -> "BitRow":
@@ -290,6 +293,8 @@ def center_column(rule: RuleTable, steps: int, seed: BitRow | None = None) -> li
     backward light cone).
     """
     _check_steps(steps)
+    if steps > CENTER_COLUMN_STEPS:
+        raise InvalidSteps(f"steps must be <= {CENTER_COLUMN_STEPS}, got {steps}")
     if steps:
         _require_white_background(rule)
     row = BitRow.single(0) if seed is None else seed
@@ -314,7 +319,7 @@ def step_cycle(rule: RuleTable, bits: int, width: int) -> int:
     supported regardless of what they do to a white background.
     """
     if width < 1:
-        raise ValueError(f"ring width must be >= 1, got {width}")
+        raise InvalidArgument(f"ring width must be >= 1, got {width}")
     mask = (1 << width) - 1
     c = bits & mask
     left = (c << 1) | (c >> (width - 1))

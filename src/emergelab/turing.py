@@ -27,11 +27,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import EmergeLabError, InvalidArgument
 
 SYMBOLS = ("0", "1", "#")
-MOVES = ("L", "R", "S")
+MOVES = {"L": -1, "R": 1, "S": 0}  # move letter -> head delta
 OUTPUT_ACTIONS = ("-", "0", "1", "#")
 BLANK = "0"
-
-_MOVE_DELTA = {"L": -1, "R": 1, "S": 0}
 
 
 class MachineError(EmergeLabError):
@@ -101,8 +99,8 @@ class MissingIntermediate(MachineError):
 
 class Transition(NamedTuple):
     next_state: str
-    writes: tuple[str, ...]
-    moves: tuple[str, ...]
+    writes: tuple[tuple[int, str], ...]  # (tape, symbol) where symbol != read
+    moves: tuple[tuple[int, int], ...]  # (tape, delta) where delta != 0
     output: str  # '-' or a symbol to emit
 
 
@@ -111,9 +109,10 @@ class MachineSpec:
     """A parsed machine description; build it with `parse_machine`, which
     checks every rule.
 
-    Transitions key on (state, symbols read from the k work tapes).  The
-    output tape is write-only by construction: no transition key mentions
-    it.
+    Transitions key on (state, symbols read from the k work tapes) and
+    hold each rule's effect: the cells it changes and the heads it moves.
+    The output tape is write-only by construction: no transition key
+    mentions it.
     """
 
     name: str
@@ -194,7 +193,9 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
         if key in transitions:
             raise MachineParseError(
                 f"duplicate transition for {state} {''.join(reads)}", line=lineno)
-        transitions[key] = Transition(next_state, writes, moves, output)
+        changed = tuple((i, w) for i, (r, w) in enumerate(zip(reads, writes)) if w != r)
+        shifts = tuple((i, MOVES[m]) for i, m in enumerate(moves) if MOVES[m])
+        transitions[key] = Transition(next_state, changed, shifts, output)
         entered.setdefault(next_state, lineno)
 
     defined = {state for state, _ in transitions}
@@ -248,9 +249,7 @@ def run(machine: MachineSpec, input_n: int, step_budget: int,
     if step_budget < 1:
         raise InvalidArgument(f"step_budget must be >= 1, got {step_budget}")
     tapes = [dict() for _ in range(machine.tapes)]
-    for i, sym in enumerate(encode_input(input_n)):
-        if sym != BLANK:
-            tapes[0][i] = sym
+    tapes[0].update((i, s) for i, s in enumerate(encode_input(input_n)) if s != BLANK)
     heads = [0] * machine.tapes
 
     entries: list[TraceEntry] = []
@@ -270,13 +269,13 @@ def run(machine: MachineSpec, input_n: int, step_budget: int,
         tr = transitions.get((state, reads))
         if tr is None:
             raise StuckState(state, reads, steps, phase=phase)
-        for i in range(machine.tapes):
-            w = tr.writes[i]
-            if w == BLANK:
-                tapes[i].pop(heads[i], None)
+        for i, w in tr.writes:
+            if w == BLANK:  # the cell read non-blank, so it is stored
+                del tapes[i][heads[i]]
             else:
                 tapes[i][heads[i]] = w
-            heads[i] += _MOVE_DELTA[tr.moves[i]]
+        for i, d in tr.moves:
+            heads[i] += d
         steps += 1
         if tr.output != "-":
             out_chars.append(tr.output)

@@ -10,6 +10,7 @@ from emergelab.ant import AntState
 from emergelab.candidates import default_numbering
 from emergelab.eca import BitRow, UnsupportedBackground
 from emergelab.life import FateReport
+from emergelab.turing import BudgetExceeded, EmptyBlock, EnumTrace, StuckState
 
 
 def step_row_reference(rule, row):
@@ -52,7 +53,7 @@ def eca_cells_reference(rule, seed_text, steps, cyclic_width=None):
             grid.append([(bits >> i) & 1 for i in range(cyclic_width)])
             bits = step_cycle_reference(rule, bits, cyclic_width)
         return grid
-    row = BitRow.from_string(seed_text) if seed_text else BitRow.single()
+    row = BitRow.from_string(seed_text) if seed_text is not None else BitRow.single()
     lo = row.offset - steps
     hi = row.offset + max(row.width, 1) - 1 + steps
     grid = [[row[p] for p in range(lo, hi + 1)]]
@@ -340,3 +341,39 @@ def detect_highway_reference(start, max_steps, radius, confirmations):
                 pending = (t, fp, x, y, t - t1, x - x1, y - y1, 1)
     return dict(found=False, onset=0, period=0, dx=0, dy=0, window_radius=radius,
                 confirmations=0, steps_searched=max_steps)
+
+
+def tm_run_reference(rules, k, start, halt, input_n, budget, phase=None):
+    """`turing.run` from a machine's rule lines as raw token tuples
+    (`state r1..rk -> next w1..wk m1..mk out`), decoded afresh at every
+    step.  Tapes are dicts that keep every write, blanks included."""
+    tapes = [{} for _ in range(k)]
+    for i, sym in enumerate(format(input_n, "b") + "#"):
+        tapes[0][i] = sym
+    heads = [0] * k
+    state, steps, out, block, entries = start, 0, "", None, []
+    while state != halt:
+        if steps >= budget:
+            raise BudgetExceeded(
+                budget, EnumTrace(tuple(entries), steps, False, out), phase=phase)
+        reads = tuple(tapes[t].get(heads[t], "0") for t in range(k))
+        rule = next((r for r in rules if r[0] == state and tuple(r[1:1 + k]) == reads),
+                    None)
+        if rule is None:
+            raise StuckState(state, reads, steps, phase=phase)
+        for t in range(k):
+            tapes[t][heads[t]] = rule[3 + k + t]
+            heads[t] += {"L": -1, "R": 1, "S": 0}[rule[3 + 2 * k + t]]
+        steps += 1
+        emit = rule[3 + 3 * k]
+        if emit != "-":
+            out += emit
+        if emit == "#":
+            if block is None:
+                raise EmptyBlock(f"'#' emitted with an empty block at step {steps}")
+            entries.append((block, steps))
+            block = None
+        elif emit in "01":
+            block = 2 * (block or 0) + int(emit)
+        state = rule[2 + k]
+    return EnumTrace(tuple(entries), steps, True, out)

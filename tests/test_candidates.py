@@ -71,6 +71,9 @@ def test_digit_stream_cursor_advances():
     assert stream.take(3) == [4, 1, 4]
     assert stream.cursor == 3
     assert stream.take(2) == [2, 1]
+    with pytest.raises(InvalidArgument, match="count must be >= 0, got -1"):
+        stream.take(-1)
+    assert stream.cursor == 5
 
 
 def test_digit_stream_file_exhaustion():
@@ -221,6 +224,17 @@ def test_parse_dfa_requires_total_transition():
         cd.DfaSpec(2, 0, frozenset({0}), {(0, "0"): 0, (0, "1"): 1, (1, "0"): 1})
 
 
+@pytest.mark.parametrize("start,accepting,message", [
+    (2, {0}, "start state 2 out of range"),
+    (-1, {0}, "start state -1 out of range"),
+    (0, {0, 2}, "accepting state 2 out of range"),
+])
+def test_dfa_states_must_be_in_range(start, accepting, message):
+    total = {(s, sym): s for s in range(2) for sym in "01"}
+    with pytest.raises(InvalidArgument, match=message):
+        cd.DfaSpec(2, start, frozenset(accepting), total)
+
+
 @pytest.mark.parametrize("symbol", ["01", "2"])
 def test_parse_dfa_rejects_symbols_other_than_0_and_1(symbol):
     text = f"states 1\nstart 0\naccept 0\ntrans 0 0 0\ntrans 0 1 0\ntrans 0 {symbol} 0\n"
@@ -246,6 +260,8 @@ def test_default_numbering_small_indices():
     assert cd.default_numbering(3) == frozenset({(0, 0), (1, 0)})
     # 15 = 1111 in a 2x2 box: the block still life
     assert cd.default_numbering(15) == frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+    with pytest.raises(cd.InvalidIndex, match="start at 1, got 0"):
+        cd.default_numbering(0)
 
 
 def test_default_numbering_box_is_square():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emergelab import ant, candidates, cli, eca, life
+from emergelab import analysis, ant, candidates, cli, eca, life, turing
+from emergelab.errors import EmergeLabError
 from emergelab.fixtures import fixture_path
 
 from .oracles import (eca_cells_reference, pbm_reference, sqrt_text_reference,
@@ -111,6 +112,7 @@ ECA_RENDER_CASES = [
     (110, 33, "#..##.#", None),
     (90, 17, "...#.#..", None),
     (150, 9, "....", None),  # empty seed: every row white
+    (30, 3, "", None),  # an explicit empty row is empty too, not one cell
     (22, 0, "#.#", None),
     (1, 0, "#.#", None),  # a background flipper at 0 steps: just the seed
     (30, 50, None, 37),
@@ -180,6 +182,8 @@ def test_eca_row_cap_applies_in_both_modes(capsys, extra):
     ["eca", "--rule", "30", "--steps", "11585", "--max-rows", "20000"],
     ["eca", "--rule", "30", "--steps", "99", "--cyclic-width",
      str(eca.HISTORY_CELL_LIMIT // 100 + 1)],
+    # past eca.CENTER_COLUMN_STEPS: the window alone would be a 250 GB integer
+    ["analyze", "--rule30-center", "1000000000000"],
 ])
 def test_eca_and_analyze_domain_errors_are_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -502,6 +506,19 @@ def test_tm_budget_error_exit_code(capsys):
     assert "budget" in err
 
 
+def test_tm_audit_reads_value_and_timing_files(capsys, tmp_path):
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "6"]
+    succ = turing.parse_machine(Path(SUCC).read_text())
+    values, timing = tmp_path / "values.txt", tmp_path / "timing.txt"
+    values.write_text(" ".join(map(str, range(1, 7))) + "\n")
+    timing.write_text("\n".join(str(turing.run(succ, i, 10 ** 6).total_steps)
+                                for i in range(1, 7)))
+    code, measured, _ = run_cli(capsys, *argv, "--identity-values", "--timing-from", SUCC)
+    assert code == 0 and "verdict=pass" in measured
+    code, out, _ = run_cli(capsys, *argv, "--values", str(values), "--timing", str(timing))
+    assert code == 0 and out == measured
+
+
 def test_tm_audit_pass_and_fail(capsys):
     code, out, _ = run_cli(capsys, "tm", "audit", "--approx", SUCC,
                            "--finisher", COPY, "--max-index", "10",
@@ -777,3 +794,23 @@ def test_every_subcommand_keeps_the_exit_contract(cli_files, argv):
     else:
         assert code == 2 and err.splitlines()[-1].startswith("emergelab")
         assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: eca.BitRow(0, -1), id="BitRow-negative-bits"),
+    pytest.param(lambda: eca.BitRow(3, 0), id="BitRow-empty-with-offset"),
+    pytest.param(lambda: eca.BitRow(0, 0b10), id="BitRow-not-canonical"),
+    pytest.param(lambda: eca.step_cycle(eca.parse_rule(30), 1, 0), id="step_cycle-width-0"),
+    pytest.param(lambda: analysis.ones_fraction(b"\x02"), id="bits-byte-2"),
+    pytest.param(lambda: analysis.ones_fraction("0120"), id="bits-char-2"),
+    pytest.param(lambda: analysis.ones_fraction([0, 2]), id="bits-int-2"),
+    pytest.param(lambda: analysis.ones_fraction(["x"]), id="bits-not-a-number"),
+    pytest.param(lambda: analysis.ones_fraction([None]), id="bits-none"),
+    pytest.param(lambda: analysis.ones_fraction([300]), id="bits-past-a-byte"),
+    pytest.param(lambda: candidates.DigitStream(), id="DigitStream-no-source"),
+    pytest.param(lambda: candidates.word_index("012"), id="word_index-not-binary"),
+])
+def test_library_errors_on_bad_input_are_emergelab_errors(call):
+    # so the CLI reports them on one line with exit 1
+    with pytest.raises(EmergeLabError):
+        call()

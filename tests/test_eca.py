@@ -275,6 +275,17 @@ def test_history_cell_cap_applies_in_both_modes(monkeypatch):
         eca.evolve(rule, eca.BitRow.single(), 7)  # 8 x 15
 
 
+def test_center_column_step_cap(monkeypatch):
+    rule = eca.parse_rule(30)
+    # refused before the window is built: 10**12 steps need a 250 GB integer
+    with pytest.raises(eca.InvalidSteps, match=f"<= {eca.CENTER_COLUMN_STEPS}"):
+        eca.center_column(rule, 10 ** 12)
+    monkeypatch.setattr(eca, "CENTER_COLUMN_STEPS", 10)
+    assert len(eca.center_column(rule, 10)) == 11
+    with pytest.raises(eca.InvalidSteps):
+        eca.center_column(rule, 11)
+
+
 def test_cycle_agrees_with_unbounded_while_light_cone_fits():
     width = 131
     for n in (30, 90, 110, 254):

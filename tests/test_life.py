@@ -220,6 +220,18 @@ def test_parse_rle_missing_terminator():
         life.parse_rle("x = 1, y = 1\no")
 
 
+@pytest.mark.parametrize("text,line", [("", 1), ("#C only a comment\n\n", 2)])
+def test_parse_rle_without_header(text, line):
+    with pytest.raises(life.RleParseError, match="no RLE header found") as err:
+        life.parse_rle(text)
+    assert err.value.line == line
+
+
+def test_parse_rle_skips_whitespace_inside_body_lines():
+    assert life.parse_rle("x = 3, y = 2\n2b o $\t3o !") == life.parse_rle(
+        "x = 3, y = 2\n2bo$3o!")
+
+
 def test_write_rle_golden():
     cells = life.parse_rle(load_text("glider.rle"))
     assert life.write_rle(cells) == "x = 3, y = 3, rule = B3/S23\nbo$2bo$3o!\n"

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emergelab import turing
 from emergelab.fixtures import load_text
+
+from .oracles import tm_run_reference
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +284,26 @@ def test_audit_missing_intermediate(succ, copy_last, identity_tables):
                                    turing.BigOWitness(Fraction(8), 1), [2])
 
 
+@pytest.mark.parametrize("indices,tables,message", [
+    ([0, 1], 20, "indices must be >= 1, got 0"),
+    ([20, 21], 20, "index 21 outside the supplied reference tables"),
+    ([3], 2, "index 3 outside the supplied reference tables"),
+])
+def test_audit_refuses_indices_outside_the_tables(succ, copy_last, identity_tables,
+                                                  indices, tables, message):
+    values, timing = identity_tables
+    with pytest.raises(turing.InvalidArgument, match=message):
+        turing.audit_approximation(succ, copy_last, values, timing[:tables],
+                                   turing.BigOWitness(Fraction(8), 1), indices)
+
+
+def test_compose_finisher_without_output(succ):
+    silent = turing.parse_machine("name silent\ntapes 2\nstart a\nhalt z\n"
+                                  "a 1 0 -> z 1 0 S S -\n")
+    with pytest.raises(turing.NoOutput):
+        turing.compose(succ, silent, 3, 10 ** 6)
+
+
 def test_audit_report_names_its_timing_source(succ, copy_last, identity_tables):
     values, timing = identity_tables
     report = turing.audit_approximation(succ, copy_last, values, timing,
@@ -299,3 +323,54 @@ def test_output_tape_is_write_only(succ):
     # transition keys mention only the work tapes, so no rule can read output
     for (_, symbols) in succ.transitions:
         assert len(symbols) == succ.tapes
+
+
+# ---------------------------------------------------------------------------
+# the decoded rule table against the reference runner
+
+@st.composite
+def machines(draw):
+    """Rule lines of a random machine as token tuples.  Each state leaves
+    about one read tuple in sixteen undefined, so runs can get stuck, and
+    every output action is possible, so '#' can close an empty block.
+    Halting and '#' are drawn rarely, so that many runs reach the budget."""
+    k = draw(st.sampled_from([2, 3]))
+    states = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+    targets = st.sampled_from(states * 8 + ["h"])
+    writes = st.sampled_from(list(product(turing.SYMBOLS, repeat=k)))
+    moves = st.sampled_from(list(product(turing.MOVES, repeat=k)))
+    outputs = st.sampled_from(("-", "0", "1") * 2 + ("#",))
+    rules = []
+    for state in states:
+        for read in product(turing.SYMBOLS, repeat=k):
+            if draw(st.integers(0, 15)) == 15 and any(r[0] == state for r in rules):
+                continue
+            rules.append((state, *read, "->", draw(targets), *draw(writes),
+                          *draw(moves), draw(outputs)))
+    return k, rules
+
+
+def _outcome(runner):
+    try:
+        return runner()
+    except turing.MachineError as err:
+        return type(err), str(err), vars(err)
+
+
+@given(machines(), st.integers(1, 40), st.integers(1, 300),
+       st.sampled_from([None, "finisher"]))
+@settings(max_examples=200, deadline=None)
+def test_run_matches_reference_runner(machine, input_n, budget, phase):
+    k, rules = machine
+    text = f"tapes {k}\nstart q0\nhalt h\n" + "".join(" ".join(r) + "\n" for r in rules)
+    spec = turing.parse_machine(text)
+    got = _outcome(lambda: turing.run(spec, input_n, budget, phase))
+    want = _outcome(lambda: tm_run_reference(rules, k, "q0", "h", input_n, budget, phase))
+    assert got == want
+
+
+def test_rules_store_only_their_effect():
+    spec = turing.parse_machine("tapes 3\nstart a\nhalt z\n"
+                                "a 1 0 # -> z 1 # 0 S L R 1\n")
+    assert spec.transitions["a", ("1", "0", "#")] == (
+        "z", ((1, "#"), (2, "0")), ((1, -1), (2, 1)), "1")
