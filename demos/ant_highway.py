@@ -10,7 +10,7 @@ from pathlib import Path
 
 from emergelab import ant
 from emergelab.cli import render_pbm
-from emergelab.life import bounding_box
+from emergelab.life import bounding_box, raster
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -49,11 +49,8 @@ for k in range(1, 11):
 print("replayed   : 10 further periods, fingerprint and displacement exact")
 
 final = ant.run(ant.standard_start(), 13_000)
-box = bounding_box(final.black)
-grid = [[1 if (x, y) in final.black else 0
-         for x in range(box[0], box[2] + 1)]
-        for y in range(box[3], box[1] - 1, -1)]
+rows, width = raster(final.black)
 marker = f"ant {final.pos[0]} {final.pos[1]} {final.heading} steps={final.steps}"
 path = OUT / "ant_13000.pbm"
-path.write_bytes(render_pbm(grid, comment=marker))
+render_pbm(path, rows[::-1], width, comment=marker)  # north up
 print(f"wrote {path} (chaotic blob with the highway sticking out)")

@@ -41,11 +41,9 @@ for number in (254, 90, 30):
 # Larger portraits as PBM images (one row per generation).
 for number in (90, 30, 110):
     history = eca.evolve(eca.parse_rule(number), eca.BitRow.single(0), 400)
-    lo, hi = -401, 401
-    grid = [[row[p] for p in range(lo, hi + 1)] for row in history.rows]
     path = OUT / f"rule{number}.pbm"
-    path.write_bytes(render_pbm(grid, comment=f"rule {number}"))
-    print(f"wrote {path} ({len(grid)}x{hi - lo + 1})")
+    render_pbm(path, history.bits, history.width, comment=f"rule {number}")
+    print(f"wrote {path} ({len(history)}x{history.width})")
 
 print()
 print("Is the middle column of rule 30 predictable?")

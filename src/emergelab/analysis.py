@@ -51,21 +51,21 @@ def find_cycle(states: Sequence[Hashable]) -> CycleResult:
     return CycleResult(False)
 
 
+# the values a bit may take: equality lets True, 1.0 and numpy ints through,
+# while 0.5 or '2' find no key rather than being truncated by int()
+_BIT_VALUES = {0: 0, 1: 1, "0": 0, "1": 1}
+
+
 def _as_bits(bits) -> bytes:
     """Normalise a 0/1 sequence (str, bytes, ints, bools) to bytes 0/1."""
     if isinstance(bits, bytes):
         if bits.translate(None, b"\x00\x01"):  # bytes other than 0 and 1
             raise InvalidArgument("byte values must be 0 or 1")
         return bits
-    if isinstance(bits, str) and not set(bits) <= {"0", "1"}:  # int() takes '2', '٣'
-        raise InvalidArgument("bit string characters must be '0' or '1'")
     try:
-        out = bytes(int(b) for b in bits)
-    except (TypeError, ValueError):  # not a number, or outside 0..255
+        return bytes(_BIT_VALUES[b] for b in bits)
+    except (KeyError, TypeError):  # another value, or an unhashable one
         raise InvalidArgument("bit values must be 0 or 1") from None
-    if out.translate(None, b"\x00\x01"):
-        raise InvalidArgument("bit values must be 0 or 1")
-    return out
 
 
 def ones_fraction(bits) -> Fraction:

@@ -5,9 +5,9 @@ One subcommand per subsystem: eca, life, ant, tm, candidate, analyze.
 writes any requested files and returns its report as a dict (or None when
 it prints only text or images).  `main` then writes that report to stdout
 once, as flat `key=value` lines or, with --json, as one JSON object with the
-same keys.  Images are binary PBM (P4); ECA histories reach PBM and text
-from their packed rows, never one byte per cell.  All outputs are
-deterministic: identical invocations produce byte-identical files.
+same keys.  Images are binary PBM (P4), all written by `render_pbm` from
+packed rows: ECA histories as evolved, Life and ant cells via `life.raster`.
+Outputs are deterministic: identical invocations give byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
 written (one-line message on stderr), 2 usage error.  The EMERGELAB_BUDGET
@@ -33,34 +33,21 @@ class EmptyImage(EmergeLabError):
     """PBM images need at least one row and one column."""
 
 
-def _pbm_header(width: int, height: int, comment: str | None) -> bytes:
-    note = "" if comment is None else f"# {comment}\n"
-    return f"P4\n{note}{width} {height}\n".encode("ascii")
-
-
-def render_pbm(grid, comment: str | None = None) -> bytes:
-    """Encode a 2-D bit matrix as binary PBM (P4).
-
-    Rows are packed MSB-first and padded with white to a byte boundary.
-    An optional comment is emitted as a '#' header line.
-    """
-    arr = np.asarray(grid, dtype=np.uint8)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise EmptyImage(f"image must be 2-D and non-empty, got shape {arr.shape}")
-    height, width = arr.shape
-    packed = np.packbits(arr, axis=1)  # any nonzero value packs as a 1
-    return _pbm_header(width, height, comment) + packed.tobytes()
-
-
 # byte b with its bits reversed: little-endian row bytes to PBM's MSB-first
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _write_pbm_rows(path: str, rows, width: int, comment: str):
-    """Write row integers (bit i = column i) as a PBM image, a row at a time."""
+def render_pbm(path: str, rows, width: int, comment: str | None = None):
+    """Write row integers (bit i = column i < width) to `path` as binary PBM
+    (P4), a row at a time: MSB-first, padded with white to a byte boundary,
+    after an optional '#' comment line.  An image with no rows or columns is
+    refused before the file is opened."""
+    if not rows or width < 1:
+        raise EmptyImage(f"image must be non-empty, got {width}x{len(rows)}")
     nbytes = (width + 7) // 8
+    note = "" if comment is None else f"# {comment}\n"
     with open(path, "wb") as out:
-        out.write(_pbm_header(width, len(rows), comment))
+        out.write(f"P4\n{note}{width} {len(rows)}\n".encode("ascii"))
         out.writelines(bits.to_bytes(nbytes, "little").translate(_REVERSED_BITS)
                        for bits in rows)
 
@@ -139,7 +126,7 @@ def _cmd_eca(args) -> dict | None:
         return {"rule": args.rule, "steps": args.steps,
                 "final_population": rows[-1].bit_count()}
     if args.out:
-        _write_pbm_rows(args.out, rows, width, comment=f"rule {args.rule}")
+        render_pbm(args.out, rows, width, comment=f"rule {args.rule}")
     if args.text:
         _write_text(rows, width, sys.stdout)
     return None
@@ -157,12 +144,11 @@ def _cmd_life(args) -> dict:
         if args.out_rle:
             Path(args.out_rle).write_text(life.write_rle(result))
         if args.out:
-            Path(args.out).write_bytes(render_pbm(life.raster(result)))
+            render_pbm(args.out, *life.raster(result))
         report = {"steps": args.steps, "population": len(result)}
         if args.print == "bbox":
             box = life.bounding_box(result)
-            report["bbox"] = "empty" if box is None else \
-                f"{box[0]},{box[1]},{box[2]},{box[3]}"
+            report["bbox"] = "empty" if box is None else ",".join(map(str, box))
         return report
     # fate
     budget = args.budget if args.budget is not None else default_budget(4096)
@@ -195,7 +181,7 @@ def _cmd_ant(args) -> dict:
     state = ant.run(start, steps)
     if args.out:
         marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={state.steps}"
-        Path(args.out).write_bytes(render_pbm(life.raster(state.black), comment=marker))
+        render_pbm(args.out, *life.raster(state.black), comment=marker)
     return {"steps": state.steps, "x": state.pos[0], "y": state.pos[1],
             "heading": state.heading, "black_cells": len(state.black)}
 
@@ -315,9 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eca)
     p.add_argument("--rule", type=int, required=True, metavar="0..255")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", help="seed row such as '#' or '#..#' (default: single cell)")
-    p.add_argument("--cyclic-width", type=int, metavar="W",
-                   help="run on a W-cell ring instead of the unbounded row")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--seed", help="seed row such as '#' or '#..#' (default: single cell)")
+    start.add_argument("--cyclic-width", type=int, metavar="W",
+                       help="run on a W-cell ring from its centre cell "
+                            "instead of the unbounded row")
     p.add_argument("--max-rows", type=int, default=10_000)
     p.add_argument("--out", help="write the history as a PBM image")
     p.add_argument("--text", action="store_true", help="print '.'/'#' rows")

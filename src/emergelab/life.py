@@ -21,8 +21,8 @@ limit; `step`, `run` and `detect_fate` read their states from it.
 state by a key that all its translates share, so it stops at the first
 recurrence or at extinction.
 
-Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`
-for images.
+Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
+which packs a pattern into the image rows `cli.render_pbm` writes.
 """
 
 from __future__ import annotations
@@ -503,19 +503,20 @@ def write_rle(cells: CellSet) -> str:
     return header + table[table != 0].tobytes().decode("ascii") + "\n"
 
 
-def raster(cells: CellSet) -> np.ndarray:
-    """A cell set as a (height, width) uint8 0/1 grid over its bounding
-    box, cell (x, y) at row y - min y, column x - min x.  Refuses an empty
-    set, which has no box, and a grid of more than PIXEL_LIMIT pixels
+def raster(cells: CellSet) -> tuple[list[int], int]:
+    """A cell set as image rows over its bounding box, `(rows, width)`:
+    cell (x, y) is bit x - min x of rows[y - min y].  Refuses an empty set,
+    which has no box, and a box of more than PIXEL_LIMIT pixels
     (InvalidArgument)."""
     if not cells:
         raise InvalidArgument("cannot render an empty cell set")
     off, _, (w, h) = _frame(cells)
     if (w + 1) * (h + 1) > PIXEL_LIMIT:
         raise InvalidArgument(f"{w + 1}x{h + 1} image over {PIXEL_LIMIT} pixels")
-    grid = np.zeros((h + 1, w + 1), dtype=np.uint8)
-    grid[off[:, 1], off[:, 0]] = 1
-    return grid
+    grid = np.zeros((h + 1, w + 1), dtype=bool)
+    grid[off[:, 1], off[:, 0]] = True
+    packed = np.packbits(grid, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], w + 1
 
 
 def parse_cells(text: str) -> CellSet:

@@ -30,6 +30,11 @@ SYMBOLS = ("0", "1", "#")
 MOVES = {"L": -1, "R": 1, "S": 0}  # move letter -> head delta
 OUTPUT_ACTIONS = ("-", "0", "1", "#")
 BLANK = "0"
+# the most work tapes a machine may declare: `run` builds a tape and a head
+# for each before its first step, and a stuck state's message lists one
+# symbol per tape, so a 3-line file asking for 2e6 tapes took 200 MB and a
+# 2e6-character message.  Every machine here uses two or three.
+TAPES_LIMIT = 64
 
 
 class MachineError(EmergeLabError):
@@ -161,6 +166,8 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
         raise MachineParseError(f"tapes must be an integer, got {header['tapes']!r}")
     if k < 2:
         raise TooFewTapes(f"need at least 2 work tapes, got {k}")
+    if k > TAPES_LIMIT:
+        raise MachineParseError(f"at most {TAPES_LIMIT} work tapes, got {k}")
 
     halt = header["halt"]
     transitions: dict[tuple[str, tuple[str, ...]], Transition] = {}

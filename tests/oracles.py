@@ -68,9 +68,10 @@ def text_reference(grid):
     return "".join("".join("#" if b else "." for b in row) + "\n" for row in grid)
 
 
-def pbm_reference(grid, comment):
+def pbm_reference(grid, comment=None):
     """Binary PBM (P4): rows MSB-first, padded with white to whole bytes."""
-    out = bytearray(f"P4\n# {comment}\n{len(grid[0])} {len(grid)}\n".encode())
+    note = "" if comment is None else f"# {comment}\n"
+    out = bytearray(f"P4\n{note}{len(grid[0])} {len(grid)}\n".encode())
     for row in grid:
         padded = row + [0] * (-len(row) % 8)
         for i in range(0, len(padded), 8):

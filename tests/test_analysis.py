@@ -58,6 +58,8 @@ def test_ones_fraction_basics():
     assert analysis.ones_fraction("0000") == 0
     assert analysis.ones_fraction("0101") == Fraction(1, 2)
     assert analysis.ones_fraction([1, 1, 1]) == 1
+    # exact 0/1 values of any type pass: bools, floats, characters
+    assert analysis.ones_fraction([True, 1.0, 0, "0", "1", False]) == Fraction(1, 2)
 
 
 def test_ones_fraction_empty():

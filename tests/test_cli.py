@@ -14,8 +14,8 @@ from emergelab import analysis, ant, candidates, cli, eca, life, turing
 from emergelab.errors import EmergeLabError
 from emergelab.fixtures import fixture_path
 
-from .oracles import (eca_cells_reference, pbm_reference, sqrt_text_reference,
-                      text_reference)
+from .oracles import (eca_cells_reference, life_run_dense, pbm_reference,
+                      raster_reference, sqrt_text_reference, text_reference)
 
 GLIDER = str(fixture_path("glider.rle"))
 SUCC = str(fixture_path("succ_enum.tm"))
@@ -31,26 +31,34 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 # PBM rendering
 
-def test_render_pbm_single_black_pixel():
-    assert cli.render_pbm([[1]]) == b"P4\n1 1\n\x80"
+def pbm_bytes(tmp_path, rows, width, comment=None):
+    path = tmp_path / "out.pbm"
+    cli.render_pbm(path, rows, width, comment)
+    return path.read_bytes()
 
 
-def test_render_pbm_white_byte():
-    assert cli.render_pbm([[0] * 8]) == b"P4\n8 1\n\x00"
+def test_render_pbm_single_black_pixel(tmp_path):
+    assert pbm_bytes(tmp_path, [1], 1) == b"P4\n1 1\n\x80"
 
 
-def test_render_pbm_pads_rows_msb_first():
-    assert cli.render_pbm([[1] * 9]) == b"P4\n9 1\n\xff\x80"
+def test_render_pbm_white_byte(tmp_path):
+    assert pbm_bytes(tmp_path, [0], 8) == b"P4\n8 1\n\x00"
 
 
-def test_render_pbm_comment_and_rows():
-    data = cli.render_pbm([[1, 0], [0, 1]], comment="marker")
+def test_render_pbm_pads_rows_msb_first(tmp_path):
+    assert pbm_bytes(tmp_path, [0x1FF], 9) == b"P4\n9 1\n\xff\x80"
+
+
+def test_render_pbm_comment_and_rows(tmp_path):
+    data = pbm_bytes(tmp_path, [0b01, 0b10], 2, comment="marker")
     assert data == b"P4\n# marker\n2 2\n\x80\x40"
 
 
-def test_render_pbm_rejects_empty():
-    with pytest.raises(cli.EmptyImage):
-        cli.render_pbm(np.zeros((0, 4), dtype=np.uint8))
+def test_render_pbm_rejects_empty(tmp_path):
+    for rows, width in (([], 4), ([0], 0)):
+        with pytest.raises(cli.EmptyImage):
+            cli.render_pbm(tmp_path / "out.pbm", rows, width)
+        assert not (tmp_path / "out.pbm").exists()  # refused before opening
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +74,16 @@ def test_unknown_flag_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.parse_args(["eca", "--frobnicate"])
     assert err.value.code == 2
+
+
+def test_eca_seed_and_ring_exclude_each_other(capsys):
+    # a ring always starts from its centre cell, so a seed would be ignored
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eca", "--rule", "30", "--steps", "2", "--cyclic-width", "8",
+                  "--seed", "#......#", "--text"])
+    out, err_text = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert "not allowed with argument" in err_text.splitlines()[-1]
 
 
 def test_parse_args_maps_options():
@@ -246,11 +264,12 @@ def cli_files(tmp_path_factory):
     a directory, a non-UTF-8 file, a table with a non-integer token, DFAs
     with no transition for state 0 on 1, with a transition to a state that
     does not exist, with no start line and with a second `trans`, `states`
-    or `start` line for one slot, machines with two `tapes` lines and with
-    `tapes two`, two cells 2**40 apart, an RLE run of 3e9 live cells, a run
-    count of 5000 digits, a run count with nothing to repeat, a lone cell
-    that dies in one generation, digit files that are blank or hold the
-    non-ASCII digits '²' and '٣', and paths that do not exist."""
+    or `start` line for one slot, machines with two `tapes` lines, with
+    `tapes two` and with one tape past the cap, two cells 2**40 apart, an
+    RLE run of 3e9 live cells, a run count of 5000 digits, a run count with
+    nothing to repeat, a lone cell that dies in one generation, digit files
+    that are blank or hold the non-ASCII digits '²' and '٣', and paths that
+    do not exist."""
     root = tmp_path_factory.mktemp("cli")
     (root / "dir").mkdir()
     (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
@@ -265,6 +284,7 @@ def cli_files(tmp_path_factory):
     (root / "two_starts_dfa").write_text(dfa + "start 1\n")
     (root / "two_tapes_lines").write_text("tapes 2\ntapes 2\nstart s\nhalt h\n")
     (root / "tapes_word").write_text("tapes two\nstart s\nhalt h\n")
+    (root / "many_tapes").write_text(f"tapes {turing.TAPES_LIMIT + 1}\nstart s\nhalt h\n")
     (root / "ints").write_text("1 2 3 4 5 6 7 8 9 10\n")
     (root / "bits").write_text("0110 1001 0111 0100 1011\n")
     (root / "far_apart").write_text(f"x = 0, y = 0\no{(1 << 40) - 1}bo!\n")
@@ -277,9 +297,9 @@ def cli_files(tmp_path_factory):
     (root / "arabic_digits").write_text("2\u0663\u0663\n", encoding="utf-8")
     names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "stray_dfa",
              "startless_dfa", "two_trans_dfa", "two_states_dfa", "two_starts_dfa",
-             "two_tapes_lines", "tapes_word", "ints", "bits", "far_apart", "huge_run",
-             "long_count", "dangling", "dies", "blank_digits", "superscript_digits",
-             "arabic_digits", "missing", "out")
+             "two_tapes_lines", "tapes_word", "many_tapes", "ints", "bits", "far_apart",
+             "huge_run", "long_count", "dangling", "dies", "blank_digits",
+             "superscript_digits", "arabic_digits", "missing", "out")
     return {f"{{{name}}}": str(root / name) for name in names}
 
 
@@ -332,6 +352,7 @@ DFA = str(fixture_path("even_ones.dfa"))
      str(ant.WINDOW_RADIUS_LIMIT + 1)],
     ["tm", "run", "--machine", "{two_tapes_lines}", "--input", "3"],
     ["tm", "run", "--machine", "{tapes_word}", "--input", "3"],
+    ["tm", "run", "--machine", "{many_tapes}", "--input", "3"],
     ["candidate", "language-count", "--dfa", "{stray_dfa}", "--n", "3"],
     ["candidate", "language-count", "--dfa", "{startless_dfa}", "--n", "3"],
     ["life", "run", "--rle", "{dangling}", "--steps", "1"],
@@ -465,6 +486,34 @@ def test_life_run_writes_rle(tmp_path, capsys):
     moved = life.parse_rle(out_rle.read_text())
     original = life.parse_rle(fixture_path("glider.rle").read_text())
     assert moved == life.canonical(life.run(original, 4))[0]
+
+
+LIFE_CORPUS = ["glider", "block", "blinker", "toad", "beacon", "beehive", "loaf",
+               "boat", "tub", "lwss", "pulsar", "rpentomino", "gosper_gun"]
+
+
+@pytest.mark.parametrize("steps", [0, 30])
+@pytest.mark.parametrize("name", LIFE_CORPUS)
+def test_life_pbm_matches_naive_renderer(tmp_path, capsys, name, steps):
+    rle, out = fixture_path(f"{name}.rle"), tmp_path / "out.pbm"
+    code, _, _ = run_cli(capsys, "life", "run", "--rle", str(rle),
+                         "--steps", str(steps), "--out", str(out))
+    cells = life_run_dense(life.parse_rle(rle.read_text()), steps)
+    assert code == 0 and out.read_bytes() == pbm_reference(raster_reference(cells))
+
+
+@pytest.mark.parametrize("heading", list(ant.HEADINGS))
+def test_ant_pbm_matches_naive_renderer(tmp_path, capsys, heading):
+    out = tmp_path / "ant.pbm"
+    argv = ["ant", "--heading", heading, "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv, "--steps", "0")
+    assert code == 1 and "empty cell set" in err and not out.exists()
+    for steps in (1, 500, 12_000):
+        code, _, _ = run_cli(capsys, *argv, "--steps", str(steps))
+        state = ant.run(ant.standard_start(heading), steps)
+        marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={steps}"
+        assert code == 0
+        assert out.read_bytes() == pbm_reference(raster_reference(state.black), marker)
 
 
 def test_ant_highway_report(capsys):
@@ -807,6 +856,10 @@ def test_every_subcommand_keeps_the_exit_contract(cli_files, argv):
     pytest.param(lambda: analysis.ones_fraction(["x"]), id="bits-not-a-number"),
     pytest.param(lambda: analysis.ones_fraction([None]), id="bits-none"),
     pytest.param(lambda: analysis.ones_fraction([300]), id="bits-past-a-byte"),
+    pytest.param(lambda: analysis.ones_fraction([0.5, 1.7, 1]), id="bits-fractional"),
+    pytest.param(lambda: analysis.ones_fraction([1.5]), id="bits-one-and-a-half"),
+    pytest.param(lambda: analysis.block_entropy([0, 0.9, 1], 1), id="bits-near-one"),
+    pytest.param(lambda: analysis.no_short_period([-0.5, 0, 1], 1), id="bits-negative"),
     pytest.param(lambda: candidates.DigitStream(), id="DigitStream-no-source"),
     pytest.param(lambda: candidates.word_index("012"), id="word_index-not-binary"),
 ])

@@ -288,12 +288,16 @@ def test_raster_matches_reference(offset):
     for cells in (GLIDER, frozenset({(0, 0)}), soup(rng, 50, 700),
                   life.parse_rle(load_text("gosper_gun.rle"))):
         cells = life.translate(cells, offset, -offset)
-        assert life.raster(cells).tolist() == raster_reference(cells)
+        rows, width = life.raster(cells)
+        assert all(0 <= bits < 1 << width for bits in rows)
+        assert [[bits >> x & 1 for x in range(width)] for bits in rows] \
+            == raster_reference(cells)
 
 
 def test_raster_pixel_cap(monkeypatch):
     monkeypatch.setattr(life, "PIXEL_LIMIT", 100)
-    assert life.raster(frozenset({(0, 0), (9, 9)})).shape == (10, 10)
+    rows, width = life.raster(frozenset({(0, 0), (9, 9)}))
+    assert (len(rows), width) == (10, 10)
     with pytest.raises(life.InvalidArgument, match="11x10 image over 100 pixels"):
         life.raster(frozenset({(0, 0), (10, 9)}))
 

@@ -35,6 +35,14 @@ def test_parse_rejects_single_tape():
         turing.parse_machine("name t\ntapes 1\nstart a\nhalt z\n")
 
 
+def test_parse_caps_the_tape_count():
+    header = "name t\ntapes {}\nstart a\nhalt z\n"
+    limit = turing.TAPES_LIMIT
+    assert turing.parse_machine(header.format(limit)).tapes == limit
+    with pytest.raises(turing.MachineParseError, match=f"at most {limit} work tapes"):
+        turing.parse_machine(header.format(limit + 1))
+
+
 def test_parse_rejects_bad_symbol():
     text = "name t\ntapes 2\nstart a\nhalt z\na 0 0 -> z 2 0 S S -\n"
     with pytest.raises(turing.MachineParseError):
