@@ -17,6 +17,7 @@ environment variable overrides the default step budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,7 +217,7 @@ def _cmd_tm(args) -> dict:
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
-    values = list(indices) if args.identity_values else _read_ints(args.values)
+    values = indices if args.identity_values else _read_ints(args.values)
     if args.timing_from is not None:
         timer = _machine(args.timing_from)
         timing = [turing.run(timer, i, budget).total_steps for i in indices]
@@ -394,8 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parsing leaves it unchanged, and building it costs
+# about 3 ms, most of a small in-process command
+_parser = functools.cache(build_parser)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "eca" and not 0 <= args.rule <= 255:
         parser.error(f"--rule must be in 0..255, got {args.rule}")
@@ -403,6 +409,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             and not 1 <= args.cyclic_width <= eca.HISTORY_CELL_LIMIT:
         parser.error(f"--cyclic-width must be in 1..{eca.HISTORY_CELL_LIMIT}, "
                      f"got {args.cyclic_width}")
+    if args.command == "tm" and args.tm_command == "audit" and args.max_index < 1:
+        parser.error(f"--max-index must be >= 1, got {args.max_index}")
     return args
 
 

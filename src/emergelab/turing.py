@@ -20,7 +20,7 @@ the report says so, since a provably fastest machine is not constructible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,7 +29,6 @@ from .errors import EmergeLabError, InvalidArgument
 SYMBOLS = ("0", "1", "#")
 MOVES = {"L": -1, "R": 1, "S": 0}  # move letter -> head delta
 OUTPUT_ACTIONS = ("-", "0", "1", "#")
-BLANK = "0"
 # the most work tapes a machine may declare: `run` builds a tape and a head
 # for each before its first step, and a stuck state's message lists one
 # symbol per tape, so a 3-line file asking for 2e6 tapes took 200 MB and a
@@ -117,7 +116,9 @@ class MachineSpec:
     Transitions key on (state, symbols read from the k work tapes) and
     hold each rule's effect: the cells it changes and the heads it moves.
     The output tape is write-only by construction: no transition key
-    mentions it.
+    mentions it.  `run` executes the compiled form of the same rules,
+    built once with the spec, so it does not see later edits to
+    `transitions`.
     """
 
     name: str
@@ -125,6 +126,77 @@ class MachineSpec:
     start: str
     halt: str
     transitions: dict[tuple[str, tuple[str, ...]], Transition]
+    _program: _Program = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_program", _compile(self))
+
+
+class _Program(NamedTuple):
+    """`MachineSpec.transitions` as one table over integer keys.
+
+    A configuration is the key `state_id * 3**k + sum(read_i * 3**i)`, with
+    symbols 0, 1, '#' as 0, 1, 2 and the halt state numbered last, so every
+    key from `halt_key` on has halted.  Each entry is
+    `(base, writes, moves, output, sweep)`:
+    - `base` is the next key with every moving tape reading 0, so a step
+      adds `tape[head] * 3**i` for each moving tape i;
+    - `writes` are (tape, symbol) and `moves` are (tape, delta, 3**tape);
+    - `output` is None or the symbol emitted;
+    - `sweep` is None or `(tape, delta, 3**tape, stops)` for a copy-through
+      self-loop: same state, writes what it reads, emits nothing and moves
+      one tape.  The loop runs until that tape reads one of `stops`, the
+      symbols whose rule under the other tapes' fixed reads is not the same
+      loop.
+    """
+
+    table: dict[int, tuple]
+    states: tuple[str, ...]  # state names by id
+    start_id: int
+    halt_key: int
+
+
+_CODE = {s: c for c, s in enumerate(SYMBOLS)}
+
+
+def _compile(spec: MachineSpec) -> _Program:
+    k = spec.tapes
+    names = list(dict.fromkeys(state for state, _ in spec.transitions))
+    if spec.start not in names and spec.start != spec.halt:
+        names.append(spec.start)  # a start state without rules is stuck at once
+    names.append(spec.halt)
+    ids = {state: i for i, state in enumerate(names)}
+    weights = [3 ** i for i in range(k + 1)]
+
+    def key(state, symbols):
+        return ids[state] * weights[k] + sum(_CODE[s] * w for s, w in zip(symbols, weights))
+
+    def copy_through(tr, state):
+        if tr is None or tr.next_state != state or tr.writes or tr.output != "-" \
+                or len(tr.moves) != 1:
+            return None
+        return tr.moves[0]
+
+    table = {}
+    for (state, reads), tr in spec.transitions.items():
+        written = list(reads)
+        for i, s in tr.writes:
+            written[i] = s
+        moving = dict(tr.moves)
+        base = key(tr.next_state, ["0" if i in moving else s for i, s in enumerate(written)])
+        sweep = None
+        if (loop := copy_through(tr, state)) is not None:
+            tape, delta = loop
+            stops = tuple(
+                c for c, s in enumerate(SYMBOLS)
+                if copy_through(spec.transitions.get(
+                    (state, reads[:tape] + (s,) + reads[tape + 1:])), state) != loop)
+            sweep = (tape, delta, weights[tape], stops)
+        table[key(state, reads)] = (
+            base, tuple((i, _CODE[s]) for i, s in tr.writes),
+            tuple((i, d, weights[i]) for i, d in tr.moves),
+            None if tr.output == "-" else tr.output, sweep)
+    return _Program(table, tuple(names), ids[spec.start], ids[spec.halt] * weights[k])
 
 
 def parse_machine(text: str, name: str | None = None) -> MachineSpec:
@@ -245,56 +317,103 @@ def encode_input(n: int) -> list[str]:
     return list(format(n, "b")) + ["#"]
 
 
+def _grow(tape: bytearray, head: int) -> int:
+    """Double `tape` with blanks on the side `head` has just left (a
+    negative bytearray index would wrap around); return the head's index
+    in the grown tape."""
+    n = len(tape)
+    if head < 0:
+        tape[:0] = bytes(n)
+        return head + n
+    tape.extend(bytes(n))
+    return head
+
+
 def run(machine: MachineSpec, input_n: int, step_budget: int,
         phase: str | None = None) -> EnumTrace:
     """Simulate until halt or budget exhaustion.
 
     One applied transition is one step; entering the halt state does not
     count.  Emitted digits accumulate into the current block; each '#'
-    closes the block and records (value, current step index).
+    closes the block and records (value, current step index).  A
+    copy-through sweep is crossed with one search of its tape and counts
+    one step per cell crossed, so it ends exactly where single steps would:
+    at its stop symbol, or at the step budget.
     """
     if step_budget < 1:
         raise InvalidArgument(f"step_budget must be >= 1, got {step_budget}")
-    tapes = [dict() for _ in range(machine.tapes)]
-    tapes[0].update((i, s) for i, s in enumerate(encode_input(input_n)) if s != BLANK)
+    table, names, start_id, halt_key = machine._program
+    tapes = [bytearray(_CODE[s] for s in encode_input(input_n))]
+    tapes += [bytearray(1) for _ in range(machine.tapes - 1)]
     heads = [0] * machine.tapes
+    key = start_id * 3 ** machine.tapes + tapes[0][0]  # other tapes read blank
 
     entries: list[TraceEntry] = []
     out_chars: list[str] = []
-    block: list[str] = []
-    state = machine.start
+    block = None  # value of the open block, None while it has no digits
     steps = 0
-    transitions = machine.transitions
 
-    while state != machine.halt:
+    while key < halt_key:
         if steps >= step_budget:
             raise BudgetExceeded(
                 step_budget,
                 EnumTrace(tuple(entries), steps, False, "".join(out_chars)),
                 phase=phase)
-        reads = tuple(tape.get(head, BLANK) for tape, head in zip(tapes, heads))
-        tr = transitions.get((state, reads))
-        if tr is None:
-            raise StuckState(state, reads, steps, phase=phase)
-        for i, w in tr.writes:
-            if w == BLANK:  # the cell read non-blank, so it is stored
-                del tapes[i][heads[i]]
+        try:
+            base, writes, moves, output, sweep = table[key]
+        except KeyError:
+            state, reads = divmod(key, 3 ** machine.tapes)
+            raise StuckState(names[state],
+                             tuple(SYMBOLS[reads // 3 ** i % 3]
+                                   for i in range(machine.tapes)),
+                             steps, phase=phase) from None
+        if sweep is not None:
+            i, d, weight, stops = sweep
+            tape, head, room = tapes[i], heads[i], step_budget - steps
+            end = None  # the cell the sweep stops on; None if it outlasts the budget
+            if d > 0:
+                limit = head + room + 1
+                for s in stops:
+                    if (found := tape.find(s, head + 1, limit)) >= 0:
+                        end = limit = found
+                if end is None and 0 in stops and len(tape) < limit:
+                    end = len(tape)
             else:
-                tapes[i][heads[i]] = w
-        for i, d in tr.moves:
-            heads[i] += d
+                limit = max(head - room, 0)
+                for s in stops:
+                    if (found := tape.rfind(s, limit, head)) >= 0:
+                        end, limit = found, found + 1
+                if end is None and 0 in stops and head - room < 0:
+                    end = -1
+            if end is None:
+                steps = step_budget
+                continue
+            steps += (end - head) * d
+            if not 0 <= end < len(tape):
+                end = _grow(tape, end)
+            heads[i] = end
+            key = base + tape[end] * weight
+            continue
+        for i, s in writes:
+            tapes[i][heads[i]] = s
+        key = base
+        for i, d, weight in moves:
+            tape, head = tapes[i], heads[i] + d
+            if not 0 <= head < len(tape):
+                head = _grow(tape, head)
+            heads[i] = head
+            key += tape[head] * weight
         steps += 1
-        if tr.output != "-":
-            out_chars.append(tr.output)
-            if tr.output == "#":
-                if not block:
+        if output is not None:
+            out_chars.append(output)
+            if output == "#":
+                if block is None:
                     raise EmptyBlock(
                         f"'#' emitted with an empty block at step {steps}")
-                entries.append(TraceEntry(int("".join(block), 2), steps))
-                block.clear()
+                entries.append(TraceEntry(block, steps))
+                block = None
             else:
-                block.append(tr.output)
-        state = tr.next_state
+                block = 2 * (block or 0) + (output == "1")
 
     return EnumTrace(tuple(entries), steps, True, "".join(out_chars))
 

@@ -93,6 +93,38 @@ def test_parse_args_maps_options():
     assert args.command == "ant" and args.detect_highway
 
 
+BACK_TO_BACK = [
+    ["eca", "--rule", "30", "--steps", "5"],
+    ["tm", "run", "--machine", SUCC, "--input", "5"],
+    ["eca", "--rule", "300", "--steps", "1"],
+    ["ant", "--steps", "50", "--heading", "E"],
+    ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "0",
+     "--identity-values", "--timing-from", SUCC],
+    ["ant", "--steps", "50"],
+    ["eca", "--frobnicate"],
+    ["--json", "tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+     "--identity-values", "--timing-from", SUCC],
+    ["life", "fate", "--rle", GLIDER, "--budget", "50"],
+]
+
+
+def test_one_parser_serves_commands_back_to_back(capsys):
+    # main reuses one parser: commands run in one process, usage errors
+    # among them, must print and exit exactly as in fresh processes
+    in_process = []
+    for argv in BACK_TO_BACK:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    for argv, got in zip(BACK_TO_BACK, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "emergelab", *argv],
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0, 2, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -593,6 +625,17 @@ def test_tm_audit_takes_one_source_of_each(capsys, sources, message):
                   "--max-index", "3", *sources])
     assert err.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("max_index", ["0", "-3"])
+def test_tm_audit_max_index_must_be_positive(capsys, max_index):
+    # an empty index range would pass vacuously, so it is a usage error
+    with pytest.raises(SystemExit) as err:
+        cli.main(["tm", "audit", "--approx", SUCC, "--finisher", COPY,
+                  "--max-index", max_index, "--identity-values", "--timing-from", SUCC])
+    out, err_text = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert err_text.splitlines()[-1].endswith(f"--max-index must be >= 1, got {max_index}")
 
 
 def test_tm_compose(capsys):

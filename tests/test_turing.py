@@ -358,6 +358,11 @@ def machines(draw):
     return k, rules
 
 
+def _spec(k, rules, start):
+    return turing.parse_machine(f"tapes {k}\nstart {start}\nhalt h\n"
+                                + "".join(" ".join(r) + "\n" for r in rules))
+
+
 def _outcome(runner):
     try:
         return runner()
@@ -382,3 +387,105 @@ def test_rules_store_only_their_effect():
                                 "a 1 0 # -> z 1 # 0 S L R 1\n")
     assert spec.transitions["a", ("1", "0", "#")] == (
         "z", ((1, "#"), (2, "0")), ((1, -1), (2, 1)), "1")
+
+
+@st.composite
+def sweep_machines(draw):
+    """Rule lines of a machine built around copy-through sweeps.  State i
+    sweeps a tape (mostly the same one for every state) over a drawn set of
+    symbols, in the direction opposite to state i - 1's.  The rule that ends
+    a sweep mostly writes a symbol of the set, enters state i + 1 and moves
+    that state's tape its way, so machines bounce between sweeps over a
+    written region that grows at both ends, left of cell 0 included.  Blank
+    is in the set one time in four, and then a sweep can go on over blanks
+    for ever.  About one read tuple in eight of the set breaks the sweep
+    with another rule, and about one rule in eight outside it is left
+    undefined."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    states = [f"q{i}" for i in range(n)]
+    main = draw(st.integers(0, k - 1))
+    tapes = [draw(st.sampled_from([main] * 3 + list(range(k)))) for _ in states]
+    first = draw(st.sampled_from([0, 1]))
+    ways = ["LR"[(first + i) % 2] for i in range(n)]
+    moves = st.sampled_from(list(product(turing.MOVES, repeat=k)))
+    outputs = st.sampled_from(("-",) * 6 + ("0", "1") * 2 + ("#",))
+    rules = []
+    for i, state in enumerate(states):
+        tape = tapes[i]
+        through = sorted(draw(st.sets(st.sampled_from("1#"), min_size=1))
+                         | ({"0"} if draw(st.integers(0, 3)) == 0 else set()))
+        sweep = ["S"] * k
+        sweep[tape] = ways[i]
+        for read in product(turing.SYMBOLS, repeat=k):
+            if read[tape] in through and draw(st.integers(0, 7)):
+                rules.append((state, *read, "->", state, *read, *sweep, "-"))
+                continue
+            if draw(st.integers(0, 7)) == 7 and any(r[0] == state for r in rules):
+                continue
+            writes = [draw(st.sampled_from(turing.SYMBOLS)) for _ in range(k)]
+            if draw(st.integers(0, 3)):
+                writes[tape] = draw(st.sampled_from(through))
+            step = list(draw(moves))
+            nxt = draw(st.sampled_from([(i + 1) % n] * 12 + list(range(n)) + [None]))
+            if nxt is not None and draw(st.integers(0, 3)):
+                step[tapes[nxt]] = ways[nxt]
+            rules.append((state, *read, "->", "h" if nxt is None else states[nxt],
+                          *writes, *step, draw(outputs)))
+    return k, rules
+
+
+@given(sweep_machines(), st.integers(1, 2 ** 24), st.integers(1, 3000))
+@settings(max_examples=200, deadline=None)
+def test_sweeps_match_reference_runner(machine, input_n, budget):
+    k, rules = machine
+    spec = _spec(k, rules, "q0")
+    got = _outcome(lambda: turing.run(spec, input_n, budget))
+    want = _outcome(lambda: tm_run_reference(rules, k, "q0", "h", input_n, budget))
+    assert got == want
+
+
+def _zigzag(k, tape):
+    """Rule lines of a machine that sweeps `tape` right over 1s and '#'s,
+    writes a 1 on the blank past the end and turns, then does the same
+    leftwards, for ever: the written region grows by a cell at each end per
+    round, past cell 0 on the left.  The other tapes stay on their first
+    cell.  A right turn emits '1' and a left turn '#'."""
+    fixed = ["1"] + ["0"] * (k - 1)
+
+    def rule(state, read, nxt, write, move, out):
+        reads, writes, moves = list(fixed), list(fixed), ["S"] * k
+        reads[tape], writes[tape], moves[tape] = read, write, move
+        return (state, *reads, "->", nxt, *writes, *moves, out)
+
+    return [rule("r", "1", "r", "1", "R", "-"), rule("r", "#", "r", "#", "R", "-"),
+            rule("r", "0", "l", "1", "L", "1"), rule("l", "1", "l", "1", "L", "-"),
+            rule("l", "#", "l", "#", "L", "-"), rule("l", "0", "r", "1", "R", "#")]
+
+
+def test_left_edge_growth_never_wraps():
+    # tape 2 starts as one blank cell: after writing '#' on it, one step left
+    # must read blank at cell -1, not the '#' at the end of the tape
+    step = _spec(2, [("a", "1", "0", "->", "b", "1", "#", "S", "L", "1"),
+                     ("b", "1", "0", "->", "h", "1", "0", "S", "S", "#"),
+                     ("b", "1", "#", "->", "h", "1", "#", "S", "S", "0")], "a")
+    assert turing.run(step, 1, 10).entries == ((1, 2),)
+    # the same through sweeps: the first left turn steps to cell -1, and
+    # every later left sweep runs past the cells written so far
+    spec = _spec(2, _zigzag(2, 1), "r")
+    with pytest.raises(turing.BudgetExceeded) as err:
+        turing.run(spec, 1, 200)
+    # round m closes its block at step 2m^2 - m + 1
+    assert err.value.trace.entries == tuple((1, 2 * m * m - m + 1) for m in range(1, 11))
+    assert err.value.trace.total_steps == 200
+
+
+@pytest.mark.parametrize("k,tape", [(2, 0), (2, 1), (3, 2)])
+def test_zigzag_sweeps_match_reference_runner_at_every_budget(k, tape):
+    # every budget up to 300 steps ends once inside or at the end of a sweep
+    rules = _zigzag(k, tape)
+    spec = _spec(k, rules, "r")
+    for budget in range(1, 300):
+        got = _outcome(lambda: turing.run(spec, 1, budget))
+        want = _outcome(lambda: tm_run_reference(rules, k, "r", "h", 1, budget))
+        assert got == want, budget
