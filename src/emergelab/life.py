@@ -5,18 +5,19 @@ y = row (downward), matching RLE reading order.  The rule is fixed B3/S23.
 
 Every numpy path sees a pattern through `_frame`: its cells as offsets from
 the bounding-box corner, the corner kept in Python ints, so a pattern's
-position never matters.  A state takes one of three forms:
-- a dense uint8 grid over the bounding box, with neighbour counts from
-  shifted-slice sums: `run` starts there with patterns of at least 64 cells
-  that fill at least 1/128 of their box, such as random soups, and goes on
-  in the packed form if the pattern thins out;
+position never matters.  One runner, `_orbit`, yields a pattern's states
+and is the one place their form is chosen, each time it frames a state:
+- a dense uint8 grid over the bounding box plus a margin, with neighbour
+  counts from shifted-slice sums: patterns of at least 64 cells that fill
+  at least 1/128 of the grid, such as random soups, so `run` and
+  `detect_fate` both start those there; a state that thins out is framed
+  again;
 - sorted packed int64 keys, stepped by a numpy loop: every other state
   whose extent plus two is below 2**30, such as the Gosper gun and small
   seeds;
 - a frozenset stepped by a Counter tally, the reference: any wider state.
 
-One runner, `_orbit`, steps the last two forms and alone applies the frame
-limit; `step`, `run` and `detect_fate` read their states from it.
+`step`, `run` and `detect_fate` only read the runner's states.
 `detect_fate`, shared with `candidates.life_survival_count`, memoises each
 state by a key that all its translates share, so it stops at the first
 recurrence or at extinction.
@@ -31,7 +32,7 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -162,20 +163,72 @@ def _unpack(keys: np.ndarray):
     return keys >> 32, (keys & _PACK_LOW) - _PACK_HALF
 
 
-def _orbit(xs: np.ndarray, ys: np.ndarray, corner):
-    """The states of the pattern at frame offsets (xs, ys) from `corner`, at
-    generations 0, 1, 2, ...; the last is empty if the pattern dies out.
+def _step_grid(grid: np.ndarray) -> np.ndarray:
+    """The next generation of a uint8 0/1 grid, as a new grid.  Live cells
+    must be at least two cells from the edge, so births stay inside it."""
+    rows = grid[:, :-2] + grid[:, 1:-1]
+    rows += grid[:, 2:]
+    counts = rows[:-2] + rows[1:-1]
+    counts += rows[2:]
+    inner = grid[1:-1, 1:-1]
+    counts -= inner  # the 3x3 sum less the cell: its neighbour count
+    # a dead cell lives on at 3 neighbours, a live one at 2 or 3: count | cell == 3
+    counts |= inner
+    out = np.zeros_like(grid)
+    np.equal(counts, 3, out=out[1:-1, 1:-1].view(bool))
+    return out
 
-    The one place a state's form is chosen.  A frame of extent s (its
-    larger side less one) has room = (_FRAME_LIMIT - 1 - s) // 2.  With
-    room > 0 it yields `room` states as (sorted packed keys, corner): each
-    has extent plus two below _FRAME_LIMIT and offsets within +-2**30.  The
-    state after them is framed again.  Any other state, and the empty one,
-    is (frozenset, None), stepped by the tally.
+
+def _orbit(cells: frozenset):
+    """The states of a non-empty pattern at generations 0, 1, 2, ...; the
+    last is empty if the pattern dies out.
+
+    The one Life runner, and the one place a state's form is chosen, each
+    time it frames a state:
+    - a pattern `_dense_enough` goes on a uint8 grid over its box plus
+      _DENSE_MARGIN, yielded as (grid, grid corner).  The grid is rebuilt
+      around the live cells when one comes within a cell of the edge and
+      every _DENSE_RECHECK generations; each rebuild checks the density
+      again, and a state too sparse for the grid is framed again.
+    - otherwise a frame of extent s (its larger side less one) has room =
+      (_FRAME_LIMIT - 1 - s) // 2.  With room > 0 it yields `room` states
+      as (sorted packed keys, corner): each has extent plus two below
+      _FRAME_LIMIT and offsets within +-2**30.  The state after them is
+      framed again.
+    - any other state, and the empty one, is (frozenset, None), stepped by
+      the tally.
+    Each grid and key array is new, so a yielded state stays valid.
     """
     while True:
-        room = (_FRAME_LIMIT - 1 - int(max(xs.max(), ys.max()))) // 2
-        if room > 0:
+        off, corner, (w, h) = _frame(cells)
+        xs, ys = off[:, 0], off[:, 1]
+        room = (_FRAME_LIMIT - 1 - max(w, h)) // 2
+        if _dense_enough(xs.size, w + 1, h + 1):
+            m = _DENSE_MARGIN
+            grid = np.zeros((h + 2 * m + 1, w + 2 * m + 1), dtype=np.uint8)
+            grid[ys + m, xs + m] = 1
+            corner = corner[0] - m, corner[1] - m
+            for t in count(1):
+                yield grid, corner
+                grid = _step_grid(grid)
+                if not grid.any():
+                    break
+                if not (t % _DENSE_RECHECK == 0 or grid[1].any() or grid[-2].any()
+                        or grid[:, 1].any() or grid[:, -2].any()):
+                    continue
+                live_rows = np.flatnonzero(grid.any(axis=1))
+                live_cols = np.flatnonzero(grid.any(axis=0))
+                r0, r1 = int(live_rows[0]), int(live_rows[-1]) + 1
+                c0, c1 = int(live_cols[0]), int(live_cols[-1]) + 1
+                grid = grid[r0:r1, c0:c1]
+                corner = corner[0] + c0, corner[1] + r0
+                if not _dense_enough(np.count_nonzero(grid), c1 - c0, r1 - r0):
+                    break
+                grid = np.pad(grid, m)
+                corner = corner[0] - m, corner[1] - m
+            ys, xs = np.nonzero(grid)
+            cells = _cells(xs, ys, corner)
+        elif room > 0:
             keys = _pack(xs, ys)
             for _ in range(room):
                 yield keys, corner
@@ -184,95 +237,31 @@ def _orbit(xs: np.ndarray, ys: np.ndarray, corner):
                     break
             cells = _cells(*_unpack(keys), corner)
         else:
-            cells = _cells(xs, ys, corner)
             yield cells, None
             cells = _step_tally(cells)
         if not cells:
             yield cells, None
             return
-        off, corner, _ = _frame(cells)
-        xs, ys = off[:, 0], off[:, 1]
-
-
-def _step_grid(grid: np.ndarray):
-    """One generation of a uint8 0/1 grid, in place.  Live cells must be at
-    least two cells from the edge, so births stay inside the grid."""
-    rows = grid[:, :-2] + grid[:, 1:-1]
-    rows += grid[:, 2:]
-    count = rows[:-2] + rows[1:-1]
-    count += rows[2:]
-    inner = grid[1:-1, 1:-1]
-    count -= inner  # the 3x3 sum less the cell: its neighbour count
-    # a dead cell lives on at 3 neighbours, a live one at 2 or 3: count | cell == 3
-    count |= inner
-    np.equal(count, 3, out=inner.view(bool))
-
-
-def _run_dense(xs: np.ndarray, ys: np.ndarray, steps: int):
-    """Advance frame offsets on a uint8 grid over the box plus a margin.
-
-    The grid is rebuilt around the live cells when one comes within a cell
-    of the edge, and every `_DENSE_RECHECK` generations; each rebuild checks
-    the density again.  Returns (xs, ys, grid corner, generations left):
-    offsets from the grid corner, which are a frame when generations are
-    left, that is when the pattern became too sparse for the grid.
-    """
-    m = _DENSE_MARGIN
-    x0 = y0 = -m  # xs and ys are frame offsets, so at least 0
-    grid = np.zeros((ys.max() + 2 * m + 1, xs.max() + 2 * m + 1), dtype=np.uint8)
-    grid[ys + m, xs + m] = 1
-    while steps:
-        _step_grid(grid)
-        steps -= 1
-        if not steps:
-            break
-        if not (steps % _DENSE_RECHECK == 0 or grid[1].any() or grid[-2].any()
-                or grid[:, 1].any() or grid[:, -2].any()):
-            continue
-        live_rows = np.flatnonzero(grid.any(axis=1))
-        if live_rows.size == 0:
-            break
-        live_cols = np.flatnonzero(grid.any(axis=0))
-        r0, r1, c0, c1 = live_rows[0], live_rows[-1] + 1, live_cols[0], live_cols[-1] + 1
-        core = grid[r0:r1, c0:c1]
-        x0, y0 = x0 + c0, y0 + r0
-        if not _dense_enough(np.count_nonzero(core), c1 - c0, r1 - r0):
-            grid = core
-            break
-        grid = np.pad(core, m)
-        x0, y0 = x0 - m, y0 - m
-    ys, xs = np.nonzero(grid)
-    return xs, ys, (int(x0), int(y0)), steps
 
 
 def step(cells: CellSet) -> CellSet:
     """One generation of B3/S23."""
-    return _advance(cells, 1)
+    return run(cells, 1)
 
 
 def run(cells: CellSet, steps: int) -> CellSet:
     """`steps`-fold composition of step."""
     if steps < 0:
         raise InvalidSteps(f"steps must be >= 0, got {steps}")
-    return _advance(cells, steps)
-
-
-def _advance(cells, steps: int) -> frozenset:
-    """`run` without its check of `steps`; `step` calls it directly.  A
-    pattern dense enough starts on the grid; `_orbit` runs the rest."""
     cells = frozenset(cells)  # a repeated cell would count twice when packed
     if not cells or steps == 0:
         return cells
-    off, (cx, cy), (w, h) = _frame(cells)
-    xs, ys = off[:, 0], off[:, 1]
-    if _dense_enough(xs.size, w + 1, h + 1):
-        xs, ys, (x0, y0), steps = _run_dense(xs, ys, steps)
-        cx, cy = cx + x0, cy + y0
-        if not (steps and xs.size):
-            return _cells(xs, ys, (cx, cy))
-    for _, (state, corner) in zip(range(steps + 1), _orbit(xs, ys, (cx, cy))):
+    for _, (state, corner) in zip(range(steps + 1), _orbit(cells)):
         pass  # on to the state at generation `steps`, or the empty one
-    return state if corner is None else _cells(*_unpack(state), corner)
+    if corner is None:
+        return state
+    xs, ys = _unpack(state) if state.ndim == 1 else np.nonzero(state)[::-1]
+    return _cells(xs, ys, corner)
 
 
 def bounding_box(cells: CellSet) -> tuple[int, int, int, int] | None:
@@ -334,15 +323,17 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
         return FateReport("extinct", t=0)
     # Each state is memoised by a key that all its translates share, with
     # its first packed key and frame corner, decoded once the key repeats.
-    off, corner, _ = _frame(cells)
     seen: dict[bytes | frozenset, tuple] = {}
-    for t, (state, corner) in enumerate(_orbit(off[:, 0], off[:, 1], corner)):
+    for t, (state, corner) in enumerate(_orbit(cells)):
         if corner is None:  # a wide state, or the empty one at extinction
             if not state:
                 return FateReport("extinct", t=t)
             key, corner = canonical(state)
             first = _PACK_HALF  # the key of offset (0, 0): the corner itself
         else:  # a translate adds one constant to every packed key
+            if state.ndim == 2:  # a grid is keyed by its live cells, packed
+                ys, xs = np.nonzero(state)
+                state = _pack(xs, ys)
             first = int(state[0])
             key = (state - first).tobytes()
         if key in seen:

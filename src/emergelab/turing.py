@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmergeLabError, InvalidArgument
 
@@ -117,18 +118,19 @@ class MachineSpec:
     hold each rule's effect: the cells it changes and the heads it moves.
     The output tape is write-only by construction: no transition key
     mentions it.  `run` executes the compiled form of the same rules,
-    built once with the spec, so it does not see later edits to
-    `transitions`.
+    built once with the spec; `transitions` is a read-only copy of the
+    given mapping, so the two cannot drift apart.
     """
 
     name: str
     tapes: int
     start: str
     halt: str
-    transitions: dict[tuple[str, tuple[str, ...]], Transition]
+    transitions: Mapping[tuple[str, tuple[str, ...]], Transition]
     _program: _Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
         object.__setattr__(self, "_program", _compile(self))
 
 

@@ -4,6 +4,7 @@ tally and the naive oracles."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,10 +30,10 @@ def soup(rng, side, n, dx=0, dy=0):
 
 
 def spy(monkeypatch):
-    """Record, in order, each call of the dense grid, the packed step and
+    """Record, in order, each call of the grid step, the packed step and
     the tally step."""
     calls = []
-    for name in ("_run_dense", "_step_packed", "_step_tally"):
+    for name in ("_step_grid", "_step_packed", "_step_tally"):
         real = getattr(life, name)
 
         def wrapped(*args, _real=real, _name=name):
@@ -71,7 +72,7 @@ def test_backend_choice(monkeypatch):
     sparse = frozenset((37 * i, 11 * (i % 13)) for i in range(300))
     gun = life.parse_rle(load_text("gosper_gun.rle"))
     calls = spy(monkeypatch)
-    assert kernels(calls, dense_soup, 1) == kernels(calls, dense_soup, 50) == ["_run_dense"]
+    assert kernels(calls, dense_soup, 1) == kernels(calls, dense_soup, 50) == ["_step_grid"]
     assert kernels(calls, sparse, 1) == kernels(calls, sparse, 50) == ["_step_packed"]
     # a row of cells 100 apart fills 1/100 of its box, but far less of the grid
     spaced = frozenset((100 * i, 0) for i in range(1000))
@@ -80,11 +81,11 @@ def test_backend_choice(monkeypatch):
     assert kernels(calls, GLIDER, 1) == kernels(calls, GLIDER, 2) == \
         kernels(calls, gun, 2000) == ["_step_packed"]
     assert len(small_soup) >= life._DENSE_MIN_POP
-    assert kernels(calls, small_soup, 1) == ["_run_dense"]
+    assert kernels(calls, small_soup, 1) == ["_step_grid"]
     # position never matters
     for offset in (1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)):
         moved = life.translate(dense_soup, offset, -offset)
-        assert kernels(calls, moved, 1) == kernels(calls, moved, 50) == ["_run_dense"]
+        assert kernels(calls, moved, 1) == kernels(calls, moved, 50) == ["_step_grid"]
         assert kernels(calls, life.translate(GLIDER, offset, 3), 1) == ["_step_packed"]
     # an extent near the limit still packs while it stays below the limit:
     # the far cell dies, and the glider is framed again
@@ -141,16 +142,18 @@ def test_run_with_python_ints_beyond_int64(offset, monkeypatch):
     calls = spy(monkeypatch)
     assert life.run(cells, 6) == want
     assert life.step(cells) == life.translate(TALLY(base), offset, -offset)
-    # position never matters: both start on the grid, and neither tallies
-    assert calls.count("_run_dense") == 2 and "_step_tally" not in calls
+    # position never matters: both run on the grid, and neither tallies
+    assert calls == ["_step_grid"] * 7
 
 
 @pytest.mark.parametrize("steps", [1, 5, 70, 200])
 def test_patterns_that_die_out(steps, monkeypatch):
-    # isolated cells three apart: dense enough for the grid, dead in one step
+    # isolated cells three apart: dense enough for the grid, dead in one
+    # step, which ends the runner
     dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
-    assert kernels(spy(monkeypatch), dots, steps) == ["_run_dense"]
+    calls = spy(monkeypatch)
     assert life.run(dots, steps) == frozenset()
+    assert calls == ["_step_grid"]
     # a sparse spread of blocks and dots: the dots die, the blocks stay
     blocks = frozenset((40 * i + a, b) for i in range(30) for a in (0, 1) for b in (0, 1))
     stray = frozenset((40 * i + 20, 0) for i in range(30))
@@ -164,7 +167,7 @@ def test_grid_growing_every_generation(monkeypatch):
     cells = soup(random.Random(4), 24, 300, dx=-7, dy=11)
     calls = spy(monkeypatch)
     assert life.run(cells, 60) == tally_run(cells, 60)
-    assert calls[0] == "_run_dense"
+    assert calls[0] == "_step_grid"
 
 
 def test_run_switches_backend_mid_run(monkeypatch):
@@ -172,7 +175,9 @@ def test_run_switches_backend_mid_run(monkeypatch):
     assert len(cells) == 80
     calls = spy(monkeypatch)
     result = life.run(cells, 400)
-    assert calls[0] == "_run_dense" and set(calls[1:]) == {"_step_packed"}
+    # every grid step comes before the first packed step
+    first = calls.index("_step_packed")
+    assert set(calls[:first]) == {"_step_grid"} and set(calls[first:]) == {"_step_packed"}
     assert result == tally_run(cells, 400)
     assert result == frozenset((x + (100 if x > 0 else -100),
                                 y + (100 if y > 0 else -100)) for x, y in cells)
@@ -206,10 +211,15 @@ def test_packed_dense_and_tally_agree_on_step():
     rng = random.Random(7)
     for cells in (soup(rng, 40, 700), soup(rng, 300, 300),
                   receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
-        off, (cx, cy), _ = life._frame(cells)
+        off, (cx, cy), (w, h) = life._frame(cells)
         want = TALLY(cells)
-        xs, ys, (x0, y0), _ = life._run_dense(off[:, 0], off[:, 1], 1)
-        assert life._cells(xs, ys, (cx + x0, cy + y0)) == want
+        # live cells two from the edge, as the grid step needs
+        grid = np.zeros((h + 5, w + 5), dtype=np.uint8)
+        grid[off[:, 1] + 2, off[:, 0] + 2] = 1
+        before = grid.copy()
+        ys, xs = np.nonzero(life._step_grid(grid))
+        assert life._cells(xs, ys, (cx - 2, cy - 2)) == want
+        assert np.array_equal(grid, before)  # a new grid, the old one kept
         keys = life._step_packed(life._pack(off[:, 0], off[:, 1]))
         assert life._cells(*life._unpack(keys), (cx, cy)) == want
 

@@ -1,10 +1,12 @@
 """The generation runner `life._orbit` and `life.detect_fate` on top of
-it, checked against the tally and the frozenset oracle: packed states, far
-offsets, states too wide to pack, re-framing, and the empty set."""
+it, checked against the tally and the frozenset oracle: grid and packed
+states, far offsets, states too wide to pack, re-framing, and the empty
+set."""
 
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +122,74 @@ def test_recurrence_after_a_wide_preperiod():
     assert report == life.FateReport("translator", t=1, period=4, dx=1, dy=1)
 
 
+def dense_soup(rng, side, n):
+    """n distinct cells in a side x side box."""
+    return frozenset(divmod(k, side) for k in rng.sample(range(side * side), n))
+
+
+def near_threshold_soup(rng):
+    """A soup just dense enough for the grid: it thins out, so the runner
+    leaves the grid, often while it recurs."""
+    side = rng.randrange(30, 71)
+    grid_side = side + 2 * life._DENSE_MARGIN
+    bound = max(life._DENSE_MIN_POP, -(-grid_side ** 2 // life._DENSE_SPARSITY))
+    return dense_soup(rng, side, bound + rng.randrange(6))
+
+
+def test_dense_soups_match_oracle():
+    rng = random.Random(13)
+    for _ in range(12):
+        side = rng.randrange(10, 31)
+        cells = dense_soup(rng, side, rng.randrange(64, min(400, side * side) + 1))
+        assert next(life._orbit(cells))[0].ndim == 2  # it starts on the grid
+        assert life.detect_fate(cells, 200) == detect_fate_reference(cells, 200)
+
+
+@pytest.mark.parametrize("recheck", [64, 7])
+def test_recurrence_across_the_switch_from_grid_to_keys(recheck, monkeypatch):
+    # A state first seen on the grid recurs after the runner has left it,
+    # or after a rebuild has moved it on the grid: either is the same key.
+    monkeypatch.setattr(life, "_DENSE_RECHECK", recheck)
+    rng = random.Random(18)
+    for _ in range(200):
+        cells = near_threshold_soup(rng)
+        assert next(life._orbit(cells))[0].ndim == 2
+        assert life.detect_fate(cells, 400) == detect_fate_reference(cells, 400)
+
+
+def test_dots_on_the_grid_die_at_one():
+    dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
+    assert next(life._orbit(dots))[0].ndim == 2
+    assert life.detect_fate(dots, 50) == detect_fate_reference(dots, 50) == \
+        life.FateReport("extinct", t=1)
+
+
+@pytest.mark.parametrize("recheck", [64, 7])
+def test_orbit_from_dense_starts_matches_the_tally(recheck, monkeypatch):
+    # every state, on the grid, as keys, and the empty one at extinction
+    monkeypatch.setattr(life, "_DENSE_RECHECK", recheck)
+    rng = random.Random(15)
+    soups = [dense_soup(rng, 20, 200), dense_soup(rng, 12, 100)]
+    soups += [near_threshold_soup(rng) for _ in range(6)]
+    forms, k = set(), 150
+    for cells in soups:
+        orbit = list(islice(life._orbit(cells), k))
+        want = cells
+        for state, corner in orbit:
+            if corner is None:
+                got = state
+            elif state.ndim == 2:
+                ys, xs = np.nonzero(state)
+                got = life._cells(xs, ys, corner)
+            else:
+                got = life._cells(*life._unpack(state), corner)
+            forms.add(state.ndim if corner is not None else 0)
+            assert got == want
+            want = TALLY(want)
+        assert len(orbit) == k or not got  # only extinction ends the runner
+    assert forms == {0, 1, 2}
+
+
 def extent(cells):
     x0, y0, x1, y1 = life.bounding_box(cells)
     return max(x1 - x0, y1 - y0)
@@ -148,12 +218,14 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
         states = [cells]
         while len(states) <= budget and states[-1]:
             states.append(TALLY(states[-1]))
-        off, corner, _ = life._frame(cells)
-        orbit = list(islice(life._orbit(off[:, 0], off[:, 1], corner), budget + 1))
+        orbit = list(islice(life._orbit(cells), budget + 1))
         assert len(orbit) == len(states)
         for want, (state, corner) in zip(states, orbit):
             if corner is None:
                 assert state == want and (not want or extent(want) + 2 >= limit)
+            elif state.ndim == 2:  # the grid takes no heed of the frame limit
+                ys, xs = np.nonzero(state)
+                assert life._cells(xs, ys, corner) == want
             else:
                 assert life._cells(*life._unpack(state), corner) == want
                 assert extent(want) + 2 < limit

@@ -389,6 +389,26 @@ def test_rules_store_only_their_effect():
         "z", ((1, "#"), (2, "0")), ((1, -1), (2, 1)), "1")
 
 
+def test_transitions_are_read_only():
+    # `run` executes the table compiled with the spec, so an edit to the
+    # rules could only drift from it: it raises instead
+    text = "tapes 2\nstart a\nhalt z\na 1 0 -> z 1 0 S S -\n"
+    spec = turing.parse_machine(text)
+    key = ("a", ("1", "0"))
+    with pytest.raises(TypeError):
+        spec.transitions[key] = spec.transitions[key]._replace(output="1")
+    with pytest.raises(TypeError):
+        del spec.transitions[key]
+    assert turing.parse_machine(text) == turing.parse_machine(text)
+    # a spec built from a dict keeps its own copy of the rules
+    rules = dict(spec.transitions)
+    built = turing.MachineSpec("m", 2, "a", "z", rules)
+    rules[key] = rules[key]._replace(output="1")
+    assert built.transitions[key].output == "-"
+    assert turing.run(built, 1, 10).raw_output == ""
+    assert turing.run(turing.MachineSpec("m", 2, "a", "z", rules), 1, 10).raw_output == "1"
+
+
 @st.composite
 def sweep_machines(draw):
     """Rule lines of a machine built around copy-through sweeps.  State i
