@@ -7,6 +7,9 @@ it prints only text or images).  `main` then writes that report to stdout
 once, as flat `key=value` lines or, with --json, as one JSON object with the
 same keys.  Images are binary PBM (P4), all written by `render_pbm` from
 packed rows: ECA histories as evolved, Life and ant cells via `life.raster`.
+`life` commands read a pattern file into a frame of numpy offsets and run,
+write or classify that frame (`life._read_rle` or `_read_cells`, `_run`,
+`_rle`, `_raster`, `_fate`), never a cell set.
 Outputs are deterministic: identical invocations give byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
@@ -134,26 +137,26 @@ def _cmd_eca(args) -> dict | None:
 
 
 def _load_pattern(path: str):
-    parse = life.parse_cells if path.endswith(".cells") else life.parse_rle
-    return parse(_read_text(path))
+    """A pattern file as a Life frame, `(offsets, corner, span)`."""
+    read = life._read_cells if path.endswith(".cells") else life._read_rle
+    return read(_read_text(path))
 
 
 def _cmd_life(args) -> dict:
-    cells = _load_pattern(args.rle)
+    frame = _load_pattern(args.rle)
     if args.life_command == "run":
-        result = life.run(cells, args.steps)
+        offsets, (x0, y0), (w, h) = result = life._run(frame, args.steps)
         if args.out_rle:
-            Path(args.out_rle).write_text(life.write_rle(result))
+            Path(args.out_rle).write_text(life._rle(result))
         if args.out:
-            render_pbm(args.out, *life.raster(result))
-        report = {"steps": args.steps, "population": len(result)}
+            render_pbm(args.out, *life._raster(result))
+        report = {"steps": args.steps, "population": len(offsets)}
         if args.print == "bbox":
-            box = life.bounding_box(result)
-            report["bbox"] = "empty" if box is None else ",".join(map(str, box))
+            report["bbox"] = f"{x0},{y0},{x0 + w},{y0 + h}" if len(offsets) else "empty"
         return report
     # fate
     budget = args.budget if args.budget is not None else default_budget(4096)
-    fate = life.detect_fate(cells, budget)
+    fate = life._fate(frame, budget)
     report = {"verdict": fate.verdict, "t": fate.t}
     if fate.verdict in ("oscillator", "translator", "still_life"):
         report["period"] = fate.period

@@ -3,10 +3,14 @@
 Cells are a sparse set of (x, y) pairs with x = column (rightward) and
 y = row (downward), matching RLE reading order.  The rule is fixed B3/S23.
 
-Every numpy path sees a pattern through `_frame`: its cells as offsets from
-the bounding-box corner, the corner kept in Python ints, so a pattern's
-position never matters.  One runner, `_orbit`, yields a pattern's states
-and is the one place their form is chosen, each time it frames a state:
+Every numpy path sees a pattern as a frame `(offsets, corner, span)`: its
+cells as offsets from the bounding-box corner, the corner and span kept in
+Python ints, so a pattern's position never matters.  `_frame` frames a cell
+set; the readers `_read_rle` and `_read_cells` frame pattern text straight
+from numpy arrays, and `_rle` and `_raster` write a frame, so the CLI goes
+from text through frames to text or image rows and never builds a cell set.
+One runner, `_orbit`, yields a frame's states and is the one place their
+form is chosen, each time it frames a state:
 - a dense uint8 grid over the bounding box plus a margin, with neighbour
   counts from shifted-slice sums: patterns of at least 64 cells that fill
   at least 1/128 of the grid, such as random soups, so `run` and
@@ -17,10 +21,11 @@ and is the one place their form is chosen, each time it frames a state:
   seeds;
 - a frozenset stepped by a Counter tally, the reference: any wider state.
 
-`step`, `run` and `detect_fate` only read the runner's states.
-`detect_fate`, shared with `candidates.life_survival_count`, memoises each
-state by a key that all its translates share, so it stops at the first
-recurrence or at extinction.
+`_run` and `_fate` only read the runner's states.  `_fate`, shared with
+`candidates.life_survival_count`, memoises each state by a key that all its
+translates share, so it stops at the first recurrence or at extinction.
+`parse_rle`, `parse_cells`, `run`, `step`, `write_rle`, `raster` and
+`detect_fate` are the cell-set API over those cores.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
 which packs a pattern into the image rows `cli.render_pbm` writes.
@@ -29,7 +34,6 @@ which packs a pattern into the image rows `cli.render_pbm` writes.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
@@ -100,10 +104,16 @@ def _step_tally(cells: frozenset) -> frozenset:
                      if n == 3 or (n == 2 and c in cells))
 
 
+# the frame of no cells: its (x, y) = (span + 1) is (0, 0)
+_EMPTY = (np.zeros((0, 2), dtype=np.int64), (0, 0), (-1, -1))
+
+
 def _frame(cells):
-    """(offsets, corner, span) of non-empty cells: offsets from the
-    bounding-box corner (x0, y0) as an (n, 2) array, int64 unless the span
-    (x1 - x0, y1 - y0) reaches 2**62; the corner and span are Python ints."""
+    """(offsets, corner, span) of a cell set: offsets from the bounding-box
+    corner (x0, y0) as an (n, 2) array, int64 unless the span (x1 - x0,
+    y1 - y0) reaches 2**62; the corner and span are Python ints."""
+    if not cells:
+        return _EMPTY
     try:
         xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
                          count=2 * len(cells)).reshape(-1, 2)
@@ -126,6 +136,22 @@ def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
     if max(abs(cx), abs(cy)) >= _INT64_SPAN:
         xs, ys = xs.astype(object), ys.astype(object)
     return frozenset(zip((xs + cx).tolist(), (ys + cy).tolist()))
+
+
+def _frame_cells(frame) -> frozenset:
+    """The cell set of a frame."""
+    off, corner, _ = frame
+    return _cells(off[:, 0], off[:, 1], corner)
+
+
+def _reframe(xs: np.ndarray, ys: np.ndarray, corner):
+    """The frame of the cells at int64 offsets (xs, ys) from `corner`, all
+    within +-2**62."""
+    if not xs.size:
+        return _EMPTY
+    x0, y0 = int(xs.min()), int(ys.min())
+    off = np.stack([xs - x0, ys - y0], axis=1)
+    return off, (corner[0] + x0, corner[1] + y0), (int(xs.max()) - x0, int(ys.max()) - y0)
 
 
 def _dense_enough(population: int, width: int, height: int) -> bool:
@@ -179,8 +205,8 @@ def _step_grid(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit(cells: frozenset):
-    """The states of a non-empty pattern at generations 0, 1, 2, ...; the
+def _orbit(frame):
+    """The states of a non-empty frame at generations 0, 1, 2, ...; the
     last is empty if the pattern dies out.
 
     The one Life runner, and the one place a state's form is chosen, each
@@ -197,10 +223,11 @@ def _orbit(cells: frozenset):
       framed again.
     - any other state, and the empty one, is (frozenset, None), stepped by
       the tally.
-    Each grid and key array is new, so a yielded state stays valid.
+    Each grid and key array is new, so a yielded state stays valid.  States
+    are framed again from their arrays; only tally states are sets.
     """
     while True:
-        off, corner, (w, h) = _frame(cells)
+        off, corner, (w, h) = frame
         xs, ys = off[:, 0], off[:, 1]
         room = (_FRAME_LIMIT - 1 - max(w, h)) // 2
         if _dense_enough(xs.size, w + 1, h + 1):
@@ -227,7 +254,7 @@ def _orbit(cells: frozenset):
                 grid = np.pad(grid, m)
                 corner = corner[0] - m, corner[1] - m
             ys, xs = np.nonzero(grid)
-            cells = _cells(xs, ys, corner)
+            frame = _reframe(xs, ys, corner)
         elif room > 0:
             keys = _pack(xs, ys)
             for _ in range(room):
@@ -235,13 +262,28 @@ def _orbit(cells: frozenset):
                 keys = _step_packed(keys)
                 if keys.size == 0:
                     break
-            cells = _cells(*_unpack(keys), corner)
+            frame = _reframe(*_unpack(keys), corner)
         else:
+            cells = _cells(xs, ys, corner)
             yield cells, None
-            cells = _step_tally(cells)
-        if not cells:
-            yield cells, None
+            frame = _frame(_step_tally(cells))
+        if not len(frame[0]):
+            yield frozenset(), None
             return
+
+
+def _run(frame, steps: int):
+    """The frame `steps` generations on."""
+    if steps < 0:
+        raise InvalidSteps(f"steps must be >= 0, got {steps}")
+    if not len(frame[0]) or steps == 0:
+        return frame
+    for _, (state, corner) in zip(range(steps + 1), _orbit(frame)):
+        pass  # on to the state at generation `steps`, or the empty one
+    if corner is None:
+        return _frame(state)
+    xs, ys = _unpack(state) if state.ndim == 1 else np.nonzero(state)[::-1]
+    return _reframe(xs, ys, corner)
 
 
 def step(cells: CellSet) -> CellSet:
@@ -251,17 +293,8 @@ def step(cells: CellSet) -> CellSet:
 
 def run(cells: CellSet, steps: int) -> CellSet:
     """`steps`-fold composition of step."""
-    if steps < 0:
-        raise InvalidSteps(f"steps must be >= 0, got {steps}")
-    cells = frozenset(cells)  # a repeated cell would count twice when packed
-    if not cells or steps == 0:
-        return cells
-    for _, (state, corner) in zip(range(steps + 1), _orbit(cells)):
-        pass  # on to the state at generation `steps`, or the empty one
-    if corner is None:
-        return state
-    xs, ys = _unpack(state) if state.ndim == 1 else np.nonzero(state)[::-1]
-    return _cells(xs, ys, corner)
+    # a repeated cell would count twice in a frame
+    return _frame_cells(_run(_frame(frozenset(cells)), steps))
 
 
 def bounding_box(cells: CellSet) -> tuple[int, int, int, int] | None:
@@ -316,15 +349,19 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
     recurrence (translator) are found exactly; life's ultimate fate in
     general is undecidable, hence the budget and the 'unknown' verdict.
     """
+    return _fate(_frame(frozenset(cells)), budget)
+
+
+def _fate(frame, budget: int) -> FateReport:
+    """`detect_fate` of a frame."""
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
-    cells = frozenset(cells)
-    if not cells:
+    if not len(frame[0]):
         return FateReport("extinct", t=0)
     # Each state is memoised by a key that all its translates share, with
     # its first packed key and frame corner, decoded once the key repeats.
     seen: dict[bytes | frozenset, tuple] = {}
-    for t, (state, corner) in enumerate(_orbit(cells)):
+    for t, (state, corner) in enumerate(_orbit(frame)):
         if corner is None:  # a wide state, or the empty one at extinction
             if not state:
                 return FateReport("extinct", t=t)
@@ -370,6 +407,19 @@ PIXEL_LIMIT = 1 << 26
 RUN_COUNT_DIGITS = 20
 
 
+# the bytes.translate table of the class of each byte of an RLE body:
+# str.isspace() for ASCII whitespace, only ASCII digits, then the run tags,
+# in this order
+_BAD, _SPACE, _DIGIT, _DEAD, _LIVE, _ROW = range(6)
+_RLE_SPACES = bytes(c for c in range(128) if chr(c).isspace())
+_RLE_TAGS = {ord("b"): _DEAD, ord("o"): _LIVE, ord("$"): _ROW}
+_RLE_CLASS = bytes(_SPACE if b in _RLE_SPACES else _DIGIT if chr(b) in "0123456789"
+                   else _RLE_TAGS.get(b, _BAD) for b in range(256))
+# run counts of up to this many digits are below 10**18 and read in int64;
+# longer ones are read as Python ints
+_INT64_DIGITS = 18
+
+
 def parse_rle(text: str) -> CellSet:
     """Decode an RLE pattern into its live-cell set.
 
@@ -379,64 +429,160 @@ def parse_rle(text: str) -> CellSet:
     count has at most RUN_COUNT_DIGITS digits, and the pattern at most
     CELL_LIMIT live cells.
     """
-    lines = text.splitlines()
-    header = None
-    body_start = 0
+    return _frame_cells(_read_rle(text))
+
+
+def _rle_body(text: str):
+    """(body, its first line) of RLE text, after its checked header."""
+    lines = text.splitlines(keepends=True)
+    start = 0  # of the body in `text`
     for i, line in enumerate(lines):
+        start += len(line)
+        line = line.splitlines()[0]
         if line.startswith("#") or not line.strip():
             continue
         header = _RLE_HEADER.match(line)
         if not header:
             raise RleParseError("expected RLE header 'x = W, y = H'", line=i + 1)
-        body_start = i + 1
         break
-    if header is None:
+    else:
         raise RleParseError("no RLE header found", line=len(lines) or 1)
     rule = header.group(3)
     if rule is not None and rule.upper() != "B3/S23":
         raise UnsupportedRule(f"only B3/S23 is supported, got rule {rule}")
+    return text[start:], i + 2
 
-    cells = set()
-    room = CELL_LIMIT  # live cells still allowed
-    x = y = 0
-    count = digits = 0
-    for i in range(body_start, len(lines)):
-        line = lines[i]
-        for j, ch in enumerate(line):
-            if "0" <= ch <= "9":  # not isdigit(), which also takes '²' and '٣'
-                if digits == RUN_COUNT_DIGITS:
-                    raise RleParseError(
-                        f"run count longer than {RUN_COUNT_DIGITS} digits",
-                        line=i + 1, column=j + 1)
-                count = count * 10 + int(ch)
-                digits += 1
-            elif ch in "bo":
-                n = count if digits else 1
-                if ch == "o":
-                    room -= n
-                    if room < 0:
-                        raise RleParseError(f"more than {CELL_LIMIT} live cells",
-                                            line=i + 1, column=j + 1)
-                    for k in range(n):
-                        cells.add((x + k, y))
-                x += n
-                count = digits = 0
-            elif ch == "$":
-                n = count if digits else 1
-                y += n
-                x = 0
-                count = digits = 0
-            elif ch == "!":
-                if digits:
-                    raise RleParseError("dangling run count before '!'",
-                                        line=i + 1, column=j + 1)
-                return frozenset(cells)
-            elif ch.isspace():
-                continue
-            else:
-                raise RleParseError(f"unexpected character {ch!r}",
-                                    line=i + 1, column=j + 1)
-    raise RleParseError("missing '!' terminator", line=len(lines) or 1)
+
+def _one_byte_each(text: str) -> bytes:
+    """The characters of `text` as bytes, any past ASCII as ' ' if it is
+    whitespace, else NUL."""
+    if text.isascii():
+        return text.encode("ascii")
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    wide = np.flatnonzero(codes > 127)
+    others, which = np.unique(codes[wide], return_inverse=True)
+    space = np.array([chr(c).isspace() for c in others.tolist()])
+    chars = codes.astype(np.uint8)
+    chars[wide] = np.where(space[which], ord(" "), 0)
+    return chars.tobytes()
+
+
+def _body_error(message, body, index, line):
+    """RleParseError at character `index` of an RLE body that starts on
+    `line`: the line and column are found only here, on the error path."""
+    lines = body[:index].splitlines(keepends=True)
+    column = 1
+    if lines and lines[-1].splitlines() == [lines[-1]]:  # the line goes on
+        column += len(lines.pop())
+    return RleParseError(message, line=line + len(lines), column=column)
+
+
+def _read_rle(text: str):
+    """`parse_rle` as a frame, read by a numpy tokeniser over the body.
+
+    A token is a run count's digits and its tag, `b`, `o` or `$`;
+    whitespace anywhere in the body is dropped first, so it may split a
+    count.  Every array holds a byte per character, or an entry per token
+    or cell.  The first error in text order is raised.
+    """
+    body, first_line = _rle_body(text)
+    end = body.find("!")
+    head = body if end < 0 else body[:end]
+    raw = _one_byte_each(head)
+    solid = raw.translate(None, _RLE_SPACES)
+    chars = np.frombuffer(solid, dtype=np.uint8)
+    classes = solid.translate(_RLE_CLASS)
+    stop = classes.find(_BAD)  # at the first refused byte, if any
+    if stop < 0:
+        stop = len(classes)
+    kinds = np.frombuffer(classes, dtype=np.uint8)
+    tags = (kinds[:stop] >= _DEAD).nonzero()[0]
+    digits = tags - np.concatenate(([-1], tags[:-1])) - 1  # of each count
+    most = int(digits.max(initial=0))
+
+    # the first error, as (index in `chars`, message), or at '!' or the end
+    limit = RUN_COUNT_DIGITS
+    too_long = f"run count longer than {limit} digits"
+    pending = stop - (int(tags[-1]) + 1 if tags.size else 0)  # digits at `stop`
+    error = None
+    if most > limit:
+        k = int((digits > limit).argmax())
+        error = int(tags[k] - digits[k]) + limit, too_long
+        tags, digits = tags[:k], digits[:k]
+    elif pending > limit:
+        error = stop - pending + limit, too_long
+    elif stop < kinds.size:
+        error = stop, None
+
+    # run counts, a digit column at a time from the right, over the tokens
+    # with that many digits; a run with no digits counts 1
+    counts = np.where(digits > 0, chars[tags - 1] - ord("0"), 1).astype(np.int64)
+    for col in range(1, min(most, _INT64_DIGITS)):
+        has = (digits > col).nonzero()[0]
+        counts[has] += (chars[tags[has] - 1 - col] - ord("0")).astype(np.int64) * 10 ** col
+    if most > _INT64_DIGITS or 10 ** most * counts.size >= _INT64_SPAN:
+        counts = counts.astype(object)  # so that no sum of counts overflows
+        for k in (digits > _INT64_DIGITS).nonzero()[0].tolist():
+            counts[k] = int(solid[tags[k] - digits[k]:tags[k]])
+
+    kind = kinds[tags]
+    live = kind == _LIVE
+    cap = CELL_LIMIT
+    n = counts[live]
+    if n.dtype == object:  # any count past the cap is refused below
+        n = np.minimum(n, cap + 1).astype(np.int64)
+    ends = n.cumsum()
+    if ends.size and ends[-1] > cap:
+        error = int(tags[live][ends.searchsorted(cap, side="right")]), \
+            f"more than {cap} live cells"
+    if error is not None:
+        index, message = error
+        spaces = np.frombuffer(raw.translate(_RLE_CLASS), dtype=np.uint8) == _SPACE
+        index = int((~spaces).nonzero()[0][index])  # in `head`
+        if message is None:
+            message = f"unexpected character {head[index]!r}"
+        raise _body_error(message, body, index, first_line)
+    if end < 0:
+        raise RleParseError("missing '!' terminator", line=len(text.splitlines()) or 1)
+    if pending:
+        raise _body_error("dangling run count before '!'", body, end, first_line)
+    return _frame_runs(kind, counts, live, n)
+
+
+def _frame_runs(kind, counts, live, n):
+    """The frame of RLE runs, from the tag class and count of each run, a
+    mask of the live runs and their counts; the counts are int64, or Python
+    ints if their sums may pass int64."""
+    # a live run's row is the sum of the '$' runs before it, and its column
+    # the sum of the 'b' and 'o' runs since the last of those: the columns
+    # moved so far less those moved up to that '$'
+    row = kind == _ROW
+    moved = np.where(row, 0, counts).cumsum()
+    xs = (moved - np.maximum.accumulate(np.where(row, moved, 0)))[live] - n
+    ys = np.where(row, counts, 0).cumsum()[live]
+    revisit = False
+    if not counts.all():  # `0o` makes no cell, and `0$` goes back over its row
+        keep = n > 0
+        xs, ys, n = xs[keep], ys[keep], n[keep]
+        revisit = (row & (counts == 0)).any()
+    if not n.size:
+        return _EMPTY
+    x0, y0 = int(xs.min()), int(ys[0])
+    span = int((xs + n).max()) - 1 - x0, int(ys[-1]) - y0
+    xs, ys = xs - x0, ys - y0
+    if xs.dtype == object and max(span) < _INT64_SPAN:
+        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    # the cells of each run: its start repeated, plus the cell's index
+    ends = n.cumsum()
+    off = np.empty((int(ends[-1]), 2), dtype=xs.dtype)
+    np.add((xs - (ends - n)).repeat(n), np.arange(off.shape[0]), out=off[:, 0])
+    off[:, 1] = ys.repeat(n)
+    if revisit:
+        if off.dtype == object:
+            off = np.array(sorted(set(map(tuple, off.tolist()))), dtype=object)
+        else:
+            off = np.unique(off, axis=0)
+    return off, (x0, y0), span
 
 
 def write_rle(cells: CellSet) -> str:
@@ -446,16 +592,25 @@ def write_rle(cells: CellSet) -> str:
     output lines never exceed 69 characters and the encoding is
     byte-deterministic.
     """
-    if not cells:
+    return _rle(_frame(cells))
+
+
+def _rle(frame) -> str:
+    """`write_rle` of a frame."""
+    off, _, (w, h) = frame
+    if not len(off):
         return "x = 0, y = 0, rule = B3/S23\n!\n"
-    off, _, (w, h) = _frame(cells)
     width, height = w + 1, h + 1
     header = f"x = {width}, y = {height}, rule = B3/S23\n"
 
     if width * height >= _INT64_SPAN:  # keep row-major keys exact
         off = off.astype(object)
-    keys = np.sort(off[:, 1] * width + off[:, 0])
-    ys, xs = keys // width, keys % width
+    keys = off[:, 1] * width + off[:, 0]
+    if (keys[1:] > keys[:-1]).all():  # the frame of a grid or of RLE text
+        xs, ys = off[:, 0], off[:, 1]
+    else:
+        keys.sort()
+        ys, xs = keys // width, keys % width
     # runs of live cells: a run starts on a new row or after a gap
     starts = np.flatnonzero(np.concatenate(
         ([True], (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1))))
@@ -476,21 +631,24 @@ def write_rle(cells: CellSet) -> str:
     table = np.zeros((counts.size + 1, places + 2), dtype=np.uint8)
     table[:-1, -1] = tags
     table[-1, -1] = ord("!")
+    length = np.ones(counts.size + 1, dtype=np.int64)  # of each token
     multi = counts > 1
     for col in range(places):
         place = 10 ** (places - 1 - col)
         digit = (counts // place % 10 + ord("0")).astype(np.uint8)
-        table[:-1, col + 1] = np.where(multi & (counts >= place), digit, 0)
+        shown = multi & (counts >= place)
+        table[:-1, col + 1] = np.where(shown, digit, 0)
+        length[:-1] += shown
     # greedy line filling: a token starts a new line when it would take the
     # current one past RLE_LINE_LIMIT characters
-    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    ends = np.cumsum(length)
     line_start = 0
     while True:
-        i = bisect_right(ends, line_start + RLE_LINE_LIMIT)
-        if i == len(ends):
+        i = int(ends.searchsorted(line_start + RLE_LINE_LIMIT, side="right"))
+        if i == ends.size:
             break
         table[i, 0] = ord("\n")
-        line_start = ends[i - 1]
+        line_start = int(ends[i - 1])
     return header + table[table != 0].tobytes().decode("ascii") + "\n"
 
 
@@ -499,9 +657,14 @@ def raster(cells: CellSet) -> tuple[list[int], int]:
     cell (x, y) is bit x - min x of rows[y - min y].  Refuses an empty set,
     which has no box, and a box of more than PIXEL_LIMIT pixels
     (InvalidArgument)."""
-    if not cells:
+    return _raster(_frame(cells))
+
+
+def _raster(frame) -> tuple[list[int], int]:
+    """`raster` of a frame."""
+    off, _, (w, h) = frame
+    if not len(off):
         raise InvalidArgument("cannot render an empty cell set")
-    off, _, (w, h) = _frame(cells)
     if (w + 1) * (h + 1) > PIXEL_LIMIT:
         raise InvalidArgument(f"{w + 1}x{h + 1} image over {PIXEL_LIMIT} pixels")
     grid = np.zeros((h + 1, w + 1), dtype=bool)
@@ -512,17 +675,37 @@ def raster(cells: CellSet) -> tuple[list[int], int]:
 
 def parse_cells(text: str) -> CellSet:
     """Decode the plaintext .cells format: '!'-comment lines, '.' dead,
-    'O' live."""
-    cells = set()
-    y = 0
+    'O' live, trailing whitespace ignored; at most CELL_LIMIT live cells."""
+    return _frame_cells(_read_cells(text))
+
+
+_CELLS_OTHER = re.compile(r"[^.O]")
+
+
+def _read_cells(text: str):
+    """`parse_cells` as a frame: the rows are checked one at a time, then
+    their live cells found with numpy."""
+    rows, found = [], 0  # the rows, and the live cells in them
+    cap = CELL_LIMIT
     for i, line in enumerate(text.splitlines()):
         if line.startswith("!"):
             continue
-        for j, ch in enumerate(line.rstrip()):
-            if ch == "O":
-                cells.add((j, y))
-            elif ch != ".":
-                raise PatternParseError(f"unexpected character {ch!r}",
-                                        line=i + 1, column=j + 1)
-        y += 1
-    return frozenset(cells)
+        line = line.rstrip()
+        other = _CELLS_OTHER.search(line)
+        end = other.start() if other else len(line)
+        live = line.count("O", 0, end)
+        if found + live > cap:  # the first 'O' past the cap
+            row = np.frombuffer(line[:end].encode("ascii"), dtype=np.uint8)
+            column = int(np.flatnonzero(row == ord("O"))[cap - found]) + 1
+            raise PatternParseError(f"more than {cap} live cells",
+                                    line=i + 1, column=column)
+        if other:
+            raise PatternParseError(f"unexpected character {other.group()!r}",
+                                    line=i + 1, column=end + 1)
+        found += live
+        rows.append(line)
+    chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]], dtype=np.int64)
+    at = np.flatnonzero(chars == ord("O"))
+    ys = np.searchsorted(starts, at, side="right") - 1
+    return _reframe(at - starts[ys], ys, (0, 0))

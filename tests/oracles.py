@@ -5,11 +5,14 @@ quadratic scans.  None of it shares code with the kernels under test.
 """
 
 import decimal
+import re
 
+from emergelab import life
 from emergelab.ant import AntState
 from emergelab.candidates import default_numbering
 from emergelab.eca import BitRow, UnsupportedBackground
-from emergelab.life import FateReport
+from emergelab.life import (FateReport, PatternParseError, RleParseError,
+                            UnsupportedRule)
 from emergelab.turing import BudgetExceeded, EmptyBlock, EnumTrace, StuckState
 
 
@@ -224,6 +227,95 @@ def write_rle_reference(cells, line_limit=69):
         current += tok
     lines.append(current)
     return header + "\n".join(lines) + "\n"
+
+
+_RLE_HEADER = re.compile(
+    r"^\s*x\s*=\s*(\d+)\s*,\s*y\s*=\s*(\d+)\s*(?:,\s*rule\s*=\s*(\S+)\s*)?$",
+    re.IGNORECASE)
+
+
+def parse_rle_reference(text):
+    """`life.parse_rle` one character at a time, adding each live cell to a
+    set; `life.RUN_COUNT_DIGITS` and `life.CELL_LIMIT` are read per call."""
+    lines = text.splitlines()
+    header = None
+    body_start = 0
+    for i, line in enumerate(lines):
+        if line.startswith("#") or not line.strip():
+            continue
+        header = _RLE_HEADER.match(line)
+        if not header:
+            raise RleParseError("expected RLE header 'x = W, y = H'", line=i + 1)
+        body_start = i + 1
+        break
+    if header is None:
+        raise RleParseError("no RLE header found", line=len(lines) or 1)
+    rule = header.group(3)
+    if rule is not None and rule.upper() != "B3/S23":
+        raise UnsupportedRule(f"only B3/S23 is supported, got rule {rule}")
+
+    cells = set()
+    room = life.CELL_LIMIT  # live cells still allowed
+    x = y = 0
+    count = digits = 0
+    for i in range(body_start, len(lines)):
+        line = lines[i]
+        for j, ch in enumerate(line):
+            if "0" <= ch <= "9":  # not isdigit(), which also takes '²' and '٣'
+                if digits == life.RUN_COUNT_DIGITS:
+                    raise RleParseError(
+                        f"run count longer than {life.RUN_COUNT_DIGITS} digits",
+                        line=i + 1, column=j + 1)
+                count = count * 10 + int(ch)
+                digits += 1
+            elif ch in "bo":
+                n = count if digits else 1
+                if ch == "o":
+                    room -= n
+                    if room < 0:
+                        raise RleParseError(f"more than {life.CELL_LIMIT} live cells",
+                                            line=i + 1, column=j + 1)
+                    for k in range(n):
+                        cells.add((x + k, y))
+                x += n
+                count = digits = 0
+            elif ch == "$":
+                n = count if digits else 1
+                y += n
+                x = 0
+                count = digits = 0
+            elif ch == "!":
+                if digits:
+                    raise RleParseError("dangling run count before '!'",
+                                        line=i + 1, column=j + 1)
+                return frozenset(cells)
+            elif ch.isspace():
+                continue
+            else:
+                raise RleParseError(f"unexpected character {ch!r}",
+                                    line=i + 1, column=j + 1)
+    raise RleParseError("missing '!' terminator", line=len(lines) or 1)
+
+
+def parse_cells_reference(text):
+    """`life.parse_cells` one character at a time; `life.CELL_LIMIT` is read
+    per call."""
+    cells = set()
+    y = 0
+    for i, line in enumerate(text.splitlines()):
+        if line.startswith("!"):
+            continue
+        for j, ch in enumerate(line.rstrip()):
+            if ch == "O":
+                if len(cells) == life.CELL_LIMIT:
+                    raise PatternParseError(f"more than {life.CELL_LIMIT} live cells",
+                                            line=i + 1, column=j + 1)
+                cells.add((j, y))
+            elif ch != ".":
+                raise PatternParseError(f"unexpected character {ch!r}",
+                                        line=i + 1, column=j + 1)
+        y += 1
+    return frozenset(cells)
 
 
 def quadratic_first_repeat(states):

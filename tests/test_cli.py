@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,8 @@ from emergelab.errors import EmergeLabError
 from emergelab.fixtures import fixture_path
 
 from .oracles import (eca_cells_reference, life_run_dense, pbm_reference,
-                      raster_reference, sqrt_text_reference, text_reference)
+                      raster_reference, sqrt_text_reference, text_reference,
+                      write_rle_reference)
 
 GLIDER = str(fixture_path("glider.rle"))
 SUCC = str(fixture_path("succ_enum.tm"))
@@ -476,16 +479,17 @@ def test_analyze_zero_options_are_validated_not_ignored(capsys):
 
 
 def test_life_run_bounding_box_only_when_needed(tmp_path, capsys, monkeypatch):
+    # the box is the result frame's corner and span: no cell set is boxed
     calls = []
     real = life.bounding_box
     monkeypatch.setattr(life, "bounding_box",
                         lambda cells: calls.append(1) or real(cells))
-    run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "4",
-            "--out-rle", str(tmp_path / "out.rle"))
-    assert calls == []
+    code, out, _ = run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "4",
+                           "--out-rle", str(tmp_path / "out.rle"))
+    assert code == 0 and "bbox" not in out and calls == []
     code, out, _ = run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "4",
                            "--print", "bbox", "--out", str(tmp_path / "out.pbm"))
-    assert code == 0 and "bbox=1,1,3,3" in out and calls == [1]
+    assert code == 0 and "bbox=1,1,3,3" in out and calls == []
     assert (tmp_path / "out.pbm").read_bytes().startswith(b"P4\n3 3\n")
 
 
@@ -522,6 +526,62 @@ def test_life_run_writes_rle(tmp_path, capsys):
 
 LIFE_CORPUS = ["glider", "block", "blinker", "toad", "beacon", "beehive", "loaf",
                "boat", "tub", "lwss", "pulsar", "rpentomino", "gosper_gun"]
+
+
+def random_soup(rng, n):
+    """n distinct cells at density 0.35 in a square, like the bench soups."""
+    side = math.isqrt(int(n / 0.35)) + 1
+    return frozenset(divmod(k, side) for k in rng.sample(range(side * side), n))
+
+
+@pytest.mark.parametrize("n,steps", [(1000, 8), (3000, 3), (10000, 1)])
+def test_life_run_out_rle_matches_the_dense_reference(tmp_path, capsys, n, steps):
+    # RLE text to a frame, the runner, and the frame back to RLE text
+    cells = random_soup(random.Random(n), n)
+    source, out = tmp_path / "soup.rle", tmp_path / "out.rle"
+    source.write_text(write_rle_reference(cells))
+    code, stdout, _ = run_cli(capsys, "life", "run", "--rle", str(source),
+                              "--steps", str(steps), "--out-rle", str(out))
+    want = life_run_dense(cells, steps)
+    assert code == 0 and stdout == f"steps={steps}\npopulation={len(want)}\n"
+    assert out.read_text() == write_rle_reference(want)
+
+
+EMPTY_RLE = "x = 0, y = 0, rule = B3/S23\n!\n"
+
+
+@pytest.mark.parametrize("pattern,steps", [
+    ("x = 0, y = 0\n!\n", 5),
+    # dots 3 apart, dense enough for the grid, all die at generation 1
+    ("x = 46, y = 46\n" + "$2$".join(["o2b" * 15 + "o"] * 16) + "!\n", 3),
+])
+def test_life_run_of_a_pattern_with_no_live_cell(tmp_path, capsys, pattern, steps):
+    source, out = tmp_path / "p.rle", tmp_path / "out.rle"
+    source.write_text(pattern)
+    code, stdout, _ = run_cli(capsys, "life", "run", "--rle", str(source), "--steps",
+                              str(steps), "--print", "bbox", "--out-rle", str(out))
+    assert code == 0 and stdout == f"steps={steps}\npopulation=0\nbbox=empty\n"
+    assert out.read_text() == EMPTY_RLE
+    code, stdout, err = run_cli(capsys, "life", "run", "--rle", str(source), "--steps",
+                                str(steps), "--out", str(tmp_path / "out.pbm"))
+    assert code == 1 and stdout == ""
+    assert err == "emergelab life: cannot render an empty cell set\n"
+
+
+def test_life_run_past_int64(tmp_path, capsys):
+    big = 10 ** 19
+    source, out = tmp_path / "far.rle", tmp_path / "out.rle"
+    source.write_text(f"x = 1, y = 1\n{big}bo!\n")
+    code, stdout, _ = run_cli(capsys, "life", "run", "--rle", str(source), "--steps", "0",
+                              "--print", "bbox", "--out-rle", str(out))
+    assert code == 0 and stdout == f"steps=0\npopulation=1\nbbox={big},0,{big},0\n"
+    assert out.read_text() == "x = 1, y = 1, rule = B3/S23\no!\n"
+    # a glider that far out moves by (1, 1) in four generations
+    source.write_text(f"x = 3, y = 3\n{big + 1}bo${big + 2}bo${big}b3o!\n")
+    code, stdout, _ = run_cli(capsys, "life", "run", "--rle", str(source), "--steps", "4",
+                              "--print", "bbox", "--out-rle", str(out))
+    assert code == 0 and stdout == f"steps=4\npopulation=5\nbbox={big + 1},1,{big + 3},3\n"
+    assert out.read_text() == "x = 3, y = 3, rule = B3/S23\nbo$2bo$3o!\n"
 
 
 @pytest.mark.parametrize("steps", [0, 30])

@@ -141,7 +141,7 @@ def test_dense_soups_match_oracle():
     for _ in range(12):
         side = rng.randrange(10, 31)
         cells = dense_soup(rng, side, rng.randrange(64, min(400, side * side) + 1))
-        assert next(life._orbit(cells))[0].ndim == 2  # it starts on the grid
+        assert next(life._orbit(life._frame(cells)))[0].ndim == 2  # it starts on the grid
         assert life.detect_fate(cells, 200) == detect_fate_reference(cells, 200)
 
 
@@ -153,13 +153,13 @@ def test_recurrence_across_the_switch_from_grid_to_keys(recheck, monkeypatch):
     rng = random.Random(18)
     for _ in range(200):
         cells = near_threshold_soup(rng)
-        assert next(life._orbit(cells))[0].ndim == 2
+        assert next(life._orbit(life._frame(cells)))[0].ndim == 2
         assert life.detect_fate(cells, 400) == detect_fate_reference(cells, 400)
 
 
 def test_dots_on_the_grid_die_at_one():
     dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
-    assert next(life._orbit(dots))[0].ndim == 2
+    assert next(life._orbit(life._frame(dots)))[0].ndim == 2
     assert life.detect_fate(dots, 50) == detect_fate_reference(dots, 50) == \
         life.FateReport("extinct", t=1)
 
@@ -173,7 +173,7 @@ def test_orbit_from_dense_starts_matches_the_tally(recheck, monkeypatch):
     soups += [near_threshold_soup(rng) for _ in range(6)]
     forms, k = set(), 150
     for cells in soups:
-        orbit = list(islice(life._orbit(cells), k))
+        orbit = list(islice(life._orbit(life._frame(cells)), k))
         want = cells
         for state, corner in orbit:
             if corner is None:
@@ -218,7 +218,7 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
         states = [cells]
         while len(states) <= budget and states[-1]:
             states.append(TALLY(states[-1]))
-        orbit = list(islice(life._orbit(cells), budget + 1))
+        orbit = list(islice(life._orbit(life._frame(cells)), budget + 1))
         assert len(orbit) == len(states)
         for want, (state, corner) in zip(states, orbit):
             if corner is None:
