@@ -7,9 +7,9 @@ it prints only text or images).  `main` then writes that report to stdout
 once, as flat `key=value` lines or, with --json, as one JSON object with the
 same keys.  Images are binary PBM (P4), all written by `render_pbm` from
 packed rows: ECA histories as evolved, Life and ant cells via `life.raster`.
-`life` commands read a pattern file into a frame of numpy offsets and run,
-write or classify that frame (`life._read_rle` or `_read_cells`, `_run`,
-`_rle`, `_raster`, `_fate`), never a cell set.
+`life` commands read a pattern file into a `life.Pattern`, numpy offsets
+from its bounding-box corner, and run, write, render, box or classify it
+through `life`'s public functions, none of which builds a cell set.
 Outputs are deterministic: identical invocations give byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
@@ -136,27 +136,27 @@ def _cmd_eca(args) -> dict | None:
     return None
 
 
-def _load_pattern(path: str):
-    """A pattern file as a Life frame, `(offsets, corner, span)`."""
-    read = life._read_cells if path.endswith(".cells") else life._read_rle
+def _load_pattern(path: str) -> life.Pattern:
+    read = life.parse_cells if path.endswith(".cells") else life.parse_rle
     return read(_read_text(path))
 
 
 def _cmd_life(args) -> dict:
-    frame = _load_pattern(args.rle)
+    pattern = _load_pattern(args.rle)
     if args.life_command == "run":
-        offsets, (x0, y0), (w, h) = result = life._run(frame, args.steps)
+        result = life.run(pattern, args.steps)
         if args.out_rle:
-            Path(args.out_rle).write_text(life._rle(result))
+            Path(args.out_rle).write_text(life.write_rle(result))
         if args.out:
-            render_pbm(args.out, *life._raster(result))
-        report = {"steps": args.steps, "population": len(offsets)}
+            render_pbm(args.out, *life.raster(result))
+        report = {"steps": args.steps, "population": len(result)}
         if args.print == "bbox":
-            report["bbox"] = f"{x0},{y0},{x0 + w},{y0 + h}" if len(offsets) else "empty"
+            box = life.bounding_box(result)
+            report["bbox"] = "empty" if box is None else ",".join(map(str, box))
         return report
     # fate
     budget = args.budget if args.budget is not None else default_budget(4096)
-    fate = life._fate(frame, budget)
+    fate = life.detect_fate(pattern, budget)
     report = {"verdict": fate.verdict, "t": fate.t}
     if fate.verdict in ("oscillator", "translator", "still_life"):
         report["period"] = fate.period
@@ -265,9 +265,9 @@ def _cmd_candidate(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     if args.rule30_center is not None:
-        if args.rule30_center < 1:
-            raise eca.InvalidSteps(
-                f"--rule30-center must be >= 1, got {args.rule30_center}")
+        if not 1 <= args.rule30_center <= eca.CENTER_COLUMN_STEPS + 1:
+            raise eca.InvalidSteps(f"--rule30-center must be in "
+                                   f"1..{eca.CENTER_COLUMN_STEPS + 1}, got {args.rule30_center}")
         bits = bytes(eca.center_column(eca.parse_rule(30), args.rule30_center - 1))
     else:
         text = "".join(_read_text(args.bits_file).split())

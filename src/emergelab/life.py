@@ -1,14 +1,15 @@
 """Conway's Game of Life on an unbounded plane.
 
-Cells are a sparse set of (x, y) pairs with x = column (rightward) and
-y = row (downward), matching RLE reading order.  The rule is fixed B3/S23.
+Cells are (x, y) pairs with x = column (rightward) and y = row (downward),
+matching RLE reading order.  The rule is fixed B3/S23.
 
-Every numpy path sees a pattern as a frame `(offsets, corner, span)`: its
-cells as offsets from the bounding-box corner, the corner and span kept in
-Python ints, so a pattern's position never matters.  `_frame` frames a cell
-set; the readers `_read_rle` and `_read_cells` frame pattern text straight
-from numpy arrays, and `_rle` and `_raster` write a frame, so the CLI goes
-from text through frames to text or image rows and never builds a cell set.
+A `Pattern` holds a pattern as its frame: its cells as offsets from the
+bounding-box corner, so its position never matters, and acts as the
+frozenset of those cells.  `parse_rle` and `parse_cells` frame pattern
+text straight from numpy arrays; `run`, `step`, `write_rle`, `raster`,
+`detect_fate`, `bounding_box` and `canonical` read the frame of a Pattern
+(any other iterable of cells is framed first), so text goes through runs
+to text or image rows and no cell set is built.
 One runner, `_orbit`, yields a frame's states and is the one place their
 form is chosen, each time it frames a state:
 - a dense uint8 grid over the bounding box plus a margin, with neighbour
@@ -21,11 +22,10 @@ form is chosen, each time it frames a state:
   seeds;
 - a frozenset stepped by a Counter tally, the reference: any wider state.
 
-`_run` and `_fate` only read the runner's states.  `_fate`, shared with
-`candidates.life_survival_count`, memoises each state by a key that all its
-translates share, so it stops at the first recurrence or at extinction.
-`parse_rle`, `parse_cells`, `run`, `step`, `write_rle`, `raster` and
-`detect_fate` are the cell-set API over those cores.
+`run` and `detect_fate` only read the runner's states.  `detect_fate`,
+shared with `candidates.life_survival_count`, memoises each state by a key
+that all its translates share, so it stops at the first recurrence or at
+extinction.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
 which packs a pattern into the image rows `cli.render_pbm` writes.
@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count
 
 import numpy as np
 
 from .errors import EmergeLabError, InvalidArgument, InvalidSteps
-
-CellSet = frozenset  # of (x, y) int pairs
 
 NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                          if (dx, dy) != (0, 0))
@@ -130,18 +130,54 @@ def _frame(cells):
 
 
 def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
-    """The cell set at offsets (xs, ys) from `corner`: the inverse of
-    `_frame`, for offsets within +-2**62."""
+    """The cell set at offsets (xs, ys) from `corner`, int64 within +-2**62
+    or Python ints: the inverse of `_frame`."""
     cx, cy = corner
     if max(abs(cx), abs(cy)) >= _INT64_SPAN:
         xs, ys = xs.astype(object), ys.astype(object)
     return frozenset(zip((xs + cx).tolist(), (ys + cy).tolist()))
 
 
-def _frame_cells(frame) -> frozenset:
-    """The cell set of a frame."""
-    off, corner, _ = frame
-    return _cells(off[:, 0], off[:, 1], corner)
+class Pattern(Set):
+    """A pattern held as its frame `(offsets, corner, span)`, in `_frame`'s
+    form, that also acts as the frozenset of its live cells.  `len` reads
+    the frame; iteration, `in`, `==` and `hash` act on `cells`, the
+    frozenset, built on first use."""
+
+    def __init__(self, frame):
+        self.frame = frame
+
+    def __len__(self) -> int:
+        return len(self.frame[0])
+
+    @cached_property
+    def cells(self) -> frozenset:
+        off, corner, _ = self.frame
+        return _cells(off[:, 0], off[:, 1], corner)
+
+    def __iter__(self):
+        return iter(self.cells)
+
+    def __contains__(self, cell) -> bool:
+        return cell in self.cells
+
+    def __eq__(self, other) -> bool:
+        return self.cells == other
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
+
+    def __repr__(self) -> str:
+        return f"Pattern({set(self.cells)})"
+
+    _from_iterable = frozenset  # what the set operators return
+
+
+def _pattern(cells: Iterable) -> Pattern:
+    """`cells`, a Pattern or any iterable of (x, y) cells, as a Pattern."""
+    if isinstance(cells, Pattern):
+        return cells
+    return Pattern(_frame(frozenset(cells)))  # a repeated cell would count twice
 
 
 def _reframe(xs: np.ndarray, ys: np.ndarray, corner):
@@ -272,54 +308,44 @@ def _orbit(frame):
             return
 
 
-def _run(frame, steps: int):
-    """The frame `steps` generations on."""
-    if steps < 0:
-        raise InvalidSteps(f"steps must be >= 0, got {steps}")
-    if not len(frame[0]) or steps == 0:
-        return frame
-    for _, (state, corner) in zip(range(steps + 1), _orbit(frame)):
-        pass  # on to the state at generation `steps`, or the empty one
-    if corner is None:
-        return _frame(state)
-    xs, ys = _unpack(state) if state.ndim == 1 else np.nonzero(state)[::-1]
-    return _reframe(xs, ys, corner)
-
-
-def step(cells: CellSet) -> CellSet:
+def step(cells: Iterable) -> Pattern:
     """One generation of B3/S23."""
     return run(cells, 1)
 
 
-def run(cells: CellSet, steps: int) -> CellSet:
+def run(cells: Iterable, steps: int) -> Pattern:
     """`steps`-fold composition of step."""
-    # a repeated cell would count twice in a frame
-    return _frame_cells(_run(_frame(frozenset(cells)), steps))
+    pattern = _pattern(cells)
+    if steps < 0:
+        raise InvalidSteps(f"steps must be >= 0, got {steps}")
+    if not pattern or steps == 0:
+        return pattern
+    for _, (state, corner) in zip(range(steps + 1), _orbit(pattern.frame)):
+        pass  # on to the state at generation `steps`, or the empty one
+    if corner is None:
+        return _pattern(state)
+    xs, ys = _unpack(state) if state.ndim == 1 else np.nonzero(state)[::-1]
+    return Pattern(_reframe(xs, ys, corner))
 
 
-def bounding_box(cells: CellSet) -> tuple[int, int, int, int] | None:
+def bounding_box(cells: Iterable) -> tuple[int, int, int, int] | None:
     """(min_x, min_y, max_x, max_y), or None for the empty set."""
-    if not cells:
-        return None
-    xs = [x for x, _ in cells]
-    ys = [y for _, y in cells]
-    return min(xs), min(ys), max(xs), max(ys)
+    off, (x0, y0), (w, h) = _pattern(cells).frame
+    return (x0, y0, x0 + w, y0 + h) if len(off) else None
 
 
-def translate(cells: CellSet, dx: int, dy: int) -> CellSet:
+def translate(cells: Iterable, dx: int, dy: int) -> frozenset:
     return frozenset((x + dx, y + dy) for x, y in cells)
 
 
-def canonical(cells: CellSet) -> tuple[CellSet, tuple[int, int]]:
+def canonical(cells: Iterable) -> tuple[Pattern, tuple[int, int]]:
     """Translate the bounding-box corner to the origin.
 
-    Returns (normalised cells, corner) so the translation can be undone.
+    Returns (normalised pattern, corner) so the translation can be undone;
+    the empty pattern's corner is (0, 0).
     """
-    box = bounding_box(cells)
-    if box is None:
-        return frozenset(), (0, 0)
-    x0, y0 = box[0], box[1]
-    return translate(cells, -x0, -y0), (x0, y0)
+    off, corner, span = _pattern(cells).frame
+    return Pattern((off, (0, 0), span)), corner
 
 
 @dataclass(frozen=True)
@@ -341,7 +367,7 @@ class FateReport:
     budget: int = 0
 
 
-def detect_fate(cells: CellSet, budget: int) -> FateReport:
+def detect_fate(cells: Iterable, budget: int) -> FateReport:
     """Classify a pattern by exact recurrence within `budget` generations.
 
     States are compared after translating the bounding box to the origin, so
@@ -349,19 +375,15 @@ def detect_fate(cells: CellSet, budget: int) -> FateReport:
     recurrence (translator) are found exactly; life's ultimate fate in
     general is undecidable, hence the budget and the 'unknown' verdict.
     """
-    return _fate(_frame(frozenset(cells)), budget)
-
-
-def _fate(frame, budget: int) -> FateReport:
-    """`detect_fate` of a frame."""
+    pattern = _pattern(cells)
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
-    if not len(frame[0]):
+    if not pattern:
         return FateReport("extinct", t=0)
     # Each state is memoised by a key that all its translates share, with
     # its first packed key and frame corner, decoded once the key repeats.
-    seen: dict[bytes | frozenset, tuple] = {}
-    for t, (state, corner) in enumerate(_orbit(frame)):
+    seen: dict[bytes | Pattern, tuple] = {}
+    for t, (state, corner) in enumerate(_orbit(pattern.frame)):
         if corner is None:  # a wide state, or the empty one at extinction
             if not state:
                 return FateReport("extinct", t=t)
@@ -420,18 +442,6 @@ _RLE_CLASS = bytes(_SPACE if b in _RLE_SPACES else _DIGIT if chr(b) in "01234567
 _INT64_DIGITS = 18
 
 
-def parse_rle(text: str) -> CellSet:
-    """Decode an RLE pattern into its live-cell set.
-
-    Accepts '#'-comment lines before the header, a `x = W, y = H[, rule =
-    B3/S23]` header, then runs of `b` (dead) / `o` (live) with `$` row
-    breaks and a `!` terminator.  Anything after `!` is ignored.  A run
-    count has at most RUN_COUNT_DIGITS digits, and the pattern at most
-    CELL_LIMIT live cells.
-    """
-    return _frame_cells(_read_rle(text))
-
-
 def _rle_body(text: str):
     """(body, its first line) of RLE text, after its checked header."""
     lines = text.splitlines(keepends=True)
@@ -477,13 +487,17 @@ def _body_error(message, body, index, line):
     return RleParseError(message, line=line + len(lines), column=column)
 
 
-def _read_rle(text: str):
-    """`parse_rle` as a frame, read by a numpy tokeniser over the body.
+def parse_rle(text: str) -> Pattern:
+    """Decode an RLE pattern.
 
-    A token is a run count's digits and its tag, `b`, `o` or `$`;
-    whitespace anywhere in the body is dropped first, so it may split a
-    count.  Every array holds a byte per character, or an entry per token
-    or cell.  The first error in text order is raised.
+    Accepts '#'-comment lines before the header, a `x = W, y = H[, rule =
+    B3/S23]` header, then runs of `b` (dead) / `o` (live) with `$` row
+    breaks and a `!` terminator.  Anything after `!` is ignored.  A run
+    count has at most RUN_COUNT_DIGITS digits, and the pattern at most
+    CELL_LIMIT live cells.  A numpy tokeniser reads the body, with
+    whitespace dropped first, so it may split a count; every array holds a
+    byte per character, or an entry per token or cell.  The first error in
+    text order is raised.
     """
     body, first_line = _rle_body(text)
     end = body.find("!")
@@ -546,7 +560,7 @@ def _read_rle(text: str):
         raise RleParseError("missing '!' terminator", line=len(text.splitlines()) or 1)
     if pending:
         raise _body_error("dangling run count before '!'", body, end, first_line)
-    return _frame_runs(kind, counts, live, n)
+    return Pattern(_frame_runs(kind, counts, live, n))
 
 
 def _frame_runs(kind, counts, live, n):
@@ -585,19 +599,14 @@ def _frame_runs(kind, counts, live, n):
     return off, (x0, y0), span
 
 
-def write_rle(cells: CellSet) -> str:
-    """Encode a cell set as canonical RLE text.
+def write_rle(cells: Iterable) -> str:
+    """Encode a pattern as canonical RLE text.
 
     The pattern is translated so the bounding-box corner sits at (0, 0);
     output lines never exceed 69 characters and the encoding is
     byte-deterministic.
     """
-    return _rle(_frame(cells))
-
-
-def _rle(frame) -> str:
-    """`write_rle` of a frame."""
-    off, _, (w, h) = frame
+    off, _, (w, h) = _pattern(cells).frame
     if not len(off):
         return "x = 0, y = 0, rule = B3/S23\n!\n"
     width, height = w + 1, h + 1
@@ -652,17 +661,12 @@ def _rle(frame) -> str:
     return header + table[table != 0].tobytes().decode("ascii") + "\n"
 
 
-def raster(cells: CellSet) -> tuple[list[int], int]:
-    """A cell set as image rows over its bounding box, `(rows, width)`:
+def raster(cells: Iterable) -> tuple[list[int], int]:
+    """A pattern as image rows over its bounding box, `(rows, width)`:
     cell (x, y) is bit x - min x of rows[y - min y].  Refuses an empty set,
     which has no box, and a box of more than PIXEL_LIMIT pixels
     (InvalidArgument)."""
-    return _raster(_frame(cells))
-
-
-def _raster(frame) -> tuple[list[int], int]:
-    """`raster` of a frame."""
-    off, _, (w, h) = frame
+    off, _, (w, h) = _pattern(cells).frame
     if not len(off):
         raise InvalidArgument("cannot render an empty cell set")
     if (w + 1) * (h + 1) > PIXEL_LIMIT:
@@ -673,18 +677,14 @@ def _raster(frame) -> tuple[list[int], int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed], w + 1
 
 
-def parse_cells(text: str) -> CellSet:
-    """Decode the plaintext .cells format: '!'-comment lines, '.' dead,
-    'O' live, trailing whitespace ignored; at most CELL_LIMIT live cells."""
-    return _frame_cells(_read_cells(text))
-
-
 _CELLS_OTHER = re.compile(r"[^.O]")
 
 
-def _read_cells(text: str):
-    """`parse_cells` as a frame: the rows are checked one at a time, then
-    their live cells found with numpy."""
+def parse_cells(text: str) -> Pattern:
+    """Decode the plaintext .cells format: '!'-comment lines, '.' dead,
+    'O' live, trailing whitespace ignored; at most CELL_LIMIT live cells.
+    The rows are checked one at a time, then their live cells found with
+    numpy."""
     rows, found = [], 0  # the rows, and the live cells in them
     cap = CELL_LIMIT
     for i, line in enumerate(text.splitlines()):
@@ -708,4 +708,4 @@ def _read_cells(text: str):
     starts = np.cumsum([0] + [len(row) for row in rows[:-1]], dtype=np.int64)
     at = np.flatnonzero(chars == ord("O"))
     ys = np.searchsorted(starts, at, side="right") - 1
-    return _reframe(at - starts[ys], ys, (0, 0))
+    return Pattern(_reframe(at - starts[ys], ys, (0, 0)))

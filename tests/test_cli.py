@@ -479,11 +479,10 @@ def test_analyze_zero_options_are_validated_not_ignored(capsys):
 
 
 def test_life_run_bounding_box_only_when_needed(tmp_path, capsys, monkeypatch):
-    # the box is the result frame's corner and span: no cell set is boxed
+    # the box is the result frame's corner and span: no cell set is built
     calls = []
-    real = life.bounding_box
-    monkeypatch.setattr(life, "bounding_box",
-                        lambda cells: calls.append(1) or real(cells))
+    real = life._cells
+    monkeypatch.setattr(life, "_cells", lambda *args: calls.append(1) or real(*args))
     code, out, _ = run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "4",
                            "--out-rle", str(tmp_path / "out.rle"))
     assert code == 0 and "bbox" not in out and calls == []
@@ -491,6 +490,40 @@ def test_life_run_bounding_box_only_when_needed(tmp_path, capsys, monkeypatch):
                            "--print", "bbox", "--out", str(tmp_path / "out.pbm"))
     assert code == 0 and "bbox=1,1,3,3" in out and calls == []
     assert (tmp_path / "out.pbm").read_bytes().startswith(b"P4\n3 3\n")
+
+
+# every Life function the CLI calls, as a tracer that wraps module
+# attributes sees it
+LIFE_API = ("parse_rle", "parse_cells", "run", "write_rle", "raster",
+            "bounding_box", "detect_fate")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["run", "--rle", GLIDER, "--steps", "4", "--print", "bbox",
+      "--out-rle", "{out}.rle", "--out", "{out}.pbm"],
+     ["parse_rle", "run", "write_rle", "raster", "bounding_box"]),
+    (["run", "--rle", str(fixture_path("glider.cells")), "--steps", "4", "--print", "bbox",
+      "--out-rle", "{out}.rle", "--out", "{out}.pbm"],
+     ["parse_cells", "run", "write_rle", "raster", "bounding_box"]),
+    (["fate", "--rle", GLIDER, "--budget", "16"], ["parse_rle", "detect_fate"]),
+])
+def test_life_commands_call_the_public_life_functions(tmp_path, capsys, monkeypatch,
+                                                      argv, calls):
+    seen = []
+    for name in LIFE_API:
+        real = getattr(life, name)
+        monkeypatch.setattr(life, name, lambda *args, _name=name, _real=real:
+                            seen.append(_name) or _real(*args))
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    code, _, _ = run_cli(capsys, "life", *argv)
+    assert code == 0 and seen == calls
+
+
+def test_analyze_rule30_center_range_names_the_option(capsys):
+    for n in ("0", "-5", "65538"):
+        code, out, err = run_cli(capsys, "analyze", "--rule30-center", n)
+        assert (code, out) == (1, "")
+        assert err == f"emergelab analyze: --rule30-center must be in 1..65537, got {n}\n"
 
 
 def test_life_run_bbox_report(capsys):

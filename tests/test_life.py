@@ -1,5 +1,7 @@
+import operator
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emergelab import life
 from emergelab.fixtures import load_text
@@ -290,3 +292,85 @@ def test_clown_seed_reproduction():
     seed = life.parse_rle(seed_text)
     result = life.run(seed, 110)
     assert len(result) > 0
+
+
+# ---------------------------------------------------------------------------
+# Pattern: a frame that stands in for its frozenset
+
+# corners far out, so frames hold int64 offsets from Python-int corners, or
+# Python-int offsets once two cells are 2**64 - 1 apart
+FAR = [0, 2 ** 40, -2 ** 40, 10 ** 20, -10 ** 20]
+APART = [(2 ** 64 - 1, 0), (0, 2 ** 64 - 1), (2 ** 64 - 1, 1 - 2 ** 64)]
+
+
+@st.composite
+def far_cells(draw):
+    """A small pattern near a far corner, perhaps with a pair of cells
+    2**64 - 1 apart."""
+    bx, by = draw(st.sampled_from(FAR)), draw(st.sampled_from(FAR))
+    near = draw(st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              max_size=8))
+    cells = {(bx + x, by + y) for x, y in near}
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(FAR)), draw(st.sampled_from(FAR))
+        dx, dy = draw(st.sampled_from(APART))
+        cells |= {(x, y), (x + dx, y + dy)}
+    return frozenset(cells)
+
+
+@st.composite
+def far_pairs(draw):
+    """Two patterns: the second equal to the first, a subset of it or any."""
+    cells = draw(far_cells())
+    other = draw(st.one_of(st.just(cells), st.sets(st.sampled_from(sorted(cells)))
+                           .map(frozenset) if cells else st.just(cells), far_cells()))
+    return cells, other
+
+
+@given(far_pairs())
+@example((frozenset(), frozenset()))
+@example((frozenset({(0, 0), (2 ** 64 - 1, 0)}), frozenset({(0, 0)})))
+@settings(max_examples=150)
+def test_pattern_stands_in_for_its_frozenset(pair):
+    cells, other = pair
+    pattern, twin = life.run(cells, 0), life.run(other, 0)
+    assert isinstance(pattern, life.Pattern) and isinstance(twin, life.Pattern)
+    assert len(pattern) == len(cells) and bool(pattern) == bool(cells)
+    for cell in cells | other | {(1, 1), (10 ** 20, 2 ** 64)}:
+        assert (cell in pattern) == (cell in cells)
+    for a, b in ((pattern, cells), (cells, pattern), (pattern, pattern)):
+        assert a == b and not a != b
+    for a, b in ((pattern, other), (other, pattern), (pattern, twin), (twin, pattern)):
+        assert (a == b) == (cells == other) and (a != b) == (cells != other)
+    assert hash(pattern) == hash(cells)
+    assert {cells: 1}[pattern] == {pattern: 1}[cells] == 1
+    assert pattern in {cells} and cells in {pattern}
+    for op in (operator.sub, operator.or_, operator.and_, operator.xor):
+        for a, b, want in ((pattern, other, op(cells, other)),
+                           (other, pattern, op(other, cells)),
+                           (pattern, twin, op(cells, other))):
+            got = op(a, b)
+            assert isinstance(got, frozenset) and got == want
+    assert (pattern <= other) == (cells <= other) == (pattern <= twin)
+    assert (other <= pattern) == (other <= cells) == (twin <= pattern)
+    # the box and the normal form are read from the frame
+    if cells:
+        xs, ys = [x for x, _ in cells], [y for _, y in cells]
+        x0, y0 = min(xs), min(ys)
+        assert life.bounding_box(pattern) == (x0, y0, max(xs), max(ys))
+        assert life.canonical(pattern) == (life.translate(cells, -x0, -y0), (x0, y0))
+    else:
+        assert life.bounding_box(pattern) is None
+        assert life.canonical(pattern) == (frozenset(), (0, 0))
+
+
+def test_pattern_pipeline_builds_no_cell_set(monkeypatch):
+    # the soup steps on the dense grid, the glider and the gun as packed keys
+    soup = frozenset((x, y) for x in range(40) for y in range(40) if (x * 7 + y * 13) % 5 < 2)
+    texts = [load_text("glider.rle"), load_text("gosper_gun.rle"), life.write_rle(soup)]
+    want = [life.write_rle(life_run_dense(life.parse_rle(text), 30)) for text in texts]
+    monkeypatch.setattr(life, "_cells", lambda *args: pytest.fail("a cell set was built"))
+    for text, rle in zip(texts, want):
+        pattern = life.run(life.parse_rle(text), 30)
+        assert life.write_rle(pattern) == rle
+        assert life.raster(pattern) == life.raster(life.parse_rle(rle))

@@ -91,13 +91,13 @@ def test_parse_rle_corpus_matches_the_reference():
 
 
 def test_read_rle_frames_without_a_cell_set():
-    off, corner, span = life._read_rle("x = 3, y = 3\n2$3bo$2b2o!")
+    off, corner, span = life.parse_rle("x = 3, y = 3\n2$3bo$2b2o!").frame
     assert off.dtype == np.int64 and off.tolist() == [[1, 0], [0, 1], [1, 1]]
     assert corner == (2, 2) and span == (1, 1)
-    off, corner, span = life._read_rle(f"x = 1, y = 1\no{2 ** 63}bo!")
+    off, corner, span = life.parse_rle(f"x = 1, y = 1\no{2 ** 63}bo!").frame
     assert off.dtype == object and off.tolist() == [[0, 0], [2 ** 63 + 1, 0]]
     assert corner == (0, 0) and span == (2 ** 63 + 1, 0)
-    off, corner, span = life._read_rle("x = 0, y = 0\n!")
+    off, corner, span = life.parse_rle("x = 0, y = 0\n!").frame
     assert off.shape == (0, 2) and span == (-1, -1)
 
 
