@@ -1,9 +1,12 @@
-"""Three functions that look impossible to shortcut.
+"""Three functions defined step by step, and one of them shortcut.
 
 Each one is defined so that knowing f(n) seems to require having computed
 all of f(1)..f(n-1) first: chained reads from an irrational expansion,
 counting accepted words of a language, and counting Life seeds that
 survive n generations.  All three are exactly computable at desk scale.
+The word count only looks that way: the counts of a regular language
+follow a linear recurrence (Chomsky & Miller 1958), so a DFA's count at n
+takes O(log n) steps.  Only a non-regular language keeps the enumeration.
 """
 
 from emergelab import candidates, life
@@ -43,6 +46,12 @@ dfa = candidates.parse_dfa(load_text("even_ones.dfa"))
 print("f(n) = how many of w_1..w_{n-1} have an even number of ones:")
 row = [candidates.language_count(dfa, n) for n in range(1, 17)]
 print("  n=1..16 ->", row)
+print("A regular language's counts follow a linear recurrence (Chomsky &")
+print("Miller 1958), so the DFA is counted over the bits of n, not word by")
+print("word, even where no enumeration could reach:")
+print(f"  f(10**30) = {candidates.language_count(dfa, 10 ** 30)}")
+print("Only a non-regular language, such as the words with as many 0s as 1s,")
+print("is still asked about each word in turn.")
 
 print()
 print("3. Life seeds still alive after n generations")

@@ -1,19 +1,26 @@
-"""Evaluators for three functions whose values seem to require computing
-everything that came before: digit chaining in an irrational expansion,
-counting accepted words of a decidable language, and counting Life seeds
-alive after n generations.
+"""Evaluators for three functions whose definitions walk through everything
+that came before: digit chaining in an irrational expansion, counting
+accepted words of a decidable language, and counting Life seeds alive after
+n generations.
 
 Each evaluator is exact integer arithmetic; companion tests check them
-against exhaustive small-instance oracles.  `language_count` takes any
-object with an ``accepts(word) -> bool`` method, so predicates beyond the
-bundled DFA work unchanged.
+against exhaustive small-instance oracles.  The word count has a shortcut
+for regular languages: their counting sequences have rational generating
+functions and so follow linear recurrences (Chomsky & Miller, "Finite state
+languages", 1958), and `DfaSpec.count_upto` counts over the bits of n in
+O(|Q|·log n) additions.  `language_count` also takes any other object with
+an ``accepts(word) -> bool`` method, so predicates beyond the bundled DFA
+work unchanged; only such a non-regular `accepts` keeps the enumeration,
+one call per word.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import life
 from .errors import EmergeLabError, InvalidArgument
@@ -200,14 +207,19 @@ def word_index(word: str, skip_epsilon: bool = False) -> int:
 
 @dataclass(frozen=True)
 class DfaSpec:
-    """A total DFA over {0, 1}: the bundled notion of decidable language."""
+    """A total DFA over {0, 1}: the bundled notion of decidable language.
+
+    `transition` is a read-only copy of the given mapping, so the rules
+    checked here are the rules every later count reads.
+    """
 
     num_states: int
     start: int
     accepting: frozenset
-    transition: dict[tuple[int, str], int]
+    transition: Mapping[tuple[int, str], int]
 
     def __post_init__(self):
+        object.__setattr__(self, "transition", MappingProxyType(dict(self.transition)))
         for s in range(self.num_states):
             for sym in "01":
                 if (s, sym) not in self.transition:
@@ -227,6 +239,35 @@ class DfaSpec:
         for sym in word:
             state = self.transition[(state, sym)]
         return state in self.accepting
+
+    def count_upto(self, m: int) -> int:
+        """How many of the words ``bin(i)[1:]``, 1 <= i <= m, are accepted.
+
+        A digit DP over the bits of m, in O(num_states · log m) additions:
+        `counts[s]` is how many words reach state s after the symbols read
+        so far while already lying below m's own word (shorter words, or a
+        0 where m's word has a 1), and `state` is where m's word has got to.
+        """
+        if m < 1:
+            return 0
+        zero = [self.transition[s, "0"] for s in range(self.num_states)]
+        one = [self.transition[s, "1"] for s in range(self.num_states)]
+        counts = [0] * self.num_states
+        state = self.start
+        for k in range(m.bit_length() - 2, -1, -1):
+            step = [0] * self.num_states
+            for s, c in enumerate(counts):
+                step[zero[s]] += c
+                step[one[s]] += c
+            if m >> k & 1:
+                step[zero[state]] += 1
+                state = one[state]
+            else:
+                state = zero[state]
+            # the words k symbols long start here
+            step[self.start] += 1
+            counts = step
+        return sum(counts[s] for s in self.accepting) + (state in self.accepting)
 
 
 def parse_dfa(text: str) -> DfaSpec:
@@ -262,9 +303,17 @@ def parse_dfa(text: str) -> DfaSpec:
 
 
 def language_count(lang, n: int, skip_epsilon: bool = False) -> int:
-    """How many of the words w_1..w_{n-1} the language accepts."""
+    """How many of the words w_1..w_{n-1} the language accepts.
+
+    Word i is ``bin(i)[1:]``, or ``bin(i + 1)[1:]`` with skip_epsilon, so a
+    DfaSpec is counted by `DfaSpec.count_upto`; any other `lang` is asked
+    about each word in turn.
+    """
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
+    if isinstance(lang, DfaSpec):
+        lo, hi = (2, n) if skip_epsilon else (1, n - 1)
+        return lang.count_upto(hi) - lang.count_upto(lo - 1)
     return sum(1 for i in range(1, n)
                if lang.accepts(enumerate_words(i, skip_epsilon)))
 

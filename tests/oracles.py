@@ -133,6 +133,35 @@ def survival_count_reference(n):
     return sum(1 for j in range(1, n + 1) if life_run_dense(default_numbering(j), n))
 
 
+class AcceptsOnly:
+    """A language seen only through its ``accepts(word)``, as any predicate
+    handed to `candidates.language_count` may be."""
+
+    __slots__ = ("accepts",)
+
+    def __init__(self, lang):
+        self.accepts = lang.accepts
+
+
+def language_counts_reference(lang, ns, skip_epsilon=False):
+    """{n: `candidates.language_count(lang, n, skip_epsilon)`} for each n >= 1
+    in `ns`, by one walk over the words w_1, w_2, ... (word i is
+    ``bin(i)[1:]``, or ``bin(i + 1)[1:]`` with skip_epsilon) that asks
+    `lang.accepts` about each."""
+    counts, count, i = {}, 0, 1
+    for n in sorted(set(ns)):
+        while i < n:
+            count += lang.accepts(format(i + skip_epsilon, "b")[1:])
+            i += 1
+        counts[n] = count
+    return counts
+
+
+def language_count_reference(lang, n, skip_epsilon=False):
+    """`candidates.language_count(lang, n, skip_epsilon)` by enumeration."""
+    return language_counts_reference(lang, [n], skip_epsilon)[n]
+
+
 def life_step_sparse(cells):
     """One Life generation by counting, for every cell next to a live one,
     its live neighbours; coordinates stay Python ints of any size."""

@@ -1,14 +1,17 @@
 import math
+from itertools import count, islice, product
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emergelab import candidates as cd
 from emergelab import life
 from emergelab.errors import EmergeLabError, InvalidArgument
 from emergelab.fixtures import load_text
 
-from .oracles import life_step_dense, sqrt_text_reference, survival_count_reference
+from .oracles import (AcceptsOnly, language_count_reference, language_counts_reference,
+                      life_step_dense, sqrt_text_reference, survival_count_reference)
 
 
 
@@ -217,6 +220,79 @@ def test_language_count_monotone_steps(even_ones):
         assert current - cd.language_count(even_ones, n - 1) in (0, 1)
         assert current >= previous
         previous = current
+
+
+@st.composite
+def dfas(draw):
+    """A total DFA of 1 to 6 states; its accepting set is empty, full or
+    any subset."""
+    q = draw(st.integers(1, 6))
+    state = st.integers(0, q - 1)
+    accepting = draw(st.one_of(st.just(frozenset()), st.just(frozenset(range(q))),
+                               st.frozensets(state)))
+    transition = {(s, sym): draw(state) for s in range(q) for sym in "01"}
+    return cd.DfaSpec(q, draw(state), accepting, transition)
+
+
+# a fixed DFA of six states, all reachable, three of them accepting
+SIX_STATES = cd.DfaSpec(6, 2, frozenset({0, 3, 4}), {
+    (0, "0"): 1, (0, "1"): 4, (1, "0"): 5, (1, "1"): 2, (2, "0"): 0, (2, "1"): 3,
+    (3, "0"): 3, (3, "1"): 5, (4, "0"): 2, (4, "1"): 1, (5, "0"): 4, (5, "1"): 0})
+
+
+@settings(max_examples=25, deadline=None)
+@given(dfas())
+def test_language_count_matches_the_loop_at_every_small_n(dfa):
+    # every n <= 3000 holds n = 2**k - 1, 2**k and 2**k + 1 for k <= 11
+    for skip_epsilon in (False, True):
+        want = language_counts_reference(AcceptsOnly(dfa), range(1, 3001), skip_epsilon)
+        assert {n: cd.language_count(dfa, n, skip_epsilon) for n in want} == want
+
+
+@settings(max_examples=3, deadline=None)
+@given(dfas(), st.integers(12, 20), st.booleans())
+@example(SIX_STATES, 20, True)
+def test_language_count_matches_the_loop_around_powers_of_two(dfa, top, skip_epsilon):
+    ns = [2 ** k + d for k in range(12, top + 1) for d in (-1, 0, 1)]
+    want = language_counts_reference(AcceptsOnly(dfa), ns, skip_epsilon)
+    assert {n: cd.language_count(dfa, n, skip_epsilon) for n in ns} == want
+
+
+def test_language_count_asks_any_other_language_word_by_word(even_ones):
+    class Balanced:
+        """As many 0s as 1s: not a regular language."""
+
+        def accepts(self, word):
+            return word.count("0") == word.count("1")
+
+    # the words in length-then-lexicographic order, built without `bin`
+    words = ("".join(p) for k in count() for p in product("01", repeat=k))
+    balanced = [w.count("0") == w.count("1") for w in islice(words, 301)]
+    for n in range(1, 301):
+        assert cd.language_count(Balanced(), n) == sum(balanced[:n - 1])
+        assert cd.language_count(Balanced(), n, skip_epsilon=True) == sum(balanced[1:n])
+    for dfa in (even_ones, SIX_STATES):
+        for n in (1, 2, 3, 4, 5, 100, 1024, 1025, 4099):
+            for skip_epsilon in (False, True):
+                assert cd.language_count(AcceptsOnly(dfa), n, skip_epsilon) == \
+                    cd.language_count(dfa, n, skip_epsilon) == \
+                    language_count_reference(dfa, n, skip_epsilon)
+
+
+def test_dfa_transitions_are_read_only(even_ones):
+    # the counts read the rules that `__post_init__` checked, so a later
+    # edit, which could name a state outside the set, raises instead
+    with pytest.raises(TypeError):
+        even_ones.transition[0, "1"] = 5
+    with pytest.raises(TypeError):
+        del even_ones.transition[0, "1"]
+    rules = {(s, sym): s for s in range(2) for sym in "01"}
+    dfa = cd.DfaSpec(2, 0, frozenset({0}), rules)
+    rules[0, "1"] = 5
+    assert dfa.transition[0, "1"] == 0
+    assert cd.language_count(dfa, 10 ** 30) == 10 ** 30 - 1
+    text = load_text("even_ones.dfa")
+    assert cd.parse_dfa(text) == cd.parse_dfa(text)
 
 
 def test_parse_dfa_requires_total_transition():

@@ -753,6 +753,21 @@ def test_candidate_subcommands(capsys):
     assert code == 0 and "survivors=5" in out
 
 
+@pytest.mark.parametrize("n", [10 ** 18, 10 ** 100])
+def test_language_count_at_huge_n(capsys, n):
+    # word i has an even number of ones when i has an odd number, and each
+    # pair {2k, 2k + 1} holds one such i, as does i = 1
+    count = n // 2 + (n % 2 == 1 and (n - 1).bit_count() % 2 == 1)
+    argv = ["candidate", "language-count", "--dfa", DFA, "--n", str(n)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, f"n={n}\ncount={count}\n", "")
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert code == 0 and err == "" and json.loads(out) == {"n": n, "count": count}
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(capsys, *argv[:-1], bad)
+        assert (code, out, err) == (1, "", f"emergelab candidate: n must be >= 1, got {bad}\n")
+
+
 def test_sqrt_digits_past_the_int_str_limit(capsys):
     code, out, err = run_cli(capsys, "candidate", "sqrt-digits", "--m", "2",
                              "--count", "5000")
