@@ -1,12 +1,18 @@
-"""Langton's ant on an unbounded grid, with highway detection.
+"""Langton's ant on an unbounded grid, with an exact highway fast-forward
+and highway detection.
 
 Conventions: N = (0, +1), E = (+1, 0); a left turn is counterclockwise in
 this frame.  On a white square the ant turns left, paints the square black
 and advances; on a black square it turns right, repaints it white and
 advances.  `HEADINGS` is the one heading order, clockwise from north:
-`run` and `detect_highway` carry the heading as its index there, and one
-lookup table per turn gives the new index and the move; states and
+`run`, `census` and `detect_highway` carry the heading as its index there,
+and one lookup table per turn gives the new index and the move; states and
 reports keep the letter.
+
+`run` and `census` step plainly until a certificate proves that the ant is
+on a highway for all time (see `_period`); every later state then follows
+from one recorded period by arithmetic, so n steps cost the onset plus
+O(1) for `census`, and the onset plus the size of the result for `run`.
 
 The highway detector fingerprints each step by the ant's heading plus the
 black cells within a Chebyshev window around it (relative coordinates).
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgument
+from .life import CELL_LIMIT
 
 HEADINGS = "NESW"
 _MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # unit steps, indexed like HEADINGS
@@ -28,6 +35,10 @@ _RIGHT = tuple(((h + 1) % 4, *_MOVES[(h + 1) % 4]) for h in range(4))
 _LEFT = tuple(((h - 1) % 4, *_MOVES[(h - 1) % 4]) for h in range(4))
 # detector windows are (2r + 1)**2 bits; r = 256 takes seconds per 20,000 steps
 WINDOW_RADIUS_LIMIT = 256
+# plain steps between highway checks; a check looks for periods below
+# _PERIOD_LIMIT in the last 2 * _PERIOD_LIMIT steps of a chunk
+_CHUNK = 4096
+_PERIOD_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -52,14 +63,8 @@ def standard_start(heading: str = "N") -> AntState:
     return AntState((0, 0), heading, frozenset(), 0)
 
 
-def run(state: AntState, n: int) -> AntState:
-    """n applications of the turn/flip/advance rule, with mutable internals
-    so long runs stay linear."""
-    if n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {n}")
-    black = set(state.black)
-    x, y = state.pos
-    h = HEADINGS.index(state.heading)
+def _steps(black, x, y, h, n):
+    """n plain steps on the mutable black set; returns (x, y, h)."""
     for _ in range(n):
         pos = (x, y)
         if pos in black:
@@ -70,7 +75,250 @@ def run(state: AntState, n: int) -> AntState:
             h, dx, dy = _LEFT[h]
         x += dx
         y += dy
+    return x, y, h
+
+
+def _steps_recorded(black, x, y, h, n, turns):
+    """`_steps`, appending each turn to `turns`: 1 for a black square and
+    a right turn, 0 for a white square and a left turn.  A loop of its own,
+    so that the plain loop, which takes most steps, records nothing."""
+    record = turns.append
+    for _ in range(n):
+        pos = (x, y)
+        if pos in black:
+            black.discard(pos)
+            record(1)
+            h, dx, dy = _RIGHT[h]
+        else:
+            black.add(pos)
+            record(0)
+            h, dx, dy = _LEFT[h]
+        x += dx
+        y += dy
+    return x, y, h
+
+
+def _walk(h, turns):
+    """The ant taking `turns` from square (0, 0) with heading index h:
+    (squares, headings, counts), each with len(turns) + 1 entries, the
+    square and heading before each turn and after the last, and the change
+    in the black count up to each."""
+    offsets, headings, counts = [(0, 0)], [h], [0]
+    for turn in turns:
+        h, dx, dy = (_RIGHT if turn else _LEFT)[h]
+        ox, oy = offsets[-1]
+        offsets.append((ox + dx, oy + dy))
+        headings.append(h)
+        counts.append(counts[-1] + (-1 if turn else 1))
+    return offsets, headings, counts
+
+
+def _box(cells):
+    """(min_x, min_y, max_x, max_y) of a non-empty set of squares."""
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _ray_meets(cells, box, x, y, dx, dy) -> bool:
+    """Whether a square (x + j dx, y + j dy), j >= 0, is in `cells`, all of
+    which lie in `box`; (dx, dy) != (0, 0)."""
+    lo, hi = 0, None
+    for a, da, a0, a1 in ((x, dx, box[0], box[2]), (y, dy, box[1], box[3])):
+        if da < 0:
+            a, da, a0, a1 = -a, -da, -a1, -a0
+        if da:  # the j with a0 <= a + j da <= a1
+            lo = max(lo, (a0 - a + da - 1) // da)
+            hi = (a1 - a) // da if hi is None else min(hi, (a1 - a) // da)
+        elif not a0 <= a <= a1:
+            return False
+    return any((x + j * dx, y + j * dy) in cells for j in range(lo, hi + 1))
+
+
+def _repeats(turns):
+    """The even p < _PERIOD_LIMIT, in increasing order, for which the last
+    2p `turns` repeat.  From p = 8 on, such a p shows as a copy of the last
+    8 turns that starts p turns earlier, and `rfind` finds those."""
+    for p in (2, 4, 6):
+        if turns[-p:] == turns[-2 * p:-p]:
+            yield p
+    tail, end = turns[-8:], len(turns) - 1
+    while (i := turns.rfind(tail, 0, end)) >= 0:
+        p = len(turns) - 8 - i
+        if p >= _PERIOD_LIMIT:
+            return
+        if p >= 8 and p % 2 == 0 and turns[-p:] == turns[-2 * p:-p]:
+            yield p
+        end = i + 7
+
+
+def _period(black, x, y, h, turns) -> int | None:
+    """The smallest p < _PERIOD_LIMIT that passes the highway certificate's
+    check with the ant at (x, y), heading index h, on `black`, after steps
+    that took `turns`; None if none does.
+
+    The last 2p turns must repeat with a net rotation of 0 mod 4 (so p is
+    even: every turn is a quarter turn) and a displacement d != 0 over the
+    last p steps.  V is the set of offsets from the first square of those
+    p steps of the squares they read; a front square is a u in V with
+    u + d outside V.  The check (C): from each front square u, the squares
+    (x, y) + u + j d, j >= 0, are white, so each ray that the highway
+    enters is fresh ground.
+
+    If the next p turns repeat the last p as well, the ant repeats them for
+    all time.  Write W_k = (x, y) + k d + V.  Those turns read W_0 in the
+    colours c that the last period read on W_-1 (a square's first read
+    shows its colour), from the same heading, so both periods act alike.
+    Claim: period k finds W_k in the colours c, translated.  The squares of
+    W_k+1 inside W_k hold what period k left there, as the squares of W_0
+    inside W_-1 held what period -1 left: c.  A square of W_k+1 outside
+    W_k, at front offset u, needs c's colour at u, white (C, j = 0).  It
+    is white now (C, j = k + 1), and if a period 0 <= j < k touches it,
+    the last one leaves it as period -1 left the square
+    (x, y) + u + (k - j) d, which lies outside W_0 and on u's ray, so is
+    white now (C).  Hence a trail square may be entered again without
+    harm, and no check that the highway never re-enters its trail is
+    needed.
+    """
+    box = None
+    for p in _repeats(turns):
+        last = turns[-p:]
+        if (p - 2 * last.count(1)) % 4:
+            continue
+        offsets = _walk(h, last)[0]  # the heading p steps ago was h
+        dx, dy = offsets.pop()
+        if not (dx or dy):
+            continue
+        shape = set(offsets)
+        front = [(a, b) for a, b in shape if (a + dx, b + dy) not in shape]
+        if any((x + a + j * dx, y + b + j * dy) in black
+               for a, b in front for j in range(8)):
+            continue  # the usual failure, found before the box is computed
+        if box is None:
+            box = _box(black) if black else ()
+        if box and any(_ray_meets(black, box, x + a, y + b, dx, dy)
+                       for a, b in front):
+            continue
+        return p
+    return None
+
+
+def _certify(state: AntState, n: int):
+    """Step the ant at most n times from `state`, checking for a highway at
+    the end of every _CHUNK steps.  Returns (black, x, y, h, t, turns): the
+    state after t steps, and either turns None with t == n, or the turns of
+    one period (t + len(turns) <= n) that the ant repeats from step t on
+    for all time."""
+    black = set(state.black)
+    x, y = state.pos
+    h = HEADINGS.index(state.heading)
+    t = 0
+    look = 2 * _PERIOD_LIMIT
+    while n - t > _CHUNK:
+        x, y, h = _steps(black, x, y, h, _CHUNK - look)
+        turns = bytearray()
+        x, y, h = _steps_recorded(black, x, y, h, look, turns)
+        t += _CHUNK
+        p = _period(black, x, y, h, turns)
+        if p is None or n - t < p:
+            continue
+        repeat = bytearray()
+        x1, y1, h1 = _steps_recorded(black, x, y, h, p, repeat)
+        if repeat == turns[-p:]:
+            for a, b in _walk(h, repeat)[0][:-1]:  # back to step t
+                black ^= {(x + a, y + b)}
+            return black, x, y, h, t, bytes(repeat)
+        x, y, h = x1, y1, h1
+        t += p
+    x, y, h = _steps(black, x, y, h, n - t)
+    return black, x, y, h, n, None
+
+
+def _forward(black, x, y, h, turns, m):
+    """The ant m steps after a certified step, at which it stood at (x, y)
+    with heading index h on `black` and from which it repeats `turns`:
+    ((x, y), h, black count, (dx, dy), runs), where (dx, dy) is the
+    period's displacement and the black set is the union of the runs
+    (x0, y0, length): squares (x0 + i dx, y0 + i dy), 0 <= i < length.
+
+    Step i of period k flips the square that step i of period 0 read,
+    moved by k d, so the set is `black` XOR, for each step i < p of a
+    period, a run of k or k + 1 squares along d from that square: k + 1
+    for the r = m mod p steps of the last, partial period.  Those runs are
+    XORed line by line of direction d, by the parity of their ends.
+    """
+    offsets, headings, counts = _walk(h, turns)
+    k, r = divmod(m, len(turns))
+    (dx, dy), (ox, oy) = offsets[-1], offsets[r]
+    ends = {}  # line -> the ends of its runs, as step indices along d
+    squares = [(a, b, 1) for a, b in black]
+    squares += [(x + a, y + b, k + (i < r)) for i, (a, b) in enumerate(offsets[:-1])]
+    for a, b, length in squares:
+        q = a // dx if dx else b // dy
+        ends.setdefault((a - q * dx, b - q * dy), []).extend((q, q + length))
+    runs = []
+    for (a, b), line in ends.items():
+        odd = []  # the ends that occur an odd number of times, in order
+        for q in sorted(line):
+            if odd and odd[-1] == q:
+                odd.pop()
+            else:
+                odd.append(q)
+        runs += [(a + q * dx, b + q * dy, end - q) for q, end in zip(odd[::2], odd[1::2])]
+    return ((x + ox + k * dx, y + oy + k * dy), headings[r],
+            len(black) + counts[r] + k * counts[-1], (dx, dy), runs)
+
+
+def run(state: AntState, n: int) -> AntState:
+    """n applications of the turn/flip/advance rule.  Once a highway is
+    certified, the rest of the n steps costs no stepping; a result of more
+    than CELL_LIMIT black squares is refused (InvalidArgument) before it is
+    built."""
+    if n < 0:
+        raise InvalidArgument(f"n must be >= 0, got {n}")
+    black, x, y, h, t, turns = _certify(state, n)
+    count = len(black)
+    if turns is not None:
+        (x, y), h, count, (dx, dy), runs = _forward(black, x, y, h, turns, n - t)
+    if count > CELL_LIMIT:
+        raise InvalidArgument(f"{count} black cells, over {CELL_LIMIT}")
+    if turns is not None:
+        black = {(a + i * dx, b + i * dy) for a, b, length in runs for i in range(length)}
     return AntState((x, y), HEADINGS[h], frozenset(black), state.steps + n)
+
+
+@dataclass(frozen=True)
+class Census:
+    """The ant after some steps, without its black set: position, heading,
+    moves made, the number of black squares and their bounding box
+    (min_x, min_y, max_x, max_y), None when there are none.  `certified`
+    is the step from which a highway was proved within those moves, and
+    `period` the certified period (possibly a multiple of the least one);
+    None and 0 if none was proved."""
+
+    pos: tuple[int, int]
+    heading: str
+    steps: int
+    black_cells: int
+    bbox: tuple[int, int, int, int] | None
+    certified: int | None = None
+    period: int = 0
+
+
+def census(state: AntState, n: int) -> Census:
+    """What `run(state, n)` would give, read without building its black
+    set: once a highway is certified, in time independent of n."""
+    if n < 0:
+        raise InvalidArgument(f"n must be >= 0, got {n}")
+    black, x, y, h, t, turns = _certify(state, n)
+    if turns is None:
+        return Census((x, y), HEADINGS[h], state.steps + n, len(black),
+                      _box(black) if black else None)
+    pos, h, count, (dx, dy), runs = _forward(black, x, y, h, turns, n - t)
+    ends = [(a, b) for a, b, _ in runs]
+    ends += [(a + (length - 1) * dx, b + (length - 1) * dy) for a, b, length in runs]
+    return Census(pos, HEADINGS[h], state.steps + n, count,
+                  _box(ends) if ends else None, state.steps + t, len(turns))
 
 
 @dataclass(frozen=True)

@@ -182,12 +182,14 @@ def _cmd_ant(args) -> dict:
         if args.report:
             Path(args.report).write_text(_key_values(report))
         return report
-    state = ant.run(start, steps)
+    census = ant.census(start, steps)
     if args.out:
+        life.image_size(census.bbox)  # refused before the black set is built
+        state = ant.run(start, steps)
         marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={state.steps}"
         render_pbm(args.out, *life.raster(state.black), comment=marker)
-    return {"steps": state.steps, "x": state.pos[0], "y": state.pos[1],
-            "heading": state.heading, "black_cells": len(state.black)}
+    return {"steps": census.steps, "x": census.pos[0], "y": census.pos[1],
+            "heading": census.heading, "black_cells": census.black_cells}
 
 
 def _machine(path: str) -> turing.MachineSpec:

@@ -661,16 +661,24 @@ def write_rle(cells: Iterable) -> str:
     return header + table[table != 0].tobytes().decode("ascii") + "\n"
 
 
+def image_size(box: tuple[int, int, int, int] | None) -> tuple[int, int]:
+    """(width, height) of the image over a bounding box.  Refuses None, the
+    box of an empty set, and a box of more than PIXEL_LIMIT pixels
+    (InvalidArgument)."""
+    if box is None:
+        raise InvalidArgument("cannot render an empty cell set")
+    width, height = box[2] - box[0] + 1, box[3] - box[1] + 1
+    if width * height > PIXEL_LIMIT:
+        raise InvalidArgument(f"{width}x{height} image over {PIXEL_LIMIT} pixels")
+    return width, height
+
+
 def raster(cells: Iterable) -> tuple[list[int], int]:
     """A pattern as image rows over its bounding box, `(rows, width)`:
-    cell (x, y) is bit x - min x of rows[y - min y].  Refuses an empty set,
-    which has no box, and a box of more than PIXEL_LIMIT pixels
-    (InvalidArgument)."""
+    cell (x, y) is bit x - min x of rows[y - min y].  Refuses what
+    `image_size` refuses."""
     off, _, (w, h) = _pattern(cells).frame
-    if not len(off):
-        raise InvalidArgument("cannot render an empty cell set")
-    if (w + 1) * (h + 1) > PIXEL_LIMIT:
-        raise InvalidArgument(f"{w + 1}x{h + 1} image over {PIXEL_LIMIT} pixels")
+    image_size((0, 0, w, h) if len(off) else None)
     grid = np.zeros((h + 1, w + 1), dtype=bool)
     grid[off[:, 1], off[:, 0]] = True
     packed = np.packbits(grid, axis=1, bitorder="little")

@@ -385,6 +385,24 @@ def ant_step(state):
     return AntState((x + dx, y + dy), heading, black, state.steps + 1)
 
 
+def ant_run_reference(state, n):
+    """n ant steps by the plain loop on one mutable set, with the turn
+    tables above: the reference for `ant.run` and `ant.census` at step
+    counts where iterating `ant_step` would copy the set each step."""
+    black = set(state.black)
+    (x, y), heading = state.pos, state.heading
+    for _ in range(n):
+        if (x, y) in black:
+            black.discard((x, y))
+            heading = ANT_RIGHT_OF[heading]
+        else:
+            black.add((x, y))
+            heading = ANT_LEFT_OF[heading]
+        dx, dy = ANT_MOVE[heading]
+        x, y = x + dx, y + dy
+    return AntState((x, y), heading, frozenset(black), state.steps + n)
+
+
 def ant_step_back(state):
     """Inverse ant step: undo the move, the repaint and the turn."""
     dx, dy = ANT_MOVE[state.heading]

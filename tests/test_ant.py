@@ -2,12 +2,13 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from emergelab import ant
+from emergelab import ant, life
 from emergelab.errors import InvalidArgument
 
-from .oracles import ant_step, ant_step_back, ant_step_mirrored, detect_highway_reference
+from .oracles import (ant_run_reference, ant_step, ant_step_back, ant_step_mirrored,
+                      detect_highway_reference)
 
 GOLDEN = Path(__file__).parent / "data" / "ant_highway.golden"
 
@@ -56,6 +57,107 @@ def test_run_matches_repeated_step():
     for n in range(25):
         assert ant.run(ant.standard_start(), n) == state
         state = ant_step(state)
+
+
+def grid_start(pos, heading, rows):
+    """A start from rows of '#' (black) and '.', row y = 0 first."""
+    black = frozenset((x, y) for y, row in enumerate(rows)
+                      for x, c in enumerate(row) if c == "#")
+    return ant.AntState(pos, heading, black, 0)
+
+
+def assert_matches_reference(start, n):
+    """`run` and `census` after n steps against the plain loop."""
+    want = ant_run_reference(start, n)
+    assert ant.run(start, n) == want
+    census = ant.census(start, n)
+    xs, ys = [x for x, _ in want.black], [y for _, y in want.black]
+    box = (min(xs), min(ys), max(xs), max(ys)) if xs else None
+    assert (census.pos, census.heading, census.steps, census.black_cells, census.bbox) \
+        == (want.pos, want.heading, want.steps, len(want.black), box)
+    return census
+
+
+# Starts that a certificate without check C (each entering ray white)
+# gets wrong: a short period, mostly p = 2, passes every other check at a
+# chunk end, and the ant leaves it later.
+C_TRAPS = [
+    ((-2, -1), "W", ["##.#", "", ".###", "####", "..##", "##.#", "##", ".#", "##"]),
+    ((3, -1), "S", ["", "###", "##"]),
+    ((-3, 6), "E", ["...##.###", "###.#####", "###...#", ".##.#####", "#####.##",
+                    ".####.##", ".##.##.##", "#.##.#.#", "#.##.##.#", "#######.#",
+                    "#...#####"]),
+    ((0, 7), "W", ["#####", ".###", "#.##", "#####", "..###", "##..#", "#####", ".#.##", "##"]),
+    ((8, -3), "N", ["##..#..#"]),
+    ((-3, 3), "S", [".#", ".#", "", ".#", "#"]),
+    ((-1, 5), "S", ["##"] * 12),
+    ((2, 5), "W", ["########", "#####.##", "########", "########", "########",
+                   "######.#", "########", "########"]),
+]
+# A start that a certificate without the net-rotation check gets wrong:
+# two equal turns "repeat" with p = 1 at the first chunk end.
+ROTATION_TRAP = ((4, 2), "N", ["", "", "##", "#"])
+
+
+@pytest.mark.parametrize("pos, heading, rows", C_TRAPS + [ROTATION_TRAP])
+def test_run_and_census_match_the_reference_on_trap_starts(pos, heading, rows):
+    start = grid_start(pos, heading, rows)
+    census = assert_matches_reference(start, 60_000)
+    assert census.certified is not None and census.period % 104 == 0
+    assert_matches_reference(start, census.certified + census.period + 1)
+
+
+@st.composite
+def random_starts(draw):
+    """A start grid of up to 12 x 12 squares, any heading, the ant on or
+    near the grid."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bits = draw(st.integers(0, (1 << width * height) - 1))
+    black = frozenset((i % width, i // width) for i in range(width * height) if bits >> i & 1)
+    pos = (draw(st.integers(-3, width + 2)), draw(st.integers(-3, height + 2)))
+    return ant.AntState(pos, draw(st.sampled_from(ant.HEADINGS)), black,
+                        draw(st.integers(0, 5)))
+
+
+# step counts drawn from both ends: most starts certify after 4096 to 30,000
+STEP_COUNTS = st.one_of(st.integers(0, 60_000), st.integers(0, 50_000).map(lambda k: 60_000 - k))
+
+
+@given(random_starts(), STEP_COUNTS)
+@example(grid_start(*C_TRAPS[0]), 60_000)
+@example(grid_start(*ROTATION_TRAP), 60_000)
+@settings(max_examples=100, deadline=None)
+def test_run_and_census_match_the_reference_from_random_starts(start, n):
+    assert_matches_reference(start, n)
+
+
+@pytest.mark.parametrize("heading", ant.HEADINGS)
+def test_standard_start_certifies_the_104_step_highway(heading):
+    start = ant.standard_start(heading)
+    census = ant.census(start, 20_000)
+    assert (census.certified, census.period) == (12_288, 104)
+    for n in (12_287, 12_288, 12_392, 12_393, 16_383, 16_384, 16_385, 20_000):
+        assert_matches_reference(start, n)
+    far, next_period = ant.census(start, 10 ** 15), ant.census(start, 10 ** 15 + 104)
+    assert next_period.heading == far.heading
+    assert next_period.black_cells - far.black_cells == 12
+    assert [abs(b - a) for a, b in zip(far.pos, next_period.pos)] == [2, 2]
+    assert ant.census(start, 12_287).certified is None
+
+
+def test_run_refuses_a_result_over_the_cell_cap(monkeypatch):
+    with pytest.raises(InvalidArgument, match=f"over {life.CELL_LIMIT}"):
+        ant.run(ant.standard_start(), 10 ** 15)
+    monkeypatch.setattr(ant, "CELL_LIMIT", 100)
+    assert len(ant.run(ant.standard_start(), 200).black) <= 100
+    with pytest.raises(InvalidArgument, match="over 100"):
+        ant.run(ant.standard_start(), 20_000)
+
+
+def test_negative_step_counts_are_domain_errors():
+    for reader in (ant.run, ant.census):
+        with pytest.raises(InvalidArgument, match="n must be >= 0"):
+            reader(ant.standard_start(), -1)
 
 
 def test_steps_counter():

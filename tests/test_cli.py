@@ -16,9 +16,9 @@ from emergelab import analysis, ant, candidates, cli, eca, life, turing
 from emergelab.errors import EmergeLabError
 from emergelab.fixtures import fixture_path
 
-from .oracles import (eca_cells_reference, life_run_dense, pbm_reference,
-                      raster_reference, sqrt_text_reference, text_reference,
-                      write_rle_reference)
+from .oracles import (ant_run_reference, eca_cells_reference, life_run_dense,
+                      pbm_reference, raster_reference, sqrt_text_reference,
+                      text_reference, write_rle_reference)
 
 GLIDER = str(fixture_path("glider.rle"))
 SUCC = str(fixture_path("succ_enum.tm"))
@@ -627,18 +627,52 @@ def test_life_pbm_matches_naive_renderer(tmp_path, capsys, name, steps):
     assert code == 0 and out.read_bytes() == pbm_reference(raster_reference(cells))
 
 
+# around the standard start's certified step 12,288 and period 104, and
+# past 500,000 steps, where the image is over life.PIXEL_LIMIT
+ANT_STEPS = [0, 1, 500, 9999, 12_287, 12_288, 12_392, 16_384, 500_000,
+             *random.Random(19).sample(range(12_000, 40_000), 3)]
+
+
 @pytest.mark.parametrize("heading", list(ant.HEADINGS))
 def test_ant_pbm_matches_naive_renderer(tmp_path, capsys, heading):
     out = tmp_path / "ant.pbm"
-    argv = ["ant", "--heading", heading, "--out", str(out)]
-    code, _, err = run_cli(capsys, *argv, "--steps", "0")
-    assert code == 1 and "empty cell set" in err and not out.exists()
-    for steps in (1, 500, 12_000):
-        code, _, _ = run_cli(capsys, *argv, "--steps", str(steps))
-        state = ant.run(ant.standard_start(heading), steps)
-        marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={steps}"
-        assert code == 0
-        assert out.read_bytes() == pbm_reference(raster_reference(state.black), marker)
+    for steps in ANT_STEPS:
+        argv = ["ant", "--heading", heading, "--steps", str(steps)]
+        state = ant_run_reference(ant.standard_start(heading), steps)
+        report = (f"steps={steps}\nx={state.pos[0]}\ny={state.pos[1]}\n"
+                  f"heading={state.heading}\nblack_cells={len(state.black)}\n")
+        assert run_cli(capsys, *argv) == (0, report, ""), steps
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        xs, ys = [x for x, _ in state.black], [y for _, y in state.black]
+        width = max(xs) - min(xs) + 1 if xs else 0
+        height = max(ys) - min(ys) + 1 if ys else 0
+        if not state.black:
+            assert (code, stdout) == (1, "") and "empty cell set" in err
+        elif width * height > life.PIXEL_LIMIT:
+            assert (code, stdout) == (1, "")
+            assert err.endswith(f"{width}x{height} image over {life.PIXEL_LIMIT} pixels\n")
+        else:
+            marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={steps}"
+            assert (code, stdout) == (0, report)
+            assert out.read_bytes() == pbm_reference(raster_reference(state.black), marker)
+            out.unlink()
+        assert not out.exists()
+
+
+def test_ant_far_past_the_highway_onset(tmp_path, capsys):
+    """10**15 steps answer from the certified period, one period apart as
+    the highway moves; the image of that state is refused with one line."""
+    code, out, _ = run_cli(capsys, "ant", "--steps", str(10 ** 15))
+    far = dict(line.split("=") for line in out.splitlines())
+    code_next, out_next, _ = run_cli(capsys, "ant", "--steps", str(10 ** 15 + 104))
+    near = dict(line.split("=") for line in out_next.splitlines())
+    assert code == code_next == 0 and far["heading"] == near["heading"]
+    assert int(near["black_cells"]) - int(far["black_cells"]) == 12
+    assert all(abs(int(near[k]) - int(far[k])) == 2 for k in "xy")
+    image = tmp_path / "a.pbm"
+    code, out, err = run_cli(capsys, "ant", "--steps", str(10 ** 15), "--out", str(image))
+    assert (code, out) == (1, "") and "image over" in err and err.count("\n") == 1
+    assert not image.exists()
 
 
 def test_ant_highway_report(capsys):
