@@ -9,10 +9,11 @@ advances.  `HEADINGS` is the one heading order, clockwise from north:
 and one lookup table per turn gives the new index and the move; states and
 reports keep the letter.
 
-`run` and `census` step plainly until a certificate proves that the ant is
-on a highway for all time (see `_period`); every later state then follows
-from one recorded period by arithmetic, so n steps cost the onset plus
-O(1) for `census`, and the onset plus the size of the result for `run`.
+`census` steps plainly until a certificate proves that the ant is on a
+highway for all time (see `_period`); every later state then follows from
+one recorded period by arithmetic, so n steps cost the onset plus O(1).
+`run` is a census plus the black set built from what it kept, so it costs
+the size of the result more.
 
 The highway detector fingerprints each step by the ant's heading plus the
 black cells within a Chebyshev window around it (relative coordinates).
@@ -23,7 +24,7 @@ line reader that also builds the first window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidArgument
 from .life import CELL_LIMIT
@@ -120,19 +121,12 @@ def _box(cells):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _ray_meets(cells, box, x, y, dx, dy) -> bool:
-    """Whether a square (x + j dx, y + j dy), j >= 0, is in `cells`, all of
-    which lie in `box`; (dx, dy) != (0, 0)."""
-    lo, hi = 0, None
-    for a, da, a0, a1 in ((x, dx, box[0], box[2]), (y, dy, box[1], box[3])):
-        if da < 0:
-            a, da, a0, a1 = -a, -da, -a1, -a0
-        if da:  # the j with a0 <= a + j da <= a1
-            lo = max(lo, (a0 - a + da - 1) // da)
-            hi = (a1 - a) // da if hi is None else min(hi, (a1 - a) // da)
-        elif not a0 <= a <= a1:
-            return False
-    return any((x + j * dx, y + j * dy) in cells for j in range(lo, hi + 1))
+def _line(a, b, dx, dy):
+    """(line, q) for square (a, b) and a direction (dx, dy) != (0, 0): the
+    line of that direction through the square, as its square at q = 0, and
+    the square's place on it, (a, b) = line + q (dx, dy)."""
+    q = a // dx if dx else b // dy
+    return (a - q * dx, b - q * dy), q
 
 
 def _repeats(turns):
@@ -180,7 +174,6 @@ def _period(black, x, y, h, turns) -> int | None:
     harm, and no check that the highway never re-enters its trail is
     needed.
     """
-    box = None
     for p in _repeats(turns):
         last = turns[-p:]
         if (p - 2 * last.count(1)) % 4:
@@ -193,11 +186,14 @@ def _period(black, x, y, h, turns) -> int | None:
         front = [(a, b) for a, b in shape if (a + dx, b + dy) not in shape]
         if any((x + a + j * dx, y + b + j * dy) in black
                for a, b in front for j in range(8)):
-            continue  # the usual failure, found before the box is computed
-        if box is None:
-            box = _box(black) if black else ()
-        if box and any(_ray_meets(black, box, x + a, y + b, dx, dy)
-                       for a, b in front):
+            continue  # the usual failure, found before the lines are read
+        far = {}  # line along d -> the largest q of a black square on it
+        for a, b in black:
+            line, q = _line(a, b, dx, dy)
+            if q > far.get(line, q - 1):
+                far[line] = q
+        if any(far.get(line, q - 1) >= q
+               for line, q in (_line(x + a, y + b, dx, dy) for a, b in front)):
             continue
         return p
     return None
@@ -205,10 +201,10 @@ def _period(black, x, y, h, turns) -> int | None:
 
 def _certify(state: AntState, n: int):
     """Step the ant at most n times from `state`, checking for a highway at
-    the end of every _CHUNK steps.  Returns (black, x, y, h, t, turns): the
-    state after t steps, and either turns None with t == n, or the turns of
-    one period (t + len(turns) <= n) that the ant repeats from step t on
-    for all time."""
+    the end of every _CHUNK steps.  Returns (black, x, y, h, t, turns):
+    turns None and the state after t == n steps, or the turns of a period
+    (t + len(turns) <= n) that the ant repeats from step t on for all time
+    and the state after the period that proved it, at step t + len(turns)."""
     black = set(state.black)
     x, y = state.pos
     h = HEADINGS.index(state.heading)
@@ -223,12 +219,9 @@ def _certify(state: AntState, n: int):
         if p is None or n - t < p:
             continue
         repeat = bytearray()
-        x1, y1, h1 = _steps_recorded(black, x, y, h, p, repeat)
+        x, y, h = _steps_recorded(black, x, y, h, p, repeat)
         if repeat == turns[-p:]:
-            for a, b in _walk(h, repeat)[0][:-1]:  # back to step t
-                black ^= {(x + a, y + b)}
             return black, x, y, h, t, bytes(repeat)
-        x, y, h = x1, y1, h1
         t += p
     x, y, h = _steps(black, x, y, h, n - t)
     return black, x, y, h, n, None
@@ -254,8 +247,8 @@ def _forward(black, x, y, h, turns, m):
     squares = [(a, b, 1) for a, b in black]
     squares += [(x + a, y + b, k + (i < r)) for i, (a, b) in enumerate(offsets[:-1])]
     for a, b, length in squares:
-        q = a // dx if dx else b // dy
-        ends.setdefault((a - q * dx, b - q * dy), []).extend((q, q + length))
+        line, q = _line(a, b, dx, dy)
+        ends.setdefault(line, []).extend((q, q + length))
     runs = []
     for (a, b), line in ends.items():
         odd = []  # the ends that occur an odd number of times, in order
@@ -269,32 +262,15 @@ def _forward(black, x, y, h, turns, m):
             len(black) + counts[r] + k * counts[-1], (dx, dy), runs)
 
 
-def run(state: AntState, n: int) -> AntState:
-    """n applications of the turn/flip/advance rule.  Once a highway is
-    certified, the rest of the n steps costs no stepping; a result of more
-    than CELL_LIMIT black squares is refused (InvalidArgument) before it is
-    built."""
-    if n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {n}")
-    black, x, y, h, t, turns = _certify(state, n)
-    count = len(black)
-    if turns is not None:
-        (x, y), h, count, (dx, dy), runs = _forward(black, x, y, h, turns, n - t)
-    if count > CELL_LIMIT:
-        raise InvalidArgument(f"{count} black cells, over {CELL_LIMIT}")
-    if turns is not None:
-        black = {(a + i * dx, b + i * dy) for a, b, length in runs for i in range(length)}
-    return AntState((x, y), HEADINGS[h], frozenset(black), state.steps + n)
-
-
 @dataclass(frozen=True)
 class Census:
-    """The ant after some steps, without its black set: position, heading,
-    moves made, the number of black squares and their bounding box
-    (min_x, min_y, max_x, max_y), None when there are none.  `certified`
-    is the step from which a highway was proved within those moves, and
-    `period` the certified period (possibly a multiple of the least one);
-    None and 0 if none was proved."""
+    """The ant after some steps: position, heading, moves made, the number
+    of black squares and their bounding box (min_x, min_y, max_x, max_y),
+    None when there are none.  `certified` is the step from which a highway
+    was proved within those moves, and `period` the certified period
+    (possibly a multiple of the least one); None and 0 if none was proved.
+    `black()` builds the set from the runs along the period's displacement
+    that the census kept once certified, or from the plain set if not."""
 
     pos: tuple[int, int]
     heading: str
@@ -303,22 +279,43 @@ class Census:
     bbox: tuple[int, int, int, int] | None
     certified: int | None = None
     period: int = 0
+    _plain: set = field(default_factory=set, repr=False, compare=False)
+    _runs: list = field(default_factory=list, repr=False, compare=False)
+    _along: tuple[int, int] = field(default=(0, 0), repr=False, compare=False)
+
+    def black(self) -> frozenset:
+        """The black squares; over CELL_LIMIT, InvalidArgument before any is built."""
+        if self.black_cells > CELL_LIMIT:
+            raise InvalidArgument(f"{self.black_cells} black cells, over {CELL_LIMIT}")
+        if self.certified is None:
+            return frozenset(self._plain)
+        dx, dy = self._along
+        return frozenset((a + i * dx, b + i * dy)
+                         for a, b, length in self._runs for i in range(length))
 
 
 def census(state: AntState, n: int) -> Census:
-    """What `run(state, n)` would give, read without building its black
-    set: once a highway is certified, in time independent of n."""
+    """The ant n steps after `state`, its black set left unbuilt: once a
+    highway is certified, in time independent of n."""
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     black, x, y, h, t, turns = _certify(state, n)
     if turns is None:
         return Census((x, y), HEADINGS[h], state.steps + n, len(black),
-                      _box(black) if black else None)
-    pos, h, count, (dx, dy), runs = _forward(black, x, y, h, turns, n - t)
+                      _box(black) if black else None, _plain=black)
+    pos, h, count, (dx, dy), runs = _forward(black, x, y, h, turns, n - t - len(turns))
     ends = [(a, b) for a, b, _ in runs]
     ends += [(a + (length - 1) * dx, b + (length - 1) * dy) for a, b, length in runs]
-    return Census(pos, HEADINGS[h], state.steps + n, count,
-                  _box(ends) if ends else None, state.steps + t, len(turns))
+    return Census(pos, HEADINGS[h], state.steps + n, count, _box(ends) if ends else None,
+                  state.steps + t, len(turns), _runs=runs, _along=(dx, dy))
+
+
+def run(state: AntState, n: int) -> AntState:
+    """n applications of the turn/flip/advance rule: `census` and its black
+    set, so a result of more than CELL_LIMIT black squares is refused
+    (InvalidArgument) before it is built."""
+    result = census(state, n)
+    return AntState(result.pos, result.heading, result.black(), result.steps)
 
 
 @dataclass(frozen=True)

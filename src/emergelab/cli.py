@@ -185,9 +185,8 @@ def _cmd_ant(args) -> dict:
     census = ant.census(start, steps)
     if args.out:
         life.image_size(census.bbox)  # refused before the black set is built
-        state = ant.run(start, steps)
-        marker = f"ant {state.pos[0]} {state.pos[1]} {state.heading} steps={state.steps}"
-        render_pbm(args.out, *life.raster(state.black), comment=marker)
+        marker = f"ant {census.pos[0]} {census.pos[1]} {census.heading} steps={census.steps}"
+        render_pbm(args.out, *life.raster(census.black()), comment=marker)
     return {"steps": census.steps, "x": census.pos[0], "y": census.pos[1],
             "heading": census.heading, "black_cells": census.black_cells}
 

@@ -330,6 +330,8 @@ def step_cycle(rule: RuleTable, bits: int, width: int) -> int:
 def evolve_cycle(rule: RuleTable, bits: int, width: int, steps: int,
                  max_rows: int = 10_000) -> list[int]:
     """Ring evolution keeping every generation (generation 0 included)."""
+    if width < 1:
+        raise InvalidArgument(f"ring width must be >= 1, got {width}")
     _check_steps(steps, max_rows, width)
     states = [bits & ((1 << width) - 1)]
     for _ in range(steps):

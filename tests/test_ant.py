@@ -107,6 +107,21 @@ def test_run_and_census_match_the_reference_on_trap_starts(pos, heading, rows):
     assert_matches_reference(start, census.certified + census.period + 1)
 
 
+# Starts that a certificate checking only the first 8 squares of each
+# entering ray gets wrong: one black square far ahead on the standard
+# start's highway.  Without the far check both certify at 12,288 and the
+# ant runs into the square later; with it they certify at 24,576 and 16,384.
+FAR_TRAPS = [((77, -52), 24_576), ((78, -52), 16_384)]
+
+
+@pytest.mark.parametrize("square, certified", FAR_TRAPS)
+def test_run_and_census_match_the_reference_on_far_ray_starts(square, certified):
+    start = ant.AntState((0, 0), "N", frozenset({square}), 0)
+    census = assert_matches_reference(start, 30_000)
+    assert (census.certified, census.period) == (certified, 104)
+    assert_matches_reference(start, certified + census.period + 1)
+
+
 @st.composite
 def random_starts(draw):
     """A start grid of up to 12 x 12 squares, any heading, the ant on or

@@ -675,6 +675,15 @@ def test_ant_far_past_the_highway_onset(tmp_path, capsys):
     assert not image.exists()
 
 
+def test_ant_out_certifies_the_highway_once(tmp_path, capsys, monkeypatch):
+    """The report and the image come from one census."""
+    calls = []
+    certify = ant._certify
+    monkeypatch.setattr(ant, "_certify", lambda *a: calls.append(a) or certify(*a))
+    assert run_cli(capsys, "ant", "--steps", "20000", "--out", str(tmp_path / "a.pbm"))[0] == 0
+    assert len(calls) == 1
+
+
 def test_ant_highway_report(capsys):
     code, out, _ = run_cli(capsys, "ant", "--steps", "20000", "--detect-highway")
     assert code == 0

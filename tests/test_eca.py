@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emergelab import eca
+from emergelab.errors import InvalidArgument
 
 from .oracles import binomial_parity_row, step_cycle_reference, step_row_reference
 
@@ -250,6 +251,14 @@ def test_negative_steps_are_domain_errors():
         with pytest.raises(eca.InvalidSteps):
             call()
     assert issubclass(eca.InvalidSteps, ValueError)
+
+
+def test_evolve_cycle_refuses_a_bad_width_at_any_step_count():
+    rule = eca.parse_rule(30)
+    for width in (0, -1):
+        for steps in (0, 1):
+            with pytest.raises(InvalidArgument, match=f"ring width must be >= 1, got {width}"):
+                eca.evolve_cycle(rule, 1, width, steps)
 
 
 def test_evolve_cycle_row_cap():
