@@ -179,16 +179,17 @@ def _cmd_ant(args) -> dict:
                           dx=highway.dx, dy=highway.dy)
         report.update(window_radius=highway.window_radius,
                       steps_searched=highway.steps_searched)
-        if args.report:
-            Path(args.report).write_text(_key_values(report))
-        return report
-    census = ant.census(start, steps)
-    if args.out:
-        life.image_size(census.bbox)  # refused before the black set is built
-        marker = f"ant {census.pos[0]} {census.pos[1]} {census.heading} steps={census.steps}"
-        render_pbm(args.out, *life.raster(census.black()), comment=marker)
-    return {"steps": census.steps, "x": census.pos[0], "y": census.pos[1],
-            "heading": census.heading, "black_cells": census.black_cells}
+    else:
+        census = ant.census(start, steps)
+        if args.out:
+            life.image_size(census.bbox)  # refused before the black set is built
+            marker = f"ant {census.pos[0]} {census.pos[1]} {census.heading} steps={census.steps}"
+            render_pbm(args.out, *life.raster(census.black()), comment=marker)
+        report = {"steps": census.steps, "x": census.pos[0], "y": census.pos[1],
+                  "heading": census.heading, "black_cells": census.black_cells}
+    if args.report:
+        Path(args.report).write_text(_key_values(report))
+    return report
 
 
 def _machine(path: str) -> turing.MachineSpec:

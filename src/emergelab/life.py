@@ -15,8 +15,9 @@ form is chosen, each time it frames a state:
 - a dense uint8 grid over the bounding box plus a margin, with neighbour
   counts from shifted-slice sums: patterns of at least 64 cells that fill
   at least 1/128 of the grid, such as random soups, so `run` and
-  `detect_fate` both start those there; a state that thins out is framed
-  again;
+  `detect_fate` both start those there; a grid's state is framed again
+  when it nears the edge and every 64 generations, so one that thins out
+  leaves the grid;
 - sorted packed int64 keys, stepped by a numpy loop: every other state
   whose extent plus two is below 2**30, such as the Gosper gun and small
   seeds;
@@ -38,7 +39,7 @@ from collections import Counter
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
@@ -64,9 +65,9 @@ _INT64_SPAN = 1 << 62
 # least 1/_DENSE_SPARSITY of the grid, their bounding box plus the margin
 _DENSE_MIN_POP = 64
 _DENSE_SPARSITY = 128
-# dead cells kept around the live ones when the dense grid is (re)built
+# dead cells kept around the live ones when the dense grid is built
 _DENSE_MARGIN = 16
-# generations between rebuilds that shrink the grid to the live cells
+# generations a grid runs before it is framed again
 _DENSE_RECHECK = 64
 
 
@@ -248,10 +249,11 @@ def _orbit(frame):
     The one Life runner, and the one place a state's form is chosen, each
     time it frames a state:
     - a pattern `_dense_enough` goes on a uint8 grid over its box plus
-      _DENSE_MARGIN, yielded as (grid, grid corner).  The grid is rebuilt
-      around the live cells when one comes within a cell of the edge and
-      every _DENSE_RECHECK generations; each rebuild checks the density
-      again, and a state too sparse for the grid is framed again.
+      _DENSE_MARGIN, yielded as (grid, grid corner).  It runs at most
+      _DENSE_RECHECK states; the state after them, or the first with a
+      live cell within a cell of the edge, or the empty one, is framed
+      again, so a new grid is built around the live cells if they are
+      still dense enough.
     - otherwise a frame of extent s (its larger side less one) has room =
       (_FRAME_LIMIT - 1 - s) // 2.  With room > 0 it yields `room` states
       as (sorted packed keys, corner): each has extent plus two below
@@ -271,24 +273,12 @@ def _orbit(frame):
             grid = np.zeros((h + 2 * m + 1, w + 2 * m + 1), dtype=np.uint8)
             grid[ys + m, xs + m] = 1
             corner = corner[0] - m, corner[1] - m
-            for t in count(1):
+            for _ in range(_DENSE_RECHECK):
                 yield grid, corner
                 grid = _step_grid(grid)
-                if not grid.any():
-                    break
-                if not (t % _DENSE_RECHECK == 0 or grid[1].any() or grid[-2].any()
+                if (not grid.any() or grid[1].any() or grid[-2].any()
                         or grid[:, 1].any() or grid[:, -2].any()):
-                    continue
-                live_rows = np.flatnonzero(grid.any(axis=1))
-                live_cols = np.flatnonzero(grid.any(axis=0))
-                r0, r1 = int(live_rows[0]), int(live_rows[-1]) + 1
-                c0, c1 = int(live_cols[0]), int(live_cols[-1]) + 1
-                grid = grid[r0:r1, c0:c1]
-                corner = corner[0] + c0, corner[1] + r0
-                if not _dense_enough(np.count_nonzero(grid), c1 - c0, r1 - r0):
                     break
-                grid = np.pad(grid, m)
-                corner = corner[0] - m, corner[1] - m
             ys, xs = np.nonzero(grid)
             frame = _reframe(xs, ys, corner)
         elif room > 0:
@@ -463,18 +453,15 @@ def _rle_body(text: str):
     return text[start:], i + 2
 
 
+_WIDE = re.compile(r"[^\x00-\x7f]")
+
+
 def _one_byte_each(text: str) -> bytes:
     """The characters of `text` as bytes, any past ASCII as ' ' if it is
     whitespace, else NUL."""
     if text.isascii():
         return text.encode("ascii")
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    wide = np.flatnonzero(codes > 127)
-    others, which = np.unique(codes[wide], return_inverse=True)
-    space = np.array([chr(c).isspace() for c in others.tolist()])
-    chars = codes.astype(np.uint8)
-    chars[wide] = np.where(space[which], ord(" "), 0)
-    return chars.tobytes()
+    return _WIDE.sub(lambda m: " " if m.group().isspace() else "\0", text).encode("ascii")
 
 
 def _body_error(message, body, index, line):

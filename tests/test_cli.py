@@ -691,6 +691,14 @@ def test_ant_highway_report(capsys):
     assert "period=104" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--detect-highway"]])
+def test_ant_report_file_matches_stdout(tmp_path, capsys, mode):
+    """`--report` writes the report with or without `--detect-highway`."""
+    path = tmp_path / "r.txt"
+    code, out, _ = run_cli(capsys, "ant", "--steps", "500", *mode, "--report", str(path))
+    assert code == 0 and path.read_text() == out
+
+
 def test_ant_json_report(capsys):
     code, out, _ = run_cli(capsys, "--json", "ant", "--steps", "500")
     assert code == 0

@@ -190,6 +190,26 @@ def test_orbit_from_dense_starts_matches_the_tally(recheck, monkeypatch):
     assert forms == {0, 1, 2}
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), side=st.integers(12, 40),
+       margin=st.sampled_from([2, 16]), recheck=st.sampled_from([1, 3, 64]))
+def test_every_yielded_grid_has_two_dead_rows_and_columns_at_each_edge(
+        seed, side, margin, recheck):
+    # `_step_grid`'s precondition, so births stay inside the grid: a grid
+    # that `_orbit` yields has no live cell in rows or columns 0, 1, -2, -1
+    rng = random.Random(seed)
+    cells = dense_soup(rng, side, rng.randrange(64, side * side // 2 + 1))
+    edges, grids = [0, 1, -2, -1], 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(life, "_DENSE_MARGIN", margin)
+        patch.setattr(life, "_DENSE_RECHECK", recheck)
+        for state, corner in islice(life._orbit(life._frame(cells)), 200):
+            if corner is not None and state.ndim == 2:
+                grids += 1
+                assert not state[edges].any() and not state[:, edges].any()
+    assert grids  # it starts on the grid
+
+
 def extent(cells):
     x0, y0, x1, y1 = life.bounding_box(cells)
     return max(x1 - x0, y1 - y0)
