@@ -141,10 +141,21 @@ def _load_pattern(path: str) -> life.Pattern:
     return read(_read_text(path))
 
 
+class StepBudgetExceeded(EmergeLabError):
+    """`life run --steps` past the step budget, of a pattern alive at it."""
+
+
 def _cmd_life(args) -> dict:
     pattern = _load_pattern(args.rle)
     if args.life_command == "run":
-        result = life.run(pattern, args.steps)
+        # past the budget, only a pattern that dies within it is reported
+        budget = default_budget(10 ** 5)
+        result = life.run(pattern, min(args.steps, budget))
+        if args.steps > budget and result:
+            raise StepBudgetExceeded(
+                f"--steps {args.steps} is over the step budget of {budget}, and the "
+                f"pattern still lives at generation {budget}; set EMERGELAB_BUDGET "
+                "to raise the budget")
         if args.out_rle:
             Path(args.out_rle).write_text(life.write_rle(result))
         if args.out:

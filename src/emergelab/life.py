@@ -12,21 +12,22 @@ text straight from numpy arrays; `run`, `step`, `write_rle`, `raster`,
 to text or image rows and no cell set is built.
 One runner, `_orbit`, yields a frame's states and is the one place their
 form is chosen, each time it frames a state:
-- a dense uint8 grid over the bounding box plus a margin, with neighbour
-  counts from shifted-slice sums: patterns of at least 64 cells that fill
-  at least 1/128 of the grid, such as random soups, so `run` and
-  `detect_fate` both start those there; a grid's state is framed again
-  when it nears the edge and every 64 generations, so one that thins out
-  leaves the grid;
+- a bitboard, one Python int with cell (x, y) at bit y * stride + x over
+  the bounding box plus a dead margin, stepped by about 30 big-int
+  operations (full adders over the shifted bit planes): every state whose
+  board holds at most 256 bits per live cell, plus 16 384, such as small
+  seeds, oscillators and soups; a board's state is framed again when a
+  live cell reaches its border, so one that has spread thin leaves it;
 - sorted packed int64 keys, stepped by a numpy loop: every other state
-  whose extent plus two is below 2**30, such as the Gosper gun and small
-  seeds;
+  whose extent plus two is below 2**30, such as the Gosper gun's long
+  stream of gliders;
 - a frozenset stepped by a Counter tally, the reference: any wider state.
 
 `run` and `detect_fate` only read the runner's states.  `detect_fate`,
 shared with `candidates.life_survival_count`, memoises each state by a key
 that all its translates share, so it stops at the first recurrence or at
-extinction.
+extinction; a board state's key is the board shifted down to its lowest
+live bit, with no numpy call per generation.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
 which packs a pattern into the image rows `cli.render_pbm` writes.
@@ -38,7 +39,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -61,14 +62,14 @@ _FRAME_LIMIT = 1 << 30
 # it on; below it, sums and differences of offsets and corners fit in int64
 _INT64_SPAN = 1 << 62
 
-# the dense grid runs patterns of at least _DENSE_MIN_POP cells that fill at
-# least 1/_DENSE_SPARSITY of the grid, their bounding box plus the margin
-_DENSE_MIN_POP = 64
-_DENSE_SPARSITY = 128
-# dead cells kept around the live ones when the dense grid is built
-_DENSE_MARGIN = 16
-# generations a grid runs before it is framed again
-_DENSE_RECHECK = 64
+# a board keeps this many dead cells around the live ones when it is
+# built; its stride (bits per row) is rounded up to a multiple of 8, so it
+# grows by 8 or more, and `detect_fate` re-keys its memo less often
+_BOARD_MARGIN = 16
+# a state goes on a board of `area` bits when
+# area <= _BOARD_SPARSITY * (population + _BOARD_FLOOR)
+_BOARD_SPARSITY = 256
+_BOARD_FLOOR = 64
 
 
 class PatternParseError(InvalidArgument):
@@ -191,13 +192,6 @@ def _reframe(xs: np.ndarray, ys: np.ndarray, corner):
     return off, (corner[0] + x0, corner[1] + y0), (int(xs.max()) - x0, int(ys.max()) - y0)
 
 
-def _dense_enough(population: int, width: int, height: int) -> bool:
-    """Whether the dense grid beats the packed loop on this pattern."""
-    m = 2 * _DENSE_MARGIN
-    return (population >= _DENSE_MIN_POP and
-            population * _DENSE_SPARSITY >= (width + m) * (height + m))
-
-
 def _step_packed(keys: np.ndarray) -> np.ndarray:
     """One generation over sorted, non-empty packed keys; the result is
     sorted too."""
@@ -226,20 +220,65 @@ def _unpack(keys: np.ndarray):
     return keys >> 32, (keys & _PACK_LOW) - _PACK_HALF
 
 
-def _step_grid(grid: np.ndarray) -> np.ndarray:
-    """The next generation of a uint8 0/1 grid, as a new grid.  Live cells
-    must be at least two cells from the edge, so births stay inside it."""
-    rows = grid[:, :-2] + grid[:, 1:-1]
-    rows += grid[:, 2:]
-    counts = rows[:-2] + rows[1:-1]
-    counts += rows[2:]
-    inner = grid[1:-1, 1:-1]
-    counts -= inner  # the 3x3 sum less the cell: its neighbour count
-    # a dead cell lives on at 3 neighbours, a live one at 2 or 3: count | cell == 3
-    counts |= inner
-    out = np.zeros_like(grid)
-    np.equal(counts, 3, out=out[1:-1, 1:-1].view(bool))
-    return out
+def _offsets(state, where):
+    """(xs, ys, corner) of a board or packed state that `_orbit` yields:
+    int64 offsets of its live cells from `corner`."""
+    if len(where) == 3:
+        return (*_board_cells(state, where[2]), where[:2])
+    return (*_unpack(state), where)
+
+
+def _to_board(xs: np.ndarray, ys: np.ndarray, stride: int) -> int:
+    """The board with bits ys * stride + xs set, for int64 columns xs in
+    0..stride-1 and rows ys >= 0."""
+    bits = np.zeros((int(ys.max()) + 1) * stride, dtype=bool)
+    bits[ys * stride + xs] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _board_cells(board: int, stride: int):
+    """(xs, ys), the int64 columns and rows of a board's live cells: the
+    inverse of `_to_board`."""
+    raw = np.frombuffer(board.to_bytes((board.bit_length() + 7) // 8, "little"),
+                        dtype=np.uint8)
+    at = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return at % stride, at // stride
+
+
+@lru_cache(maxsize=16)
+def _border(stride: int, rows: int) -> int:
+    """The mask, a negative int, of a board's border: rows 0 and rows - 1
+    (and every row above it) and columns 0 and stride - 1."""
+    every_row, done = 1, 1  # bit 0 of each of the first `done` rows
+    while done < rows:
+        every_row |= every_row << stride * done
+        done *= 2
+    sides = (1 | 1 << (stride - 1)) * every_row
+    return (1 << stride) - 1 | sides | (-1 << stride * (rows - 1))
+
+
+def _step_board(board: int, stride: int) -> int:
+    """One generation of a board whose border cells are dead, so that no
+    neighbour of a live cell wraps into another row."""
+    # each cell's count over itself and its row neighbours, 0..3, as the
+    # bit planes `ones` and `twos`
+    left, right = board << 1, board >> 1
+    odd = left ^ board
+    ones, twos = odd ^ right, (left & board) | (odd & right)
+    # the 3x3 count, by full adders over the rows above and below: the ones
+    # add to z + 2c, the twos to y0 + 2 y1, so the count is z + 2k with
+    # k = c + y0 + 2 y1
+    up, down = ones << stride, ones >> stride
+    odd = up ^ down
+    z, c = odd ^ ones, (up & down) | (odd & ones)
+    up, down = twos << stride, twos >> stride
+    odd = up ^ down
+    y0, y1 = odd ^ twos, (up & down) | (odd & twos)
+    # a cell lives at a 3x3 count of 3 (z = 1, k = 1), or of 4 if it was
+    # alive (z = 0, k = 2); k = 1 is c ^ y0 without y1, and k = 2 is
+    # y0 ^ y1 without c ^ y0
+    odd = c ^ y0
+    return (z & odd & ~y1) | (board & (y0 ^ y1) & ~(z | odd))
 
 
 def _orbit(frame):
@@ -247,13 +286,15 @@ def _orbit(frame):
     last is empty if the pattern dies out.
 
     The one Life runner, and the one place a state's form is chosen, each
-    time it frames a state:
-    - a pattern `_dense_enough` goes on a uint8 grid over its box plus
-      _DENSE_MARGIN, yielded as (grid, grid corner).  It runs at most
-      _DENSE_RECHECK states; the state after them, or the first with a
-      live cell within a cell of the edge, or the empty one, is framed
-      again, so a new grid is built around the live cells if they are
-      still dense enough.
+    time it frames a state of n cells and extent (w, h):
+    - a board of `rows` = h + 1 + 2 * _BOARD_MARGIN rows and a stride that
+      is the larger of the last board's and w + 1 + 2 * _BOARD_MARGIN
+      rounded up to a multiple of 8, if stride * rows <= _BOARD_SPARSITY *
+      (n + _BOARD_FLOOR).  Its states are (board, (x0, y0, stride)): bit
+      y * stride + x is the cell (x0 + x, y0 + y).  The first state with a
+      live cell on the border (`_border`), or the empty one, is framed
+      again.  Within one run the stride never shrinks, so the keys of a
+      fate memo change stride only as the pattern widens.
     - otherwise a frame of extent s (its larger side less one) has room =
       (_FRAME_LIMIT - 1 - s) // 2.  With room > 0 it yields `room` states
       as (sorted packed keys, corner): each has extent plus two below
@@ -261,26 +302,28 @@ def _orbit(frame):
       framed again.
     - any other state, and the empty one, is (frozenset, None), stepped by
       the tally.
-    Each grid and key array is new, so a yielded state stays valid.  States
-    are framed again from their arrays; only tally states are sets.
+    Each key array is new, so a yielded state stays valid.  States go onto
+    and off a board, or out of keys, only here, through numpy; only tally
+    states are sets.
     """
+    stride, m = 0, _BOARD_MARGIN
     while True:
         off, corner, (w, h) = frame
         xs, ys = off[:, 0], off[:, 1]
+        width = max(stride, (w + 2 * m + 8) // 8 * 8)
+        rows = h + 1 + 2 * m
         room = (_FRAME_LIMIT - 1 - max(w, h)) // 2
-        if _dense_enough(xs.size, w + 1, h + 1):
-            m = _DENSE_MARGIN
-            grid = np.zeros((h + 2 * m + 1, w + 2 * m + 1), dtype=np.uint8)
-            grid[ys + m, xs + m] = 1
-            corner = corner[0] - m, corner[1] - m
-            for _ in range(_DENSE_RECHECK):
-                yield grid, corner
-                grid = _step_grid(grid)
-                if (not grid.any() or grid[1].any() or grid[-2].any()
-                        or grid[:, 1].any() or grid[:, -2].any()):
+        if width * rows <= _BOARD_SPARSITY * (xs.size + _BOARD_FLOOR):
+            stride = width
+            board = _to_board(xs + m, ys + m, stride)
+            where = corner[0] - m, corner[1] - m, stride
+            border = _border(stride, rows)
+            while True:
+                yield board, where
+                board = _step_board(board, stride)
+                if board & border or not board:
                     break
-            ys, xs = np.nonzero(grid)
-            frame = _reframe(xs, ys, corner)
+            frame = _reframe(*_offsets(board, where))
         elif room > 0:
             keys = _pack(xs, ys)
             for _ in range(room):
@@ -288,7 +331,7 @@ def _orbit(frame):
                 keys = _step_packed(keys)
                 if keys.size == 0:
                     break
-            frame = _reframe(*_unpack(keys), corner)
+            frame = _reframe(*_offsets(keys, corner))
         else:
             cells = _cells(xs, ys, corner)
             yield cells, None
@@ -310,22 +353,17 @@ def run(cells: Iterable, steps: int) -> Pattern:
         raise InvalidSteps(f"steps must be >= 0, got {steps}")
     if not pattern or steps == 0:
         return pattern
-    for _, (state, corner) in zip(range(steps + 1), _orbit(pattern.frame)):
+    for _, (state, where) in zip(range(steps + 1), _orbit(pattern.frame)):
         pass  # on to the state at generation `steps`, or the empty one
-    if corner is None:
+    if where is None:
         return _pattern(state)
-    xs, ys = _unpack(state) if state.ndim == 1 else np.nonzero(state)[::-1]
-    return Pattern(_reframe(xs, ys, corner))
+    return Pattern(_reframe(*_offsets(state, where)))
 
 
 def bounding_box(cells: Iterable) -> tuple[int, int, int, int] | None:
     """(min_x, min_y, max_x, max_y), or None for the empty set."""
     off, (x0, y0), (w, h) = _pattern(cells).frame
     return (x0, y0, x0 + w, y0 + h) if len(off) else None
-
-
-def translate(cells: Iterable, dx: int, dy: int) -> frozenset:
-    return frozenset((x + dx, y + dy) for x, y in cells)
 
 
 def canonical(cells: Iterable) -> tuple[Pattern, tuple[int, int]]:
@@ -370,35 +408,139 @@ def detect_fate(cells: Iterable, budget: int) -> FateReport:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
     if not pattern:
         return FateReport("extinct", t=0)
-    # Each state is memoised by a key that all its translates share, with
-    # its first packed key and frame corner, decoded once the key repeats.
-    seen: dict[bytes | Pattern, tuple] = {}
-    for t, (state, corner) in enumerate(_orbit(pattern.frame)):
-        if corner is None:  # a wide state, or the empty one at extinction
+    # Each state is memoised by a key that all its translates in the same
+    # form share, as (t, anchor, where), from which `_anchor` finds the
+    # cell its key starts from once the key repeats.  `seen` holds the
+    # entries of the present form (and board stride); when that changes,
+    # they wait in `waiting` by population and height, and are re-keyed
+    # only when a state with both comes, since only it can repeat them.
+    # So each entry is re-keyed at most once per change: with g stride
+    # growths (each of 8 columns or more) and f changes of form, a run of
+    # budget T decodes at most T * (g + f) entries, and in practice few.
+    seen: dict = {}
+    waiting: dict = {}
+    stash: list = []  # waiting entries too wide for the present form
+    form = None  # a board's stride, 0 for packed keys, None for the tally
+    for t, (state, where) in enumerate(_orbit(pattern.frame)):
+        if where is None:  # a wide state, or the empty one at extinction
             if not state:
                 return FateReport("extinct", t=t)
             key, corner = canonical(state)
-            first = _PACK_HALF  # the key of offset (0, 0): the corner itself
+            # the key of offset (0, 0): the corner itself
+            now, here = None, (t, _PACK_HALF, corner)
+        elif len(where) == 3:  # a translate shifts the board's bits
+            low = (state & -state).bit_length() - 1
+            key, now, here = state >> low, where[2], (t, low, where)
         else:  # a translate adds one constant to every packed key
-            if state.ndim == 2:  # a grid is keyed by its live cells, packed
-                ys, xs = np.nonzero(state)
-                state = _pack(xs, ys)
             first = int(state[0])
-            key = (state - first).tobytes()
-        if key in seen:
-            t0, first0, corner0 = seen[key]
-            (x0, y0), (x1, y1) = _unpack(first0), _unpack(first)
-            period = t - t0
-            dx = corner[0] + x1 - corner0[0] - x0
-            dy = corner[1] + y1 - corner0[1] - y0
+            key, now, here = (state - first).tobytes(), 0, (t, first, where)
+        if now != form:
+            _retire(seen, waiting, stash)
+            form = now
+        if waiting:
+            for old in waiting.pop(_size(key, *here), ()):
+                new = _rekey(*old, form)
+                if new is None:
+                    stash.append(old)
+                else:
+                    seen.setdefault(new[0], []).append(new[1])
+        found = seen.setdefault(key, [])
+        for then in found:
+            # boards of two states with one key may be translates or not
+            if now and not _translate_of(key, then, here):
+                continue
+            (t0, x0, y0), (_, x1, y1) = _anchor(*then), _anchor(*here)
+            period, dx, dy = t - t0, x1 - x0, y1 - y0
             if (dx, dy) != (0, 0):
                 return FateReport("translator", t=t0, period=period, dx=dx, dy=dy)
             if period == 1:
                 return FateReport("still_life", t=t0, period=1)
             return FateReport("oscillator", t=t0, period=period)
-        seen[key] = (t, first, corner)
+        found.append(here)
         if t == budget:
             return FateReport("unknown", budget=budget)
+
+
+def _anchor(t, anchor, where):
+    """(t, x, y) of a fate memo entry: (x, y) is the cell its key starts
+    from, the lowest live bit of a board or the first packed key."""
+    if len(where) == 3:
+        y, x = divmod(anchor, where[2])
+    else:
+        x, y = _unpack(anchor)
+    return t, where[0] + x, where[1] + y
+
+
+def _columns(board: int, stride: int) -> int:
+    """The columns of a board's live cells, as one row: its rows ORed."""
+    span = stride
+    while board >> span:
+        board |= board >> span
+        span <<= 1
+    return board & ((1 << stride) - 1)
+
+
+def _translate_of(key: int, then, here) -> bool:
+    """Whether two board states of one stride and one key are translates:
+    the key's bits, moved from the column of `then`'s anchor to that of
+    `here`'s, stay in their rows."""
+    stride = here[2][2]
+    col = then[1] % stride
+    move = here[1] % stride - col
+    columns = _columns(key << col, stride)
+    if move >= 0:
+        return columns >> (stride - move) == 0
+    return columns & ((1 << -move) - 1) == 0
+
+
+def _size(key, t, anchor, where) -> tuple[int, int]:
+    """(population, height less one) of a fate memo entry, which every
+    translate of its state shares in every form."""
+    if len(where) == 3:
+        stride = where[2]
+        return key.bit_count(), ((key << anchor % stride).bit_length() - 1) // stride
+    if isinstance(key, Pattern):  # a tally state's canonical pattern
+        return len(key), key.frame[2][1]
+    ys = _unpack(np.frombuffer(key, dtype=np.int64) + anchor)[1]
+    return ys.size, int(ys.max() - ys.min())
+
+
+def _retire(seen: dict, waiting: dict, stash: list):
+    """Move the entries of a fate memo's `seen` and `stash` to `waiting`,
+    by population and height, when the form changes."""
+    stash += [(key, then) for key, found in seen.items() for then in found]
+    seen.clear()
+    for old in stash:
+        waiting.setdefault(_size(old[0], *old[1]), []).append(old)
+    stash.clear()
+
+
+def _rekey(key, entry, form):
+    """(key, entry) of a fate memo entry in `form`, a board's stride, 0
+    for packed keys or None for the tally's; None if it is too wide for
+    that form, so that no state in it can repeat the entry's."""
+    t, anchor, (ox, oy, *stride) = entry
+    if stride:
+        xs, ys = _board_cells(key << anchor, stride[0])
+    elif isinstance(key, Pattern):  # a tally state's canonical pattern
+        xs, ys = key.frame[0].T
+    else:
+        xs, ys = _unpack(np.frombuffer(key, dtype=np.int64) + anchor)
+    x0, y0 = int(xs.min()), int(ys.min())
+    w, h = int(xs.max()) - x0, int(ys.max()) - y0
+    if form is None:
+        key, corner = canonical(_cells(xs, ys, (ox, oy)))
+        return key, (t, _PACK_HALF, corner)
+    if w >= form if form else max(w, h) + 2 >= _FRAME_LIMIT:
+        return None
+    xs, ys = (xs - x0).astype(np.int64), (ys - y0).astype(np.int64)
+    if form:
+        board = _to_board(xs, ys, form)
+        low = (board & -board).bit_length() - 1
+        return board >> low, (t, low, (ox + x0, oy + y0, form))
+    keys = _pack(xs, ys)
+    first = int(keys[0])
+    return (keys - first).tobytes(), (t, first, (ox + x0, oy + y0))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +744,7 @@ def write_rle(cells: Iterable) -> str:
     if width * height >= _INT64_SPAN:  # keep row-major keys exact
         off = off.astype(object)
     keys = off[:, 1] * width + off[:, 0]
-    if (keys[1:] > keys[:-1]).all():  # the frame of a grid or of RLE text
+    if (keys[1:] > keys[:-1]).all():  # the frame of a board or of RLE text
         xs, ys = off[:, 0], off[:, 1]
     else:
         keys.sort()

@@ -162,6 +162,11 @@ def language_count_reference(lang, n, skip_epsilon=False):
     return language_counts_reference(lang, [n], skip_epsilon)[n]
 
 
+def translate(cells, dx, dy):
+    """The cells moved by (dx, dy)."""
+    return frozenset((x + dx, y + dy) for x, y in cells)
+
+
 def life_step_sparse(cells):
     """One Life generation by counting, for every cell next to a live one,
     its live neighbours; coordinates stay Python ints of any size."""

@@ -14,7 +14,7 @@ import pytest
 from emergelab import analysis, ant, candidates, eca, life, turing
 from emergelab.fixtures import load_text
 
-from .oracles import step_cycle_reference, survival_count_reference
+from .oracles import step_cycle_reference, survival_count_reference, translate
 
 
 @contextmanager
@@ -83,7 +83,7 @@ def test_criterion_03_rule30_column_statistics():
 def test_criterion_04_glider_translation_and_fate():
     with criterion(4, "glider-diagonal-period-4"):
         glider = life.parse_rle(load_text("glider.rle"))
-        assert life.run(glider, 4) == life.translate(glider, 1, 1)
+        assert life.run(glider, 4) == translate(glider, 1, 1)
         fate = life.detect_fate(glider, 10)
         assert fate.verdict == "translator"
         assert fate.period == 4

@@ -585,7 +585,7 @@ EMPTY_RLE = "x = 0, y = 0, rule = B3/S23\n!\n"
 
 @pytest.mark.parametrize("pattern,steps", [
     ("x = 0, y = 0\n!\n", 5),
-    # dots 3 apart, dense enough for the grid, all die at generation 1
+    # dots 3 apart, dense enough for a board, all die at generation 1
     ("x = 46, y = 46\n" + "$2$".join(["o2b" * 15 + "o"] * 16) + "!\n", 3),
 ])
 def test_life_run_of_a_pattern_with_no_live_cell(tmp_path, capsys, pattern, steps):
@@ -905,6 +905,32 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EMERGELAB_BUDGET", value)
         code, _, err = run_cli(capsys, "tm", "run", "--machine", SUCC, "--input", "3")
         assert code == 1 and f"EMERGELAB_BUDGET must be a positive integer, got {value!r}" in err
+
+
+def test_life_run_past_the_step_budget_refuses_a_live_pattern(capsys, monkeypatch):
+    monkeypatch.setenv("EMERGELAB_BUDGET", "100")
+    code, out, err = run_cli(capsys, "life", "run", "--rle", GLIDER,
+                             "--steps", str(10 ** 12))
+    assert (code, out) == (1, "")
+    assert err == ("emergelab life: --steps 1000000000000 is over the step budget of 100, "
+                   "and the pattern still lives at generation 100; set EMERGELAB_BUDGET "
+                   "to raise the budget\n")
+    # at the budget itself the run is not refused
+    code, out, _ = run_cli(capsys, "life", "run", "--rle", GLIDER, "--steps", "100",
+                           "--print", "bbox")
+    assert code == 0 and out == "steps=100\npopulation=5\nbbox=25,25,27,27\n"
+
+
+def test_life_run_past_the_step_budget_reports_a_pattern_dead_within_it(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EMERGELAB_BUDGET", "100")
+    source, out_rle = tmp_path / "domino.rle", tmp_path / "out.rle"
+    source.write_text("x = 2, y = 1\n2o!\n")
+    steps = str(10 ** 12)
+    code, out, _ = run_cli(capsys, "life", "run", "--rle", str(source), "--steps", steps,
+                           "--print", "bbox", "--out-rle", str(out_rle))
+    assert code == 0 and out == f"steps={steps}\npopulation=0\nbbox=empty\n"
+    assert out_rle.read_text() == EMPTY_RLE
 
 
 def test_module_invocation_round_trip(tmp_path):

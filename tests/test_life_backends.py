@@ -1,6 +1,6 @@
-"""The Life kernels (tally, packed loop, dense grid) and where `run`
-uses them, the vectorised RLE writer and `raster`, checked against the
-tally and the naive oracles."""
+"""The Life kernels (tally, packed loop, bitboard) and where `run` uses
+them, the vectorised RLE writer and `raster`, checked against the tally
+and the naive oracles."""
 
 import random
 
@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from emergelab import life
 from emergelab.fixtures import load_text
 
-from .oracles import life_run_dense, raster_reference, write_rle_reference
+from .oracles import (life_run_dense, raster_reference, translate,
+                      write_rle_reference)
 
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
 TALLY = life._step_tally  # bound before any test spies on it
@@ -30,10 +31,10 @@ def soup(rng, side, n, dx=0, dy=0):
 
 
 def spy(monkeypatch):
-    """Record, in order, each call of the grid step, the packed step and
+    """Record, in order, each call of the board step, the packed step and
     the tally step."""
     calls = []
-    for name in ("_step_grid", "_step_packed", "_step_tally"):
+    for name in ("_step_board", "_step_packed", "_step_tally"):
         real = getattr(life, name)
 
         def wrapped(*args, _real=real, _name=name):
@@ -72,27 +73,31 @@ def test_backend_choice(monkeypatch):
     sparse = frozenset((37 * i, 11 * (i % 13)) for i in range(300))
     gun = life.parse_rle(load_text("gosper_gun.rle"))
     calls = spy(monkeypatch)
-    assert kernels(calls, dense_soup, 1) == kernels(calls, dense_soup, 50) == ["_step_grid"]
+    assert kernels(calls, dense_soup, 1) == kernels(calls, dense_soup, 50) == ["_step_board"]
     assert kernels(calls, sparse, 1) == kernels(calls, sparse, 50) == ["_step_packed"]
-    # a row of cells 100 apart fills 1/100 of its box, but far less of the grid
+    # a row of cells 100 apart fills 1/100 of its box, but far less of a
+    # board with its margin
     spaced = frozenset((100 * i, 0) for i in range(1000))
     assert kernels(calls, spaced, 1) == ["_step_packed"]
-    # one generation of a small pattern: numpy too, by the density rule
+    # a small pattern goes on a board whatever its population
     assert kernels(calls, GLIDER, 1) == kernels(calls, GLIDER, 2) == \
-        kernels(calls, gun, 2000) == ["_step_packed"]
-    assert len(small_soup) >= life._DENSE_MIN_POP
-    assert kernels(calls, small_soup, 1) == ["_step_grid"]
+        kernels(calls, small_soup, 1) == ["_step_board"]
+    # the gun starts on a board, and its stream of gliders thins out onto
+    # packed keys, which run most of 2000 generations
+    assert kernels(calls, gun, 2000) == ["_step_board", "_step_packed"]
+    assert calls.count("_step_packed") > 1000
     # position never matters
     for offset in (1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)):
-        moved = life.translate(dense_soup, offset, -offset)
-        assert kernels(calls, moved, 1) == kernels(calls, moved, 50) == ["_step_grid"]
-        assert kernels(calls, life.translate(GLIDER, offset, 3), 1) == ["_step_packed"]
+        moved = translate(dense_soup, offset, -offset)
+        assert kernels(calls, moved, 1) == kernels(calls, moved, 50) == ["_step_board"]
+        assert kernels(calls, translate(GLIDER, offset, 3), 1) == ["_step_board"]
     # an extent near the limit still packs while it stays below the limit:
-    # the far cell dies, and the glider is framed again
+    # the far cell dies, and the glider, framed again, goes on a board
     limit = life._FRAME_LIMIT
     for dx in (0, 10 ** 20):
-        wide = life.translate(GLIDER | {(limit - 100, 0)}, dx, 0)
-        assert kernels(calls, wide, 49) == kernels(calls, wide, 50) == ["_step_packed"]
+        wide = translate(GLIDER | {(limit - 100, 0)}, dx, 0)
+        assert kernels(calls, wide, 49) == ["_step_packed"]
+        assert kernels(calls, wide, 50) == ["_step_packed", "_step_board"]
         assert life.run(wide, 50) == tally_run(wide, 50)
     # two gliders moving apart reach the limit, and the tally takes over
     apart = GLIDER | frozenset((12 - limit - x, y) for x, y in GLIDER)
@@ -128,32 +133,32 @@ def test_run_near_the_packing_limit():
     limit = 1 << 30
     for dx, dy in [(limit - 60, 0), (0, limit - 60), (-limit + 31, 5),
                    (3, -limit + 31), (limit - 40, -limit + 40)]:
-        cells = life.translate(base, dx, dy)
+        cells = translate(base, dx, dy)
         for steps in (1, 9, 20):
             assert life.run(cells, steps) == \
-                life.translate(tally_run(base, steps), dx, dy)
+                translate(tally_run(base, steps), dx, dy)
 
 
 @pytest.mark.parametrize("offset", [10 ** 20, -(10 ** 20), 2 ** 63, 2 ** 62 - 5])
 def test_run_with_python_ints_beyond_int64(offset, monkeypatch):
     base = soup(random.Random(3), 20, 200)
-    cells = life.translate(base, offset, -offset)
-    want = life.translate(tally_run(base, 6), offset, -offset)
+    cells = translate(base, offset, -offset)
+    want = translate(tally_run(base, 6), offset, -offset)
     calls = spy(monkeypatch)
     assert life.run(cells, 6) == want
-    assert life.step(cells) == life.translate(TALLY(base), offset, -offset)
-    # position never matters: both run on the grid, and neither tallies
-    assert calls == ["_step_grid"] * 7
+    assert life.step(cells) == translate(TALLY(base), offset, -offset)
+    # position never matters: both run on a board, and neither tallies
+    assert calls == ["_step_board"] * 7
 
 
 @pytest.mark.parametrize("steps", [1, 5, 70, 200])
 def test_patterns_that_die_out(steps, monkeypatch):
-    # isolated cells three apart: dense enough for the grid, dead in one
+    # isolated cells three apart: dense enough for a board, dead in one
     # step, which ends the runner
     dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
     calls = spy(monkeypatch)
     assert life.run(dots, steps) == frozenset()
-    assert calls == ["_step_grid"]
+    assert calls == ["_step_board"]
     # a sparse spread of blocks and dots: the dots die, the blocks stay
     blocks = frozenset((40 * i + a, b) for i in range(30) for a in (0, 1) for b in (0, 1))
     stray = frozenset((40 * i + 20, 0) for i in range(30))
@@ -161,13 +166,13 @@ def test_patterns_that_die_out(steps, monkeypatch):
 
 
 def test_grid_growing_every_generation(monkeypatch):
-    # with no slack around the live cells, every generation in which the
-    # soup spreads rebuilds the grid
-    monkeypatch.setattr(life, "_DENSE_MARGIN", 2)
+    # with one dead cell around the live ones, every generation in which
+    # the soup spreads reaches the board's border and frames it again
+    monkeypatch.setattr(life, "_BOARD_MARGIN", 1)
     cells = soup(random.Random(4), 24, 300, dx=-7, dy=11)
     calls = spy(monkeypatch)
     assert life.run(cells, 60) == tally_run(cells, 60)
-    assert calls[0] == "_step_grid"
+    assert calls[0] == "_step_board"
 
 
 def test_run_switches_backend_mid_run(monkeypatch):
@@ -175,9 +180,9 @@ def test_run_switches_backend_mid_run(monkeypatch):
     assert len(cells) == 80
     calls = spy(monkeypatch)
     result = life.run(cells, 400)
-    # every grid step comes before the first packed step
+    # every board step comes before the first packed step
     first = calls.index("_step_packed")
-    assert set(calls[:first]) == {"_step_grid"} and set(calls[first:]) == {"_step_packed"}
+    assert set(calls[:first]) == {"_step_board"} and set(calls[first:]) == {"_step_packed"}
     assert result == tally_run(cells, 400)
     assert result == frozenset((x + (100 if x > 0 else -100),
                                 y + (100 if y > 0 else -100)) for x, y in cells)
@@ -213,15 +218,46 @@ def test_packed_dense_and_tally_agree_on_step():
                   receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
         off, (cx, cy), (w, h) = life._frame(cells)
         want = TALLY(cells)
-        # live cells two from the edge, as the grid step needs
-        grid = np.zeros((h + 5, w + 5), dtype=np.uint8)
-        grid[off[:, 1] + 2, off[:, 0] + 2] = 1
-        before = grid.copy()
-        ys, xs = np.nonzero(life._step_grid(grid))
-        assert life._cells(xs, ys, (cx - 2, cy - 2)) == want
-        assert np.array_equal(grid, before)  # a new grid, the old one kept
+        # one dead cell around the live ones, as the board step needs
+        stride = (w + 10) // 8 * 8
+        board = life._to_board(off[:, 0] + 1, off[:, 1] + 1, stride)
+        assert board & life._border(stride, h + 3) == 0
+        xs, ys = life._board_cells(life._step_board(board, stride), stride)
+        assert life._cells(xs, ys, (cx - 1, cy - 1)) == want
         keys = life._step_packed(life._pack(off[:, 0], off[:, 1]))
         assert life._cells(*life._unpack(keys), (cx, cy)) == want
+
+
+@st.composite
+def boards(draw):
+    """(stride, rows, cells) of a board whose border is dead: cells on the
+    inner edge of the border, and on both sides of the boundary between
+    one row's last column and the next row's first, drawn often."""
+    stride = draw(st.sampled_from([8, 16, 24, 40]))
+    rows = draw(st.integers(4, 10))
+    cols = st.one_of(st.sampled_from([1, 2, stride - 3, stride - 2]),
+                     st.integers(1, stride - 2))
+    ys = st.one_of(st.sampled_from([1, rows - 2]), st.integers(1, rows - 2))
+    cells = draw(st.frozensets(st.tuples(cols, ys), max_size=3 * stride))
+    # a row's last inner cell with the next row's first, and a run of them
+    for y in draw(st.lists(st.integers(1, rows - 3), max_size=3)):
+        cells |= {(stride - 2, y), (1, y + 1), (stride - 3, y), (2, y + 1)}
+    return stride, rows, cells
+
+
+@given(boards())
+@settings(max_examples=300, deadline=None)
+def test_board_step_matches_the_tally(board_cells):
+    stride, rows, cells = board_cells
+    if not cells:
+        return
+    xs, ys = (np.array(v, dtype=np.int64) for v in zip(*cells))
+    board = life._to_board(xs, ys, stride)
+    assert board & life._border(stride, rows) == 0
+    assert set(zip(*(v.tolist() for v in life._board_cells(board, stride)))) == cells
+    after = life._step_board(board, stride)
+    got = set(zip(*(v.tolist() for v in life._board_cells(after, stride))))
+    assert got == TALLY(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +272,7 @@ CORPUS = ["glider.rle", "block.rle", "blinker.rle", "toad.rle", "beacon.rle",
 def test_write_rle_matches_reference_on_corpus(name):
     cells = life.parse_rle(load_text(name))
     assert life.write_rle(cells) == write_rle_reference(cells)
-    moved = life.translate(cells, -17, 1 << 40)
+    moved = translate(cells, -17, 1 << 40)
     assert life.write_rle(moved) == write_rle_reference(cells)
 
 
@@ -297,7 +333,7 @@ def test_raster_matches_reference(offset):
     rng = random.Random(9)
     for cells in (GLIDER, frozenset({(0, 0)}), soup(rng, 50, 700),
                   life.parse_rle(load_text("gosper_gun.rle"))):
-        cells = life.translate(cells, offset, -offset)
+        cells = translate(cells, offset, -offset)
         rows, width = life.raster(cells)
         assert all(0 <= bits < 1 << width for bits in rows)
         assert [[bits >> x & 1 for x in range(width)] for bits in rows] \

@@ -1,7 +1,7 @@
 """The generation runner `life._orbit` and `life.detect_fate` on top of
-it, checked against the tally and the frozenset oracle: grid and packed
-states, far offsets, states too wide to pack, re-framing, and the empty
-set."""
+it, checked against the tally and the frozenset oracle: board and packed
+states, far offsets, states too wide to pack, re-framing, recurrences
+across a change of form or stride, and the empty set."""
 
 import random
 from itertools import islice
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from emergelab import life
 from emergelab.fixtures import load_text
 
-from .oracles import detect_fate_reference
+from .oracles import detect_fate_reference, translate
 
 CORPUS = [
     "glider", "block", "blinker", "toad", "beacon", "beehive", "loaf", "boat",
@@ -32,6 +32,29 @@ TALLY = life._step_tally  # bound before any test spies on it
 
 def corpus(name):
     return life.parse_rle(load_text(f"{name}.rle"))
+
+
+def form(where):
+    """The form of a state `_orbit` yields: its board's stride, "packed"
+    or "tally"."""
+    return "tally" if where is None else where[2] if len(where) == 3 else "packed"
+
+
+def forms(cells, n):
+    """The forms of the first n states of `_orbit` from `cells`."""
+    return [form(where) for _, (_, where) in zip(range(n), life._orbit(life._frame(cells)))]
+
+
+def on_board(cells):
+    return isinstance(forms(cells, 1)[0], int)
+
+
+def state_cells(state, where):
+    """The cell set of a state `_orbit` yields, in any form."""
+    if where is None:
+        return state
+    xs, ys, corner = life._offsets(state, where)
+    return life._cells(xs, ys, corner)
 
 
 def transform(cells, a, b, c, d, ox=0, oy=0):
@@ -82,7 +105,7 @@ def test_empty_set_is_extinct_at_zero():
 
 
 def test_blocks_two_to_the_31_apart_take_the_wide_path(monkeypatch):
-    cells = BLOCK | life.translate(BLOCK, 2 ** 31, 0)
+    cells = BLOCK | translate(BLOCK, 2 ** 31, 0)
     tallies = count_calls(monkeypatch, "_step_tally")
     packed = count_calls(monkeypatch, "_step_packed")
     report = life.detect_fate(cells, 10)
@@ -93,13 +116,14 @@ def test_blocks_two_to_the_31_apart_take_the_wide_path(monkeypatch):
 
 def test_wide_state_packs_again_once_it_shrinks(monkeypatch):
     # the far domino dies in one generation, leaving a blinker that packs
+    # into a board
     cells = BLINKER | {(2 ** 31, 0), (2 ** 31 + 1, 0)}
     tallies = count_calls(monkeypatch, "_step_tally")
-    packed = count_calls(monkeypatch, "_step_packed")
+    boards = count_calls(monkeypatch, "_step_board")
     report = life.detect_fate(cells, 10)
     assert report == life.FateReport("oscillator", t=1, period=2)
     assert report == detect_fate_reference(cells, 10)
-    assert len(tallies) == 1 and packed
+    assert len(tallies) == 1 and boards
 
 
 @pytest.mark.parametrize("ox", [life._FRAME_LIMIT - 8, -life._FRAME_LIMIT - 4])
@@ -107,7 +131,7 @@ def test_glider_across_the_packing_limit_matches_oracle(ox):
     # a glider heading to +x leaves a block from just inside the packed
     # extent, or approaches it from just outside, so the runner switches
     # representation part-way
-    cells = BLOCK | life.translate(GLIDER, ox, 0)
+    cells = BLOCK | translate(GLIDER, ox, 0)
     report = life.detect_fate(cells, 40)
     assert report == life.FateReport("unknown", budget=40)
     assert report == detect_fate_reference(cells, 40)
@@ -128,12 +152,13 @@ def dense_soup(rng, side, n):
 
 
 def near_threshold_soup(rng):
-    """A soup just dense enough for the grid: it thins out, so the runner
-    leaves the grid, often while it recurs."""
+    """A soup just dense enough for a board under the module's constants:
+    it thins out, so the runner leaves the board, often while it recurs."""
     side = rng.randrange(30, 71)
-    grid_side = side + 2 * life._DENSE_MARGIN
-    bound = max(life._DENSE_MIN_POP, -(-grid_side ** 2 // life._DENSE_SPARSITY))
-    return dense_soup(rng, side, bound + rng.randrange(6))
+    m = life._BOARD_MARGIN
+    area = (side + 2 * m + 7) // 8 * 8 * (side + 2 * m)
+    bound = -(-area // life._BOARD_SPARSITY) - life._BOARD_FLOOR
+    return dense_soup(rng, side, min(side * side // 2, max(1, bound) + rng.randrange(6)))
 
 
 def test_dense_soups_match_oracle():
@@ -141,73 +166,137 @@ def test_dense_soups_match_oracle():
     for _ in range(12):
         side = rng.randrange(10, 31)
         cells = dense_soup(rng, side, rng.randrange(64, min(400, side * side) + 1))
-        assert next(life._orbit(life._frame(cells)))[0].ndim == 2  # it starts on the grid
+        assert on_board(cells)
         assert life.detect_fate(cells, 200) == detect_fate_reference(cells, 200)
 
 
-@pytest.mark.parametrize("recheck", [64, 7])
-def test_recurrence_across_the_switch_from_grid_to_keys(recheck, monkeypatch):
-    # A state first seen on the grid recurs after the runner has left it,
-    # or after a rebuild has moved it on the grid: either is the same key.
-    monkeypatch.setattr(life, "_DENSE_RECHECK", recheck)
+def thin_boards(patch, margin):
+    """Boards of `margin` dead cells that hold 64 bits per live cell, with
+    no allowance for small patterns, so that soups leave them as they
+    thin out."""
+    patch.setattr(life, "_BOARD_MARGIN", margin)
+    patch.setattr(life, "_BOARD_SPARSITY", 64)
+    patch.setattr(life, "_BOARD_FLOOR", 0)
+
+
+@pytest.mark.parametrize("margin", [16, 7])
+def test_recurrence_across_the_switch_from_board_to_keys(margin, monkeypatch):
+    # A state first seen on a board recurs after the runner has left it for
+    # packed keys, or after a border contact has framed it on another
+    # board: either way it is found.
+    thin_boards(monkeypatch, margin)
     rng = random.Random(18)
     for _ in range(200):
         cells = near_threshold_soup(rng)
-        assert next(life._orbit(life._frame(cells)))[0].ndim == 2
+        assert on_board(cells)
         assert life.detect_fate(cells, 400) == detect_fate_reference(cells, 400)
 
 
+def test_recurrence_across_a_stride_change(monkeypatch):
+    # two vertical blinkers 4 apart fit a board of stride 8 with one dead
+    # cell around them; their horizontal phase reaches its border, and the
+    # board they are framed on again is twice as wide
+    monkeypatch.setattr(life, "_BOARD_MARGIN", 1)
+    cells = frozenset((x, y) for x in (0, 4) for y in (-1, 0, 1))
+    assert forms(cells, 3) == [8, 16, 16]
+    report = life.detect_fate(cells, 10)
+    assert report == detect_fate_reference(cells, 10) == \
+        life.FateReport("oscillator", t=0, period=2)
+
+
+def test_recurrence_across_the_switch_from_a_board_to_packed_keys(monkeypatch):
+    # a lattice of dots, all dead at generation 1, widens the board; the
+    # glider alone then reaches its border and, on a board that wide,
+    # holds too few cells for it, so it goes on packed keys
+    thin_boards(monkeypatch, 1)
+    monkeypatch.setattr(life, "_BOARD_SPARSITY", 8)
+    lattice = frozenset((10 + 2 * i, 2 * j) for i in range(6) for j in range(6))
+    cells = lattice | frozenset((3 - x, y) for x, y in GLIDER)  # heads to -x, +y
+    seen = forms(cells, 6)
+    assert isinstance(seen[1], int) and seen[5] == "packed"
+    report = life.detect_fate(cells, 20)
+    assert report == detect_fate_reference(cells, 20) == \
+        life.FateReport("translator", t=1, period=4, dx=-1, dy=1)
+
+
+def test_recurrence_across_the_switch_from_packed_keys_to_a_board(monkeypatch):
+    # a far dot makes the first frame wide and thin, so it packs, for two
+    # generations under a frame limit of 64; by then the dot is dead, and
+    # the blinker is framed on a board
+    thin_boards(monkeypatch, 1)
+    monkeypatch.setattr(life, "_FRAME_LIMIT", 64)
+    cells = BLINKER | {(58, 0)}
+    assert forms(cells, 4) == ["packed", "packed", 8, 8]
+    report = life.detect_fate(cells, 10)
+    assert report == detect_fate_reference(cells, 10) == \
+        life.FateReport("oscillator", t=1, period=2)
+
+
+def test_boards_with_one_key_need_not_be_translates():
+    # on a board of stride 8, cells (6, 0) and (1, 1) are bits 6 and 9, and
+    # cells (1, 0) and (4, 0) bits 1 and 4: both shift down to one key
+    stride, where = 8, (0, 0, 8)
+    wrapped, flat, key = 1 << 6 | 1 << 9, 1 << 1 | 1 << 4, 0b1001
+    assert wrapped >> 6 == flat >> 1 == key
+    assert not life._translate_of(key, (0, 6, where), (1, 1, where))
+    assert not life._translate_of(key, (0, 1, where), (1, 6, where))
+    # the flat pair moved by (2, 3) is its translate
+    assert life._translate_of(key, (0, 1, where), (1, 3 + 3 * stride, where))
+
+
 def test_dots_on_the_grid_die_at_one():
+    # on a board, whose bits are a grid of cells
     dots = frozenset((3 * i, 3 * j) for i in range(16) for j in range(16))
-    assert next(life._orbit(life._frame(dots)))[0].ndim == 2
+    assert on_board(dots)
     assert life.detect_fate(dots, 50) == detect_fate_reference(dots, 50) == \
         life.FateReport("extinct", t=1)
 
 
-@pytest.mark.parametrize("recheck", [64, 7])
-def test_orbit_from_dense_starts_matches_the_tally(recheck, monkeypatch):
-    # every state, on the grid, as keys, and the empty one at extinction
-    monkeypatch.setattr(life, "_DENSE_RECHECK", recheck)
+@pytest.mark.parametrize("margin", [64, 7])
+def test_orbit_from_dense_starts_matches_the_tally(margin, monkeypatch):
+    # every state, on a board, as keys, and the empty one at extinction
+    monkeypatch.setattr(life, "_BOARD_MARGIN", margin)
     rng = random.Random(15)
-    soups = [dense_soup(rng, 20, 200), dense_soup(rng, 12, 100)]
-    soups += [near_threshold_soup(rng) for _ in range(6)]
-    forms, k = set(), 150
-    for cells in soups:
-        orbit = list(islice(life._orbit(life._frame(cells)), k))
+    soups = [(dense_soup(rng, 20, 200), False), (dense_soup(rng, 12, 100), False)]
+    with pytest.MonkeyPatch.context() as patch:
+        thin_boards(patch, margin)
+        soups += [(near_threshold_soup(rng), True) for _ in range(6)]
+    # and blinkers spread too thin for a board, on packed keys throughout
+    soups.append((frozenset((40 * i, y) for i in range(30) for y in (0, 1, 2)), False))
+    seen, k = set(), 150
+    for cells, thin in soups:
+        with pytest.MonkeyPatch.context() as patch:
+            if thin:
+                thin_boards(patch, margin)
+            orbit = list(islice(life._orbit(life._frame(cells)), k))
         want = cells
-        for state, corner in orbit:
-            if corner is None:
-                got = state
-            elif state.ndim == 2:
-                ys, xs = np.nonzero(state)
-                got = life._cells(xs, ys, corner)
-            else:
-                got = life._cells(*life._unpack(state), corner)
-            forms.add(state.ndim if corner is not None else 0)
+        for state, where in orbit:
+            got = state_cells(state, where)
+            seen.add(type(form(where)))
             assert got == want
             want = TALLY(want)
         assert len(orbit) == k or not got  # only extinction ends the runner
-    assert forms == {0, 1, 2}
+    assert seen == {int, str}
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), side=st.integers(12, 40),
-       margin=st.sampled_from([2, 16]), recheck=st.sampled_from([1, 3, 64]))
-def test_every_yielded_grid_has_two_dead_rows_and_columns_at_each_edge(
-        seed, side, margin, recheck):
-    # `_step_grid`'s precondition, so births stay inside the grid: a grid
-    # that `_orbit` yields has no live cell in rows or columns 0, 1, -2, -1
+       margin=st.sampled_from([1, 2, 16]))
+def test_every_yielded_board_has_a_dead_border(seed, side, margin):
+    # `_step_board`'s precondition, so no neighbour wraps into another row
+    # and no birth falls below row 0: a board that `_orbit` yields has no
+    # live cell in column 0 or stride - 1, or in row 0
     rng = random.Random(seed)
-    cells = dense_soup(rng, side, rng.randrange(64, side * side // 2 + 1))
-    edges, grids = [0, 1, -2, -1], 0
+    cells = dense_soup(rng, side, rng.randrange(1, side * side // 2 + 1))
+    boards = 0
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(life, "_DENSE_MARGIN", margin)
-        patch.setattr(life, "_DENSE_RECHECK", recheck)
-        for state, corner in islice(life._orbit(life._frame(cells)), 200):
-            if corner is not None and state.ndim == 2:
-                grids += 1
-                assert not state[edges].any() and not state[:, edges].any()
-    assert grids  # it starts on the grid
+        patch.setattr(life, "_BOARD_MARGIN", margin)
+        for state, where in islice(life._orbit(life._frame(cells)), 200):
+            if isinstance(form(where), int) and state:
+                boards += 1
+                xs, ys = life._board_cells(state, where[2])
+                assert xs.min() >= 1 and xs.max() <= where[2] - 2 and ys.min() >= 1
+    assert boards  # it starts on a board
 
 
 def extent(cells):
@@ -225,10 +314,10 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
     rng = random.Random(12)
     westward = frozenset((-x, y) for x, y in GLIDER)
     patterns = [
-        GLIDER | life.translate(westward, -20, 0),  # parting
-        life.translate(GLIDER, -50, 0) | westward,  # meeting
-        BLOCK | life.translate(GLIDER, limit - 8, 0),
-        BLOCK | life.translate(westward, limit + 20, 0),
+        GLIDER | translate(westward, -20, 0),  # parting
+        translate(GLIDER, -50, 0) | westward,  # meeting
+        BLOCK | translate(GLIDER, limit - 8, 0),
+        BLOCK | translate(westward, limit + 20, 0),
         BLINKER | {(limit, 0), (limit + 1, 0)},
     ] + [soup for soup in (frozenset((rng.randrange(side), rng.randrange(side))
                                      for _ in range(rng.randrange(10, 300)))
@@ -243,9 +332,8 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
         for want, (state, corner) in zip(states, orbit):
             if corner is None:
                 assert state == want and (not want or extent(want) + 2 >= limit)
-            elif state.ndim == 2:  # the grid takes no heed of the frame limit
-                ys, xs = np.nonzero(state)
-                assert life._cells(xs, ys, corner) == want
+            elif len(corner) == 3:  # a board takes no heed of the frame limit
+                assert state_cells(state, corner) == want
             else:
                 assert life._cells(*life._unpack(state), corner) == want
                 assert extent(want) + 2 < limit
