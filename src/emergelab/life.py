@@ -25,9 +25,12 @@ form is chosen, each time it frames a state:
 
 `run` and `detect_fate` only read the runner's states.  `detect_fate`,
 shared with `candidates.life_survival_count`, memoises each state by a key
-that all its translates share, so it stops at the first recurrence or at
-extinction; a board state's key is the board shifted down to its lowest
-live bit, with no numpy call per generation.
+that all its translates in its form share, so it stops at the first
+recurrence or at extinction; a board state's key is the board shifted down
+to its lowest live bit, with no numpy call per generation.  A state is
+compared with those of earlier forms by its shape, its cells' sorted
+offsets from their corner, only when one of them has its population and
+height.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
 which packs a pattern into the image rows `cli.render_pbm` writes.
@@ -64,7 +67,8 @@ _INT64_SPAN = 1 << 62
 
 # a board keeps this many dead cells around the live ones when it is
 # built; its stride (bits per row) is rounded up to a multiple of 8, so it
-# grows by 8 or more, and `detect_fate` re-keys its memo less often
+# grows by 8 or more, and the keys of `detect_fate`'s memo change form
+# less often
 _BOARD_MARGIN = 16
 # a state goes on a board of `area` bits when
 # area <= _BOARD_SPARSITY * (population + _BOARD_FLOOR)
@@ -412,14 +416,14 @@ def detect_fate(cells: Iterable, budget: int) -> FateReport:
     # form share, as (t, anchor, where), from which `_anchor` finds the
     # cell its key starts from once the key repeats.  `seen` holds the
     # entries of the present form (and board stride); when that changes,
-    # they wait in `waiting` by population and height, and are re-keyed
-    # only when a state with both comes, since only it can repeat them.
-    # So each entry is re-keyed at most once per change: with g stride
-    # growths (each of 8 columns or more) and f changes of form, a run of
-    # budget T decodes at most T * (g + f) entries, and in practice few.
+    # they wait in `waiting` by population and height.  Only a state with
+    # both can repeat one, so when one comes, the entries waiting for it
+    # are keyed by their shape, which no form change alters, into
+    # `shapes`, and it looks its own shape up there.  An entry is so
+    # shape-keyed at most once, and a state at most once.
     seen: dict = {}
     waiting: dict = {}
-    stash: list = []  # waiting entries too wide for the present form
+    shapes: dict = {}
     form = None  # a board's stride, 0 for packed keys, None for the tally
     for t, (state, where) in enumerate(_orbit(pattern.frame)):
         if where is None:  # a wide state, or the empty one at extinction
@@ -435,27 +439,25 @@ def detect_fate(cells: Iterable, budget: int) -> FateReport:
             first = int(state[0])
             key, now, here = (state - first).tobytes(), 0, (t, first, where)
         if now != form:
-            _retire(seen, waiting, stash)
+            for old, found in seen.items():
+                for then in found:
+                    waiting.setdefault(_size(old, *then), []).append((old, then))
+            seen.clear()
             form = now
-        if waiting:
-            for old in waiting.pop(_size(key, *here), ()):
-                new = _rekey(*old, form)
-                if new is None:
-                    stash.append(old)
-                else:
-                    seen.setdefault(new[0], []).append(new[1])
         found = seen.setdefault(key, [])
         for then in found:
             # boards of two states with one key may be translates or not
-            if now and not _translate_of(key, then, here):
-                continue
-            (t0, x0, y0), (_, x1, y1) = _anchor(*then), _anchor(*here)
-            period, dx, dy = t - t0, x1 - x0, y1 - y0
-            if (dx, dy) != (0, 0):
-                return FateReport("translator", t=t0, period=period, dx=dx, dy=dy)
-            if period == 1:
-                return FateReport("still_life", t=t0, period=1)
-            return FateReport("oscillator", t=t0, period=period)
+            if not now or _translate_of(key, then, here):
+                return _recurrence(_anchor(*then), _anchor(*here))
+        # an emptied list stays, so that later states of its size look up
+        # the shapes its entries left
+        older = waiting.get(_size(key, *here)) if waiting else None
+        if older is not None:
+            shapes.update(_shape(old, *then) for old, then in older)
+            older.clear()
+            shape, corner = _shape(key, *here)
+            if shape in shapes:
+                return _recurrence(shapes[shape], corner)
         found.append(here)
         if t == budget:
             return FateReport("unknown", budget=budget)
@@ -505,42 +507,33 @@ def _size(key, t, anchor, where) -> tuple[int, int]:
     return ys.size, int(ys.max() - ys.min())
 
 
-def _retire(seen: dict, waiting: dict, stash: list):
-    """Move the entries of a fate memo's `seen` and `stash` to `waiting`,
-    by population and height, when the form changes."""
-    stash += [(key, then) for key, found in seen.items() for then in found]
-    seen.clear()
-    for old in stash:
-        waiting.setdefault(_size(old[0], *old[1]), []).append(old)
-    stash.clear()
-
-
-def _rekey(key, entry, form):
-    """(key, entry) of a fate memo entry in `form`, a board's stride, 0
-    for packed keys or None for the tally's; None if it is too wide for
-    that form, so that no state in it can repeat the entry's."""
-    t, anchor, (ox, oy, *stride) = entry
-    if stride:
-        xs, ys = _board_cells(key << anchor, stride[0])
-    elif isinstance(key, Pattern):  # a tally state's canonical pattern
-        xs, ys = key.frame[0].T
+def _shape(key, t, anchor, where):
+    """(shape, (t, x, y)) of a fate memo entry: a key that every translate
+    of its state shares in every form, and the corner (x, y) of its
+    bounding box.  A tally state's shape is its canonical pattern, any
+    other's the bytes of its sorted packed offsets from the corner: the
+    tally holds only states of extent 2**30 - 2 or more, which packed keys
+    never hold, nor a board of fewer than 10**8 live cells."""
+    if isinstance(key, Pattern):
+        return key, (t, *where)
+    if len(where) == 3:
+        xs, ys = _board_cells(key << anchor, where[2])
     else:
         xs, ys = _unpack(np.frombuffer(key, dtype=np.int64) + anchor)
     x0, y0 = int(xs.min()), int(ys.min())
-    w, h = int(xs.max()) - x0, int(ys.max()) - y0
-    if form is None:
-        key, corner = canonical(_cells(xs, ys, (ox, oy)))
-        return key, (t, _PACK_HALF, corner)
-    if w >= form if form else max(w, h) + 2 >= _FRAME_LIMIT:
-        return None
-    xs, ys = (xs - x0).astype(np.int64), (ys - y0).astype(np.int64)
-    if form:
-        board = _to_board(xs, ys, form)
-        low = (board & -board).bit_length() - 1
-        return board >> low, (t, low, (ox + x0, oy + y0, form))
-    keys = _pack(xs, ys)
-    first = int(keys[0])
-    return (keys - first).tobytes(), (t, first, (ox + x0, oy + y0))
+    return _pack(xs - x0, ys - y0).tobytes(), (t, where[0] + x0, where[1] + y0)
+
+
+def _recurrence(then, here) -> FateReport:
+    """The report of a state that repeats an earlier one: `then` and `here`
+    are (t, x, y) of each, with (x, y) the position of one same cell."""
+    (t0, x0, y0), (t, x1, y1) = then, here
+    period, dx, dy = t - t0, x1 - x0, y1 - y0
+    if (dx, dy) != (0, 0):
+        return FateReport("translator", t=t0, period=period, dx=dx, dy=dy)
+    if period == 1:
+        return FateReport("still_life", t=t0, period=1)
+    return FateReport("oscillator", t=t0, period=period)
 
 
 # ---------------------------------------------------------------------------

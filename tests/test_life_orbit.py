@@ -1,7 +1,7 @@
 """The generation runner `life._orbit` and `life.detect_fate` on top of
 it, checked against the tally and the frozenset oracle: board and packed
 states, far offsets, states too wide to pack, re-framing, recurrences
-across a change of form or stride, and the empty set."""
+across a change of form or stride, receding pairs, and the empty set."""
 
 import random
 from itertools import islice
@@ -73,10 +73,22 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("budget", (1, 30, 600))
-@pytest.mark.parametrize("name", CORPUS)
+# pairs that recede: a spaceship keeps its population and height as it
+# leaves a still life or an oscillator, so states of earlier boards wait in
+# `detect_fate`'s memo while the board widens again and again; by 1100
+# generations each pair has left its board for packed keys
+RECEDING = {
+    "lwss_from_block": frozenset(corpus("lwss")) | translate(BLOCK, 12, 1),
+    "glider_from_blinker": BLINKER | transform(GLIDER, -1, 0, 0, -1, -4, -4),
+}
+
+
+@pytest.mark.parametrize("name, budget", [
+    pytest.param(name, budget, id=f"{name}-{budget}")
+    for names, budgets in ((CORPUS, (1, 30, 600)), (RECEDING, (300, 1100)))
+    for name in names for budget in budgets])
 def test_corpus_under_symmetries_matches_oracle(name, budget):
-    cells = corpus(name)
+    cells = RECEDING[name] if name in RECEDING else corpus(name)
     for sym in SYMMETRIES:
         moved = transform(cells, *sym)
         assert life.detect_fate(moved, budget) == detect_fate_reference(moved, budget), sym
@@ -230,6 +242,20 @@ def test_recurrence_across_the_switch_from_packed_keys_to_a_board(monkeypatch):
     report = life.detect_fate(cells, 10)
     assert report == detect_fate_reference(cells, 10) == \
         life.FateReport("oscillator", t=1, period=2)
+
+
+def test_a_receding_spaceship_keys_each_state_by_shape_at_most_twice(monkeypatch):
+    # The LWSS heads away from the block, so the board's stride grows every
+    # 32 generations while (population, height) repeats.  A state is keyed
+    # by its shape when it comes, and again, at most once, when a later
+    # state of its size comes after a change of form.
+    cells, budget = RECEDING["lwss_from_block"], 1024
+    strides = forms(cells, 64)
+    assert strides[0] < strides[-1]
+    shapes = count_calls(monkeypatch, "_shape")
+    report = life.detect_fate(cells, budget)
+    assert report == detect_fate_reference(cells, budget)
+    assert len(shapes) <= 2 * (budget + 1)
 
 
 def test_boards_with_one_key_need_not_be_translates():
