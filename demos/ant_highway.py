@@ -52,6 +52,14 @@ for k in range(1, 11):
 print("replayed   : 10 further periods, fingerprint and displacement exact")
 
 print()
+print("Onset by window radius")
+print("=" * 55)
+for radius in (4, 8, 16, 32):
+    seen = ant.detect_highway(ant.standard_start(), 20_000, radius, 5)
+    print(f"radius {radius:2d}  : onset at step {seen.onset}")
+print("the onset belongs to the observer's window, not to the ant alone")
+
+print()
 print("Proving the highway")
 print("=" * 55)
 census = ant.census(ant.standard_start(), 10 ** 15)

@@ -18,8 +18,10 @@ the size of the result more.
 The highway detector fingerprints each step by the ant's heading plus the
 black cells within a Chebyshev window around it (relative coordinates).
 The window is maintained incrementally as one big integer: each move
-shifts the mask and only the entering edge is read from the grid, by the
-line reader that also builds the first window.
+shifts the mask, and the entering edge is read with one shift and one AND
+from a frame around the ant that holds the black squares as row and column
+integers (see `_frame`).  The frame is built again from the black set when
+the window would cross its edge.
 """
 
 from __future__ import annotations
@@ -34,12 +36,16 @@ _MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # unit steps, indexed like HEADINGS
 # heading index -> (new heading index, dx, dy) after a right or a left turn
 _RIGHT = tuple(((h + 1) % 4, *_MOVES[(h + 1) % 4]) for h in range(4))
 _LEFT = tuple(((h - 1) % 4, *_MOVES[(h - 1) % 4]) for h in range(4))
-# detector windows are (2r + 1)**2 bits; r = 256 takes seconds per 20,000 steps
+# detector windows are (2r + 1)**2 bits; r = 256 takes about 2 s and 0.5 GB
+# per 20,000 steps from the standard start (Python 3.11, 2-vCPU VM)
 WINDOW_RADIUS_LIMIT = 256
 # plain steps between highway checks; a check looks for periods below
 # _PERIOD_LIMIT in the last 2 * _PERIOD_LIMIT steps of a chunk
 _CHUNK = 4096
 _PERIOD_LIMIT = 256
+# squares of the detector's frame beyond its window on each side: the ant
+# moves this far before the frame is built again from the black set
+_FRAME_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -337,32 +343,40 @@ class HighwayReport:
     steps_searched: int = 0
 
 
-def _line_bits(black, x, y, dx, dy, bit, stride, count) -> int:
-    """Window bits of `count` squares from (x, y) on in steps of (dx, dy):
-    the k-th square, when black, sets bit `bit + k * stride`."""
-    bits = 0
-    for _ in range(count):
-        if (x, y) in black:
-            bits |= 1 << bit
-        x += dx
-        y += dy
-        bit += stride
-    return bits
-
-
 def window_fingerprint(state: AntState, radius: int) -> tuple[str, int]:
     """(heading, packed window) built directly from the black set.
 
     Bit (dy + r) * (2r + 1) + (dx + r) is set when the square at the ant's
-    position plus (dx, dy) is black.  Seeds `detect_highway`'s window, and
-    lets tests replay its reports without the incremental bookkeeping.
+    position plus (dx, dy) is black.  Reads the set square by square, apart
+    from `detect_highway`'s frame, so tests and the demo can replay its
+    reports without the incremental bookkeeping.
     """
     side = 2 * radius + 1
     x, y = state.pos[0] - radius, state.pos[1] - radius
     mask = 0
     for row in range(side):
-        mask |= _line_bits(state.black, x, y + row, 1, 0, row * side, 1, side)
+        for col in range(side):
+            if (x + col, y + row) in state.black:
+                mask |= 1 << row * side + col
     return state.heading, mask
+
+
+def _frame(black, x, y, r):
+    """(rows, cols): `detect_highway`'s frame of the black squares, a square
+    of span = 2r + 1 + 2 _FRAME_MARGIN squares a side with (x, y) at its
+    centre, index c = r + _FRAME_MARGIN on both axes.  rows[j] has bit i
+    set when square (x - c + i, y - c + j) is black; cols[i] holds the same
+    column with bit j at j (2r + 1), the window's layout."""
+    side = 2 * r + 1
+    span = side + 2 * _FRAME_MARGIN
+    c = r + _FRAME_MARGIN
+    rows, cols = [0] * span, [0] * span
+    for a, b in black:
+        i, j = a - x + c, b - y + c
+        if 0 <= i < span and 0 <= j < span:
+            rows[j] |= 1 << i
+            cols[i] |= 1 << j * side
+    return rows, cols
 
 
 def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
@@ -388,38 +402,52 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
     side = 2 * r + 1
     full_mask = (1 << side * side) - 1
     center_bit = 1 << (r * side + r)
-    # column masks for horizontal shifts: bit 0, then bit 2r, of every row
-    low_col = full_mask // ((1 << side) - 1)
-    high_col = low_col << (side - 1)
+    row_mask = (1 << side) - 1
+    # bit 0, then bit 2r, of every row, and the window without them: the
+    # masks for horizontal shifts
+    low_col = full_mask // row_mask
+    keep_low, keep_high = full_mask ^ low_col, full_mask ^ (low_col << side - 1)
+    # the window lies in the frame while the ant's frame indices are in r..reach - 1
+    reach = side + 2 * _FRAME_MARGIN - r
 
     black = set(start.black)
     x, y = start.pos
     h = HEADINGS.index(start.heading)
-    window = window_fingerprint(start, r)[1]
+    rows, cols = _frame(black, x, y, r)
+    i = j = r + _FRAME_MARGIN  # the ant's indices in the frame
+    window = 0
+    for k in range(side):
+        window |= (rows[_FRAME_MARGIN + k] >> _FRAME_MARGIN & row_mask) << k * side
     seen: dict[tuple[int, int], tuple[int, int, int]] = {(h, window): (0, x, y)}
     candidate = None  # (base_t, base_fp, base_x, base_y, period, dx, dy, k)
 
     for t in range(1, max_steps + 1):
-        pos = (x, y)
-        if pos in black:
-            black.discard(pos)
-            window &= ~center_bit
+        # the window's centre is the square underfoot; flip it everywhere
+        if window & center_bit:
+            black.discard((x, y))
             h, mx, my = _RIGHT[h]
         else:
-            black.add(pos)
-            window |= center_bit
+            black.add((x, y))
             h, mx, my = _LEFT[h]
+        window ^= center_bit
+        rows[j] ^= 1 << i
+        cols[i] ^= 1 << j * side
         x += mx
         y += my
+        i += mx
+        j += my
+        if not (r <= i < reach and r <= j < reach):
+            rows, cols = _frame(black, x, y, r)
+            i = j = r + _FRAME_MARGIN
         # shift the window against the move; the edge at offset r in the
-        # direction of the move enters, its first bit at 0 or 2r along the axis
+        # direction of the move enters, read from the frame with one shift
+        # and one AND, its first bit at 0 or 2r along the axis
         if mx:
-            window = ((window & ~low_col) >> 1 if mx == 1
-                      else (window & ~high_col) << 1 & full_mask)
-            window |= _line_bits(black, x + mx * r, y - r, 0, 1, r + mx * r, side, side)
+            window = (window & keep_low) >> 1 if mx == 1 else (window & keep_high) << 1
+            window |= (cols[i + mx * r] >> (j - r) * side & low_col) << r + mx * r
         else:
             window = window >> side if my == 1 else window << side & full_mask
-            window |= _line_bits(black, x - r, y + my * r, 1, 0, (r + my * r) * side, 1, side)
+            window |= (rows[j + my * r] >> i - r & row_mask) << (r + my * r) * side
 
         fp = (h, window)
 

@@ -275,3 +275,60 @@ def test_detect_highway_matches_rebuilt_window_reference(heading):
     expected = detect_highway_reference(start, 12_000, 4, 5)
     assert expected["found"] and expected["period"] == 104
     assert asdict(ant.detect_highway(start, 12_000, 4, 5)) == expected
+
+
+@st.composite
+def scattered_starts(draw):
+    """Up to 40 black squares over a 300 x 300 box, on an empty grid with
+    the ant anywhere on or near the box and any heading, or around the ant
+    of the standard start 10,000 to 12,000 steps on, on its highway, where
+    one wrong window square changes the report."""
+    box = st.integers(0, 299)
+    scattered = draw(st.frozensets(st.tuples(box, box), max_size=40))
+    if draw(st.booleans()):
+        pos = (draw(st.integers(-50, 349)), draw(st.integers(-50, 349)))
+        return ant.AntState(pos, draw(st.sampled_from(ant.HEADINGS)), scattered)
+    base = ant.run(ant.standard_start(), draw(st.integers(10_000, 12_000)))
+    (x, y), black = base.pos, set(base.black)
+    black.symmetric_difference_update((x - 150 + a, y - 150 + b) for a, b in scattered)
+    return ant.AntState(base.pos, base.heading, frozenset(black))
+
+
+MARGIN = ant._FRAME_MARGIN
+
+
+@given(scattered_starts(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 2000),
+       st.sampled_from([0, 1, 2, 3, 7, MARGIN]))
+# the ant more than the frame's margin from every black square: its first
+# frame holds none of them, and the squares it later meets come from the set
+@example(ant.AntState((150, 150), "E", frozenset({(10, 20), (290, 280), (150, 10)})),
+         1, 1, 2000, MARGIN)
+@example(ant.AntState((-50, 349), "S", frozenset({(0, 0), (299, 299), (20, 280)})),
+         6, 3, 2000, MARGIN)
+@example(ant.standard_start("W"), 3, 2, 2000, MARGIN)
+@settings(max_examples=100, deadline=None)
+def test_detect_highway_matches_the_reference_across_frames(start, radius, confirmations,
+                                                            max_steps, margin):
+    """The detector against the rebuilt-window reference from scattered
+    starts.  Small frame margins rebuild the frame every few steps, so each
+    edge read and each rebuild meets squares from the other side of the
+    frame's edge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ant, "_FRAME_MARGIN", margin)
+        report = ant.detect_highway(start, max_steps, radius, confirmations)
+    assert asdict(report) == detect_highway_reference(start, max_steps, radius, confirmations)
+
+
+def test_detect_highway_matches_the_reference_past_a_frame_rebuild(monkeypatch):
+    """Mid-highway at r = 2 with 60 confirmations: the ant moves over 120
+    squares on each axis, out of its first frame, which is built again."""
+    frames = []
+    build = ant._frame
+    monkeypatch.setattr(ant, "_frame", lambda *args: frames.append(args[1:3]) or build(*args))
+    start = ant.run(ant.standard_start(), 12_000)
+    report = ant.detect_highway(start, 8000, 2, 60)
+    assert asdict(report) == detect_highway_reference(start, 8000, 2, 60)
+    assert report.found and report.period == 104 and report.confirmations == 60
+    assert len(frames) >= 2
+    (x0, y0), (x1, y1) = frames[0], frames[1]
+    assert max(abs(x1 - x0), abs(y1 - y0)) > MARGIN
