@@ -1,13 +1,11 @@
-"""Shared analytics: cycle detection for deterministic state sequences and
-simple randomness diagnostics for bit streams."""
+"""Simple randomness diagnostics for bit streams: the share of ones, sliding
+block entropy and short-period exclusion."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
 
 from .errors import EmergeLabError, InvalidArgument
 
@@ -23,32 +21,6 @@ class BlockTooLarge(EmergeLabError):
 class InvalidLength(InvalidArgument):
     """Block length or period bound below one, or a sequence too short for
     the period bound."""
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    """Preperiod/period of a repeating sequence: states[mu + t] equals
-    states[mu + lam + t] while indices stay in range."""
-
-    found: bool
-    mu: int = 0
-    lam: int = 0
-
-
-def find_cycle(states: Sequence[Hashable]) -> CycleResult:
-    """First repeat in a sequence of fingerprints.
-
-    For a sequence generated by iterating a deterministic map this yields
-    the minimal preperiod and period.  Memory is one dict entry per
-    distinct state.
-    """
-    seen: dict[Hashable, int] = {}
-    for i, state in enumerate(states):
-        if state in seen:
-            mu = seen[state]
-            return CycleResult(True, mu=mu, lam=i - mu)
-        seen[state] = i
-    return CycleResult(False)
 
 
 # the values a bit may take: equality lets True, 1.0 and numpy ints through,

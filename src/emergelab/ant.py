@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidArgument
-from .life import CELL_LIMIT
+from .errors import CELL_LIMIT, InvalidArgument
 
 HEADINGS = "NESW"
 _MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # unit steps, indexed like HEADINGS

@@ -22,7 +22,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import life
 from .errors import EmergeLabError, InvalidArgument
 
 
@@ -344,6 +343,8 @@ def life_survival_count(n: int) -> int:
     t <= n means dead at n, a recurrence means alive forever, and an
     exhausted budget means alive at n.
     """
+    from . import life
+
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     return sum(1 for j in range(1, n + 1)

@@ -10,6 +10,9 @@ packed rows: ECA histories as evolved, Life and ant cells via `life.raster`.
 `life` commands read a pattern file into a `life.Pattern`, numpy offsets
 from its bounding-box corner, and run, write, render, box or classify it
 through `life`'s public functions, none of which builds a cell set.
+`life`, and numpy with it, is imported by the handlers that use it (`life`
+commands, `ant --out`, `candidate life-survival`) and numpy by `eca
+--text`'s writer, so the other commands launch without loading numpy.
 Outputs are deterministic: identical invocations give byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
@@ -27,9 +30,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, ant, candidates, eca, life, turing
+from . import analysis, ant, candidates, eca, turing
 from .errors import EmergeLabError, InvalidArgument
 
 
@@ -97,6 +98,8 @@ def _read_ints(path: str) -> list[int]:
 
 def _write_text(rows, width: int, out):
     """Write row integers as '.'/'#' lines, unpacking ~1 MB of text at a time."""
+    import numpy as np
+
     nbytes = (width + 7) // 8
     block = max(1, (1 << 20) // (width + 1))
     for start in range(0, len(rows), block):
@@ -136,17 +139,15 @@ def _cmd_eca(args) -> dict | None:
     return None
 
 
-def _load_pattern(path: str) -> life.Pattern:
-    read = life.parse_cells if path.endswith(".cells") else life.parse_rle
-    return read(_read_text(path))
-
-
 class StepBudgetExceeded(EmergeLabError):
     """`life run --steps` past the step budget, of a pattern alive at it."""
 
 
 def _cmd_life(args) -> dict:
-    pattern = _load_pattern(args.rle)
+    from . import life
+
+    read = life.parse_cells if args.rle.endswith(".cells") else life.parse_rle
+    pattern = read(_read_text(args.rle))
     if args.life_command == "run":
         # past the budget, only a pattern that dies within it is reported
         budget = default_budget(10 ** 5)
@@ -193,6 +194,8 @@ def _cmd_ant(args) -> dict:
     else:
         census = ant.census(start, steps)
         if args.out:
+            from . import life
+
             life.image_size(census.bbox)  # refused before the black set is built
             marker = f"ant {census.pos[0]} {census.pos[1]} {census.heading} steps={census.steps}"
             render_pbm(args.out, *life.raster(census.black()), comment=marker)

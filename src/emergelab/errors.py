@@ -1,4 +1,12 @@
-"""Common base class for all domain errors raised by this package."""
+"""Common base class for all domain errors raised by this package, and the
+size caps that more than one subsystem refuses input by: CELL_LIMIT, the
+most live cells `life.parse_rle`/`parse_cells` build and black squares
+`ant.Census.black` builds, and PIXEL_LIMIT, the most pixels `life.raster`
+allocates.  They live here, in a module without numpy, so that `ant` reads
+its cap without importing `life`."""
+
+CELL_LIMIT = 10 ** 7
+PIXEL_LIMIT = 1 << 26
 
 
 class EmergeLabError(Exception):

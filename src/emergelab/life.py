@@ -47,7 +47,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import EmergeLabError, InvalidArgument, InvalidSteps
+from .errors import CELL_LIMIT, PIXEL_LIMIT, EmergeLabError, InvalidArgument, InvalidSteps
 
 NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                          if (dx, dy) != (0, 0))
@@ -544,9 +544,6 @@ _RLE_HEADER = re.compile(
     re.IGNORECASE)
 
 RLE_LINE_LIMIT = 69
-# the most live cells `parse_rle` builds, and pixels `raster` allocates
-CELL_LIMIT = 10 ** 7
-PIXEL_LIMIT = 1 << 26
 # the most digits of one RLE run count: reading a count costs time
 # quadratic in its length, and a coordinate past 4300 digits cannot be
 # printed.  Twenty digits hold every 64-bit count, so `write_rle` output of

@@ -6,6 +6,7 @@ quadratic scans.  None of it shares code with the kernels under test.
 
 import decimal
 import re
+from dataclasses import dataclass
 
 from emergelab import life
 from emergelab.ant import AntState
@@ -350,6 +351,30 @@ def parse_cells_reference(text):
                                         line=i + 1, column=j + 1)
         y += 1
     return frozenset(cells)
+
+
+@dataclass(frozen=True)
+class CycleResult:
+    """Preperiod/period of a repeating sequence: states[mu + t] equals
+    states[mu + lam + t] while indices stay in range."""
+
+    found: bool
+    mu: int = 0
+    lam: int = 0
+
+
+def find_cycle(states):
+    """First repeat in a sequence of fingerprints, one dict entry per
+    distinct state.  For a sequence generated by iterating a deterministic
+    map this yields the minimal preperiod and period.  The package has no
+    such helper: `life.detect_fate` finds its recurrences itself."""
+    seen = {}
+    for i, state in enumerate(states):
+        if state in seen:
+            mu = seen[state]
+            return CycleResult(True, mu=mu, lam=i - mu)
+        seen[state] = i
+    return CycleResult(False)
 
 
 def quadratic_first_repeat(states):

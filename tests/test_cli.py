@@ -942,6 +942,67 @@ def test_module_invocation_round_trip(tmp_path):
     assert "word=1" in result.stdout
 
 
+# Runs each batch of argv lists (JSON in sys.argv[1]) through cli.main with
+# stdout captured, and prints each command's exit code and stdout and, after
+# each batch, which of numpy and emergelab.life are loaded.
+LAZY_IMPORTS = """
+import contextlib, io, json, sys
+from emergelab import cli
+results = []
+for batch in json.loads(sys.argv[1]):
+    outputs = []
+    for argv in batch:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            outputs.append([cli.main(argv), out.getvalue()])
+    results.append([outputs, [name for name in ("numpy", "emergelab.life")
+                              if name in sys.modules]])
+print(json.dumps(results))
+"""
+
+
+def test_numpy_and_life_load_only_where_used(tmp_path, capsys):
+    # tests/ imports numpy itself, so only a fresh interpreter shows which
+    # commands load it; one process runs them all, to keep the suite fast
+    dfa = str(fixture_path("even_ones.dfa"))
+    without = [
+        ["eca", "--rule", "30", "--steps", "5"],
+        ["eca", "--rule", "90", "--steps", "7", "--out", "{dir}/r90.pbm"],
+        ["tm", "run", "--machine", SUCC, "--input", "5"],
+        ["tm", "compose", "--approx", SUCC, "--finisher", COPY, "--input", "5"],
+        ["analyze", "--rule30-center", "100", "--block-k", "2"],
+        ["ant", "--steps", "500"],
+        ["ant", "--steps", "1000", "--detect-highway"],
+        ["candidate", "sqrt-digits", "--m", "2", "--count", "20"],
+        ["candidate", "digit-chain", "--sqrt", "2", "--n", "2"],
+        ["candidate", "words", "--index", "5"],
+        ["candidate", "language-count", "--dfa", dfa, "--n", "50"],
+    ]
+    using = [
+        ["eca", "--rule", "110", "--steps", "10", "--text"],
+        ["life", "fate", "--rle", GLIDER, "--budget", "50"],
+        ["ant", "--steps", "500", "--out", "{dir}/ant.pbm"],
+        ["candidate", "life-survival", "--n", "20"],
+    ]
+    fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
+    fresh_dir.mkdir()
+    here_dir.mkdir()
+    batches = [[[arg.format(dir=fresh_dir) for arg in argv] for argv in batch]
+               for batch in (without, using)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, json.dumps(batches)],
+                            env=env, capture_output=True, text=True, check=True)
+    (fresh_without, loaded_without), (fresh_using, loaded_using) = json.loads(result.stdout)
+    assert loaded_without == []
+    assert loaded_using == ["numpy", "emergelab.life"]
+    # the same exit codes, stdout and images as in this process, where
+    # numpy and life were imported before any command ran
+    for argv, fresh in zip(without + using, fresh_without + fresh_using):
+        code, out, _ = run_cli(capsys, *(arg.format(dir=here_dir) for arg in argv))
+        assert fresh == [code, out], argv
+    for name in ("r90.pbm", "ant.pbm"):
+        assert (fresh_dir / name).read_bytes() == (here_dir / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # every subcommand under generated arguments
 
