@@ -3,8 +3,11 @@
 Walks through the classic exhibits: still lifes and oscillators that the
 fate classifier nails immediately, the glider that travels, the r-pentomino
 that outlives any small search budget, and the gun that mints a glider
-every 30 generations.
+every 30 generations, whose state 10**5 generations on comes from a
+quadtree leap without stepping through them, while a soup's does not.
 """
+
+import random
 
 from emergelab import life
 from emergelab.fixtures import load_text
@@ -50,6 +53,47 @@ for t in (60, 90, 120, 150):
 diff = life.run(gun, 90) - life.run(gun, 60)
 print(f"cells in run(gun,90) - run(gun,60): {len(diff)}")
 print("their fate:", life.detect_fate(diff, 10))
+
+print()
+print("Prediction without simulation: the gun's future repeats")
+print("=" * 55)
+# `run` steps a pattern until it thins out onto packed keys, then leaps
+# the generations left by a quadtree of memoised nodes (Gosper's Hashlife)
+# under a work budget, and steps on if the budget runs out.  A future that
+# repeats costs little work however far it goes; a soup's chaos does not.
+
+
+def run_and_leap(cells, steps):
+    """`life.run(cells, steps)`, and the leap it tried: (generations left,
+    work done, budget, taken), or None."""
+    tried = []
+    leap = life._leap
+
+    def recorded(keys, corner, left, budget):
+        work, tree = leap(keys, corner, left, budget)
+        tried.append((left, work, budget, tree is not None))
+        return work, tree
+
+    life._leap = recorded
+    try:
+        return life.run(cells, steps), (tried or [None])[0]
+    finally:
+        life._leap = leap
+
+
+t = 10 ** 5
+far, (left, work, budget, taken) = run_and_leap(gun, t)
+closed = populations[t % 30] + 5 * (t // 30)
+assert taken and len(far) == closed
+print(f"gun at t={t}: population {len(far)} = pop({t % 30}) + 5*({t} // 30), "
+      f"the closed form;")
+print(f"  leapt {left} generations for {work} units of work (budget {budget})")
+rng = random.Random(27)
+soup = frozenset((i % 17, i // 17) for i in rng.sample(range(17 * 17), 100))
+_, (left, work, budget, taken) = run_and_leap(soup, 1000)
+assert not taken
+print(f"a 100-cell soup at t=1000: the leap over its last {left} generations "
+      f"gave up at its budget of {budget} units, and run stepped them")
 
 print()
 print("Patterns round-trip through the interchange format")

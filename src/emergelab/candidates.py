@@ -34,6 +34,10 @@ CHAIN_VALUE_DIGITS = 4300
 # the most digits `sqrt_digits` computes, for any caller (about 0.4 s on a
 # 2-vCPU Xeon; each doubling costs about four times as much)
 SQRT_DIGITS = 100_000
+# the largest n `life_survival_count` takes: its work grows about as n**2,
+# n fate runs of up to n generations (about 2.6 s at n = 1000 on a 2-vCPU
+# Xeon)
+SURVIVAL_N = 1000
 
 
 class InvalidRadicand(EmergeLabError):
@@ -334,9 +338,10 @@ def default_numbering(j: int) -> frozenset:
 
 
 def life_survival_count(n: int) -> int:
-    """Count the seeds numbered 1..n (`default_numbering`) that still have
-    live cells after exactly n generations.  "Still alive" here is the
-    bounded reading; the eternal version is undecidable and out of reach.
+    """Count the seeds numbered 1..n (`default_numbering`), n at most
+    SURVIVAL_N, that still have live cells after exactly n generations.
+    "Still alive" here is the bounded reading; the eternal version is
+    undecidable and out of reach.
 
     Each seed runs through `life.detect_fate` with budget n, the recurrence
     runner, and stops at its first extinction or recurrence: extinction at
@@ -347,5 +352,7 @@ def life_survival_count(n: int) -> int:
 
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
+    if n > SURVIVAL_N:
+        raise InvalidArgument(f"n must be <= {SURVIVAL_N}, got {_rough(n)}")
     return sum(1 for j in range(1, n + 1)
                if life.detect_fate(default_numbering(j), n).verdict != "extinct")

@@ -23,7 +23,16 @@ form is chosen, each time it frames a state:
   stream of gliders;
 - a frozenset stepped by a Counter tally, the reference: any wider state.
 
-`run` and `detect_fate` only read the runner's states.  `detect_fate`,
+`detect_fate` reads every state of the runner.  `run` reads them up to the
+first on packed keys, and from there leaps over the generations left by a
+quadtree (`_leap`, Gosper's Hashlife): nodes interned by their children,
+8x8 leaves stepped on a 16x16 board, a memo of each node's result 2**j
+generations on, all made anew in each call.  A pattern whose future
+repeats, such as the gun's stream of gliders, costs a few thousand nodes
+however far it goes; chaos costs more than packed steps, so the leap gets
+a budget of a fifth of the packed steps' cost, counted in nodes made and
+board generations, and when that runs out `run` steps on from the same
+state.  `detect_fate`,
 shared with `candidates.life_survival_count`, memoises each state by a key
 that all its translates in its form share, so it stops at the first
 recurrence or at extinction; a board state's key is the board shifted down
@@ -187,13 +196,16 @@ def _pattern(cells: Iterable) -> Pattern:
 
 
 def _reframe(xs: np.ndarray, ys: np.ndarray, corner):
-    """The frame of the cells at int64 offsets (xs, ys) from `corner`, all
-    within +-2**62."""
+    """The frame of the cells at offsets (xs, ys) from `corner`: int64
+    within +-2**62, or Python ints (dtype object)."""
     if not xs.size:
         return _EMPTY
     x0, y0 = int(xs.min()), int(ys.min())
+    span = int(xs.max()) - x0, int(ys.max()) - y0
     off = np.stack([xs - x0, ys - y0], axis=1)
-    return off, (corner[0] + x0, corner[1] + y0), (int(xs.max()) - x0, int(ys.max()) - y0)
+    if off.dtype == object and max(span) < _INT64_SPAN:
+        off = off.astype(np.int64)
+    return off, (corner[0] + x0, corner[1] + y0), span
 
 
 def _step_packed(keys: np.ndarray) -> np.ndarray:
@@ -263,7 +275,9 @@ def _border(stride: int, rows: int) -> int:
 
 def _step_board(board: int, stride: int) -> int:
     """One generation of a board whose border cells are dead, so that no
-    neighbour of a live cell wraps into another row."""
+    neighbour of a live cell wraps into another row.  (The quadtree leap
+    steps boards with live borders, and keeps only cells that the wrong
+    neighbours have not reached.)"""
     # each cell's count over itself and its row neighbours, 0..3, as the
     # bit planes `ones` and `twos`
     left, right = board << 1, board >> 1
@@ -357,11 +371,244 @@ def run(cells: Iterable, steps: int) -> Pattern:
         raise InvalidSteps(f"steps must be >= 0, got {steps}")
     if not pattern or steps == 0:
         return pattern
-    for _, (state, where) in zip(range(steps + 1), _orbit(pattern.frame)):
-        pass  # on to the state at generation `steps`, or the empty one
+    leap = True
+    for t, (state, where) in zip(range(steps + 1), _orbit(pattern.frame)):
+        # the first state on packed keys, which has thinned out, may leap
+        # the rest of the way, or give up and step on from where it is
+        if leap and where is not None and len(where) == 2 and t < steps:
+            leap = False
+            _, tree = _leap(state, where, steps - t, _leap_budget(steps - t, state.size))
+            if tree is not None:
+                if tree[0].pop > CELL_LIMIT:
+                    raise InvalidArgument(f"{tree[0].pop} live cells at generation {steps}, "
+                                          f"over {CELL_LIMIT}")
+                return Pattern(_tree_frame(*tree))
     if where is None:
         return _pattern(state)
     return Pattern(_reframe(*_offsets(state, where)))
+
+
+# ---------------------------------------------------------------------------
+# The quadtree leap (Gosper's Hashlife)
+
+# A leaf is an 8x8 block of cells held as one int in the base case's board
+# layout, cell (x, y) at bit y * 16 + x.  The base case lays four leaves
+# onto a 16x16 board and steps it by `_step_board`.  Its border is not
+# dead, so a cell on a side sees cells of the next or last row, and cells
+# are born past the top row; but that error moves one cell a generation,
+# like any signal, so the middle 8x8, 4 cells from every side, is exact
+# for 4 generations.
+_LEAF_STRIDE = 16
+_LEAF_MASK = sum(0xFF << _LEAF_STRIDE * y for y in range(8))
+_LEAF_BELOW = 8 * _LEAF_STRIDE  # from a leaf to the one below it
+_LEAF_MIDDLE = 4 * _LEAF_STRIDE + 4  # from a 16x16 block to its middle 8x8
+# A leap's work is counted in units: a node made, or a generation of a
+# 16x16 board, which cost about the same.  A packed step of n cells costs
+# about as much as (n + _LEAP_CELLS) / _LEAP_STEP units, and a leap may
+# spend a fifth of what the packed steps it replaces would cost, and at
+# most _LEAP_WORK_LIMIT units (so nodes, some 300 bytes each).
+_LEAP_CELLS = 128
+_LEAP_STEP = 16
+_LEAP_WORK_LIMIT = 1 << 18
+
+
+class _Node:
+    """A quadtree node of level k >= 4: a square of 2**k cells a side, made
+    of four children of level k - 1 (leaves, at level 3) and interned by
+    them within one leap, so it is hashed and compared by identity."""
+
+    __slots__ = ("nw", "ne", "sw", "se", "level", "pop")
+
+    def __init__(self, nw, ne, sw, se, level, pop):
+        self.nw, self.ne, self.sw, self.se = nw, ne, sw, se
+        self.level, self.pop = level, pop
+
+
+class _OutOfWork(Exception):
+    """A leap would do more work than its budget."""
+
+
+def _leap_budget(steps: int, population: int) -> int:
+    """The most work a leap over `steps` generations of a packed state of
+    `population` cells may do: so that, when it gives up, the packed steps
+    that follow cost at most a fifth more."""
+    return min(steps * (population + _LEAP_CELLS) // (5 * _LEAP_STEP), _LEAP_WORK_LIMIT)
+
+
+def _leap(keys: np.ndarray, corner, steps: int, budget: int):
+    """(work done, tree): the tree is (root, x, y), the quadtree of the
+    packed state (keys, corner) `steps` >= 1 generations on and the corner
+    of its root, or None if it would take more than `budget` units of
+    work (nodes made, leaves too, and generations of a 16x16 board).
+
+    The state is built into a quadtree of interned nodes (`_Node`), and
+    stepped by the binary digits of `steps`: a node of level k yields its
+    middle square of level k - 1, 2**j generations on for any j <= k - 2,
+    from the results of its nine overlapping children (for j = k - 2) or
+    of four squares made of their middles (for a shorter step), memoised
+    by (node, j).  So a pattern that repeats itself, such as a stream of
+    gliders, costs a node per new shape, not a step per generation.  The
+    nodes and the memo live only in this call.
+    """
+    nodes: dict = {}
+    empty = [0, 0, 0, 0]  # the empty node of each level, leaves' 0 at 3
+    memos = [{} for _ in empty]  # results 2**j generations on, by node
+
+    def join(nw, ne, sw, se):
+        nonlocal work
+        key = (nw, ne, sw, se)
+        node = nodes.get(key)
+        if node is None:
+            if work == budget:
+                raise _OutOfWork
+            work += 1
+            if type(nw) is int:
+                node = _Node(nw, ne, sw, se, 4, nw.bit_count() + ne.bit_count()
+                             + sw.bit_count() + se.bit_count())
+            else:
+                node = _Node(nw, ne, sw, se, nw.level + 1,
+                             nw.pop + ne.pop + sw.pop + se.pop)
+            nodes[key] = node
+        return node
+
+    def void(level):
+        while len(empty) <= level:
+            e = empty[-1]
+            empty.append(join(e, e, e, e))
+            memos.append({})
+        return empty[level]
+
+    def middle(nw, ne, sw, se):
+        """The middle square of the block of four nodes (or leaves)."""
+        if type(nw) is int:
+            block = nw | ne << 8 | sw << _LEAF_BELOW | se << _LEAF_BELOW + 8
+            return block >> _LEAF_MIDDLE & _LEAF_MASK
+        return join(nw.se, ne.sw, sw.ne, se.nw)
+
+    def result(node, j):
+        """The middle of `node`, 2**j generations on."""
+        nonlocal work
+        if not node.pop:
+            return empty[node.level - 1]
+        memo = memos[j]
+        found = memo.get(node)
+        if found is not None:
+            return found
+        nw, ne, sw, se = node.nw, node.ne, node.sw, node.se
+        if node.level == 4:
+            work += 1 << j
+            if work > budget:
+                raise _OutOfWork
+            board = nw | ne << 8 | sw << _LEAF_BELOW | se << _LEAF_BELOW + 8
+            for _ in range(1 << j):
+                board = _step_board(board, _LEAF_STRIDE)
+            found = board >> _LEAF_MIDDLE & _LEAF_MASK
+        elif j == node.level - 2:
+            # nine overlapping children half the way on, then the four
+            # squares they make the other half
+            j -= 1
+            n00, n02, n20, n22 = result(nw, j), result(ne, j), result(sw, j), result(se, j)
+            n01 = result(join(nw.ne, ne.nw, nw.se, ne.sw), j)
+            n10 = result(join(nw.sw, nw.se, sw.nw, sw.ne), j)
+            n11 = result(join(nw.se, ne.sw, sw.ne, se.nw), j)
+            n12 = result(join(ne.sw, ne.se, se.nw, se.ne), j)
+            n21 = result(join(sw.ne, se.nw, sw.se, se.sw), j)
+            found = join(result(join(n00, n01, n10, n11), j),
+                         result(join(n01, n02, n11, n12), j),
+                         result(join(n10, n11, n20, n21), j),
+                         result(join(n11, n12, n21, n22), j))
+        else:
+            # the middles of the nine overlapping children make the four
+            # squares whose results are the quarters of this one
+            m00 = middle(nw.nw, nw.ne, nw.sw, nw.se)
+            m01 = middle(nw.ne, ne.nw, nw.se, ne.sw)
+            m02 = middle(ne.nw, ne.ne, ne.sw, ne.se)
+            m10 = middle(nw.sw, nw.se, sw.nw, sw.ne)
+            m11 = middle(nw.se, ne.sw, sw.ne, se.nw)
+            m12 = middle(ne.sw, ne.se, se.nw, se.ne)
+            m20 = middle(sw.nw, sw.ne, sw.sw, sw.se)
+            m21 = middle(sw.ne, se.nw, sw.se, se.sw)
+            m22 = middle(se.nw, se.ne, se.sw, se.se)
+            found = join(result(join(m00, m01, m10, m11), j),
+                         result(join(m01, m02, m11, m12), j),
+                         result(join(m10, m11, m20, m21), j),
+                         result(join(m11, m12, m21, m22), j))
+        memo[node] = found
+        return found
+
+    # the leaves, then each level's nodes from the one below, keyed by
+    # their position in units of their side from the corner (x0, y0)
+    xs, ys = _unpack(keys)
+    x0, y0 = int(xs.min()), int(ys.min())
+    xs, ys = xs - x0, ys - y0
+    at = (ys >> 3 << 32) + (xs >> 3)
+    blocks, which = np.unique(at, return_inverse=True)
+    work = blocks.size  # nodes made, leaves too, and board generations
+    if work > budget:
+        return budget, None
+    bits = np.zeros((blocks.size, _LEAF_BELOW), dtype=bool)
+    bits[which.ravel(), (ys & 7) * _LEAF_STRIDE + (xs & 7)] = True
+    raw = np.packbits(bits, axis=1, bitorder="little")
+    layer = {(b & _PACK_LOW, b >> 32): int.from_bytes(row.tobytes(), "little")
+             for b, row in zip(blocks.tolist(), raw)}
+    try:
+        k = 3
+        while len(layer) > 1 or k < 4:
+            parts = {}
+            e = void(k)
+            for (x, y), node in layer.items():
+                parts.setdefault((x >> 1, y >> 1), [e, e, e, e])[(y & 1) * 2 + (x & 1)] = node
+            layer = {xy: join(*four) for xy, four in parts.items()}
+            k += 1
+        (root,) = layer.values()
+        ox, oy = corner[0] + x0, corner[1] + y0  # of the root's corner
+        for j in range(steps.bit_length()):
+            if not steps >> j & 1:
+                continue
+            # the live cells in the middle quarter, so that they stay
+            # within the middle half 2**j generations on
+            while (root.level < max(j + 3, 7) or root.pop != root.nw.se.se.pop
+                   + root.ne.sw.sw.pop + root.sw.ne.ne.pop + root.se.nw.nw.pop):
+                e = void(root.level - 1)
+                root = join(join(e, e, e, root.nw), join(e, e, root.ne, e),
+                            join(e, root.sw, e, e), join(root.se, e, e, e))
+                ox -= 1 << root.level - 2
+                oy -= 1 << root.level - 2
+            void(root.level - 1)  # for `result` to return for empty children
+            shift = 1 << root.level - 2
+            root = result(root, j)
+            ox += shift
+            oy += shift
+    except _OutOfWork:
+        return budget, None
+    return work, (root, ox, oy)
+
+
+def _tree_frame(root: _Node, ox, oy):
+    """The frame of the cells of a quadtree whose corner is (ox, oy)."""
+    leaves, xs, ys = [], [], []
+    todo = [(root, 0, 0)]
+    while todo:
+        node, x, y = todo.pop()
+        if type(node) is int:
+            if node:
+                leaves.append(node)
+                xs.append(x)
+                ys.append(y)
+        elif node.pop:
+            half = 1 << node.level - 1
+            todo += ((node.nw, x, y), (node.ne, x + half, y),
+                     (node.sw, x, y + half), (node.se, x + half, y + half))
+    if not leaves:
+        return _EMPTY
+    raw = np.frombuffer(b"".join(leaf.to_bytes(_LEAF_BELOW // 8, "little")
+                                 for leaf in leaves), dtype=np.uint8)
+    which, bit = np.unpackbits(raw.reshape(len(leaves), -1), axis=1,
+                               bitorder="little").nonzero()
+    dtype = np.int64 if root.level < 62 else object
+    xs = np.array(xs, dtype=dtype)[which] + bit % _LEAF_STRIDE
+    ys = np.array(ys, dtype=dtype)[which] + bit // _LEAF_STRIDE
+    return _reframe(xs, ys, (ox, oy))
 
 
 def bounding_box(cells: Iterable) -> tuple[int, int, int, int] | None:

@@ -862,6 +862,16 @@ def test_digit_requests_past_the_cap_are_refused(capsys):
                    f"{candidates.SQRT_DIGITS}, got about 10**1420\n")
 
 
+def test_survival_count_past_the_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(candidates, "SURVIVAL_N", 5)
+    code, out, err = run_cli(capsys, "candidate", "life-survival", "--n", "5")
+    assert code == 0 and out == "n=5\nsurvivors=0\n"
+    for n, shown in (("6", "6"), (str(10 ** 30), "about 10**30")):
+        code, out, err = run_cli(capsys, "candidate", "life-survival", "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"emergelab candidate: n must be <= 5, got {shown}\n"
+
+
 def test_life_caps_name_the_pattern_size(capsys, cli_files):
     code, _, err = run_cli(capsys, "life", "run", "--rle", cli_files["{huge_run}"],
                            "--steps", "1")

@@ -45,9 +45,12 @@ def spy(monkeypatch):
 
 
 def kernels(calls, cells, steps):
-    """The kernels one run() calls, in order of first use."""
+    """The kernels `_orbit` calls to reach generation `steps`, in order of
+    first use: the forms it chooses, which `detect_fate` reads one by one
+    and `run` until it leaps."""
     calls.clear()
-    life.run(cells, steps)
+    for _ in zip(range(steps + 1), life._orbit(life._pattern(cells).frame)):
+        pass
     return list(dict.fromkeys(calls))
 
 
@@ -86,6 +89,15 @@ def test_backend_choice(monkeypatch):
     # packed keys, which run most of 2000 generations
     assert kernels(calls, gun, 2000) == ["_step_board", "_step_packed"]
     assert calls.count("_step_packed") > 1000
+    # `run` leaps from the first packed state to generation 2000 instead,
+    # and steps no generation on packed keys
+    leaps = []
+    leap = life._leap
+    monkeypatch.setattr(life, "_leap", lambda *args: leaps.append(leap(*args)) or leaps[-1])
+    calls.clear()
+    assert len(life.run(gun, 2000)) == 384  # pop(2000 mod 30) + 5 * (2000 // 30)
+    assert len(leaps) == 1 and leaps[0][1] is not None
+    assert "_step_packed" not in calls and "_step_tally" not in calls
     # position never matters
     for offset in (1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)):
         moved = translate(dense_soup, offset, -offset)
