@@ -11,35 +11,37 @@ text straight from numpy arrays; `run`, `step`, `write_rle`, `raster`,
 (any other iterable of cells is framed first), so text goes through runs
 to text or image rows and no cell set is built.
 One runner, `_orbit`, yields a frame's states and is the one place their
-form is chosen, each time it frames a state:
-- a bitboard, one Python int with cell (x, y) at bit y * stride + x over
+form is chosen, each time it frames a state.  Both forms hold the cell
+(x, y) at position y * stride + x from a corner:
+- a bitboard, one Python int with that cell at bit y * stride + x over
   the bounding box plus a dead margin, stepped by about 30 big-int
   operations (full adders over the shifted bit planes): every state whose
   board holds at most 256 bits per live cell, plus 16 384, such as small
   seeds, oscillators and soups; a board's state is framed again when a
   live cell reaches its border, so one that has spread thin leaves it;
-- sorted packed int64 keys, stepped by a numpy loop: every other state
-  whose extent plus two is below 2**30, such as the Gosper gun's long
-  stream of gliders;
-- a frozenset stepped by a Counter tally, the reference: any wider state.
+- sorted packed keys, the positions of the live cells, stepped by a numpy
+  loop: every other state, such as the Gosper gun's long stream of
+  gliders.  The keys are int64 while the state's extent plus two is below
+  2**30; a wider state goes on Python-int keys (dtype object) with a
+  stride sized to its frame, and is framed again as soon as it is no
+  longer that wide.
 
 `detect_fate` reads every state of the runner.  `run` reads them up to the
-first on packed keys, and from there leaps over the generations left by a
-quadtree (`_leap`, Gosper's Hashlife): nodes interned by their children,
-8x8 leaves stepped on a 16x16 board, a memo of each node's result 2**j
-generations on, all made anew in each call.  A pattern whose future
-repeats, such as the gun's stream of gliders, costs a few thousand nodes
-however far it goes; chaos costs more than packed steps, so the leap gets
-a budget of a fifth of the packed steps' cost, counted in nodes made and
-board generations, and when that runs out `run` steps on from the same
-state.  `detect_fate`,
-shared with `candidates.life_survival_count`, memoises each state by a key
-that all its translates in its form share, so it stops at the first
-recurrence or at extinction; a board state's key is the board shifted down
-to its lowest live bit, with no numpy call per generation.  A state is
-compared with those of earlier forms by its shape, its cells' sorted
-offsets from their corner, only when one of them has its population and
-height.
+first on int64 packed keys, and from there leaps over the generations left
+by a quadtree (`_leap`, Gosper's Hashlife): nodes interned by their
+children, 8x8 leaves stepped on a 16x16 board, a memo of each node's
+result 2**j generations on, all made anew in each call.  A pattern whose
+future repeats, such as the gun's stream of gliders, costs a few thousand
+nodes however far it goes; chaos costs more than packed steps, so the leap
+gets a budget of a fifth of the packed steps' cost, counted in nodes made
+and board generations, and when that runs out `run` steps on from the same
+state.  `detect_fate`, shared with `candidates.life_survival_count`,
+memoises each state by a key that all its translates in its form share, so
+it stops at the first recurrence or at extinction; a board state's key is
+the board shifted down to its lowest live bit, with no numpy call per
+generation.  A state is compared with those of earlier forms by its shape,
+its cells' offsets from their corner, only when one of them has its
+population and height.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
 which packs a pattern into the image rows `cli.render_pbm` writes.
@@ -48,7 +50,6 @@ which packs a pattern into the image rows `cli.render_pbm` writes.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -61,14 +62,8 @@ from .errors import CELL_LIMIT, PIXEL_LIMIT, EmergeLabError, InvalidArgument, In
 NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                          if (dx, dy) != (0, 0))
 
-# packed int64 key = x * 2**32 + (y + 2**31); usable while |x|, |y| < 2**30
-_PACK_M = 1 << 32
-_PACK_HALF = 1 << 31
-_PACK_LOW = _PACK_M - 1
-_PACKED_OFFSETS = np.array([dx * _PACK_M + dy for dx, dy in NEIGHBOR_OFFSETS],
-                           dtype=np.int64)
-# `_orbit` packs a state while its extent plus two stays below this, and
-# re-frames it before any offset leaves +-2**30
+# `_orbit` packs a state on int64 keys while its extent plus two stays
+# below this, and frames it again before that extent reaches it
 _FRAME_LIMIT = 1 << 30
 # frame offsets are int64 below this extent, Python ints (dtype object) from
 # it on; below it, sums and differences of offsets and corners fit in int64
@@ -109,39 +104,19 @@ class InvalidBudget(InvalidArgument):
     """Fate budget below one generation."""
 
 
-def _step_tally(cells: frozenset) -> frozenset:
-    """Reference step: neighbour counts in an associative tally."""
-    tally = Counter()
-    for x, y in cells:
-        for dx, dy in NEIGHBOR_OFFSETS:
-            tally[(x + dx, y + dy)] += 1
-    return frozenset(c for c, n in tally.items()
-                     if n == 3 or (n == 2 and c in cells))
-
-
 # the frame of no cells: its (x, y) = (span + 1) is (0, 0)
 _EMPTY = (np.zeros((0, 2), dtype=np.int64), (0, 0), (-1, -1))
 
 
 def _frame(cells):
-    """(offsets, corner, span) of a cell set: offsets from the bounding-box
-    corner (x0, y0) as an (n, 2) array, int64 unless the span (x1 - x0,
-    y1 - y0) reaches 2**62; the corner and span are Python ints."""
-    if not cells:
-        return _EMPTY
+    """(offsets, corner, span) of a cell set, as `_reframe` frames it; the
+    corner and span are Python ints."""
     try:
         xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
                          count=2 * len(cells)).reshape(-1, 2)
     except OverflowError:
         xy = np.array(list(chain.from_iterable(cells)), dtype=object).reshape(-1, 2)
-    lo, hi = xy.min(axis=0), xy.max(axis=0)
-    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
-    span = (x1 - x0, y1 - y0)
-    if max(span) < _INT64_SPAN:
-        off = (xy - lo).astype(np.int64, copy=False)  # the differences fit
-    else:  # not `xy - (x0, y0)`: a tuple past int64 goes through float64
-        off = xy.astype(object) - lo.astype(object)
-    return off, (x0, y0), span
+    return _reframe(xy[:, 0], xy[:, 1], (0, 0))
 
 
 def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
@@ -196,22 +171,25 @@ def _pattern(cells: Iterable) -> Pattern:
 
 
 def _reframe(xs: np.ndarray, ys: np.ndarray, corner):
-    """The frame of the cells at offsets (xs, ys) from `corner`: int64
-    within +-2**62, or Python ints (dtype object)."""
+    """The frame of the cells at offsets (xs, ys) from `corner`: their
+    offsets from the bounding-box corner as an (n, 2) array, int64 unless
+    the span (x1 - x0, y1 - y0) reaches 2**62, else Python ints (dtype
+    object)."""
     if not xs.size:
         return _EMPTY
     x0, y0 = int(xs.min()), int(ys.min())
     span = int(xs.max()) - x0, int(ys.max()) - y0
-    off = np.stack([xs - x0, ys - y0], axis=1)
-    if off.dtype == object and max(span) < _INT64_SPAN:
-        off = off.astype(np.int64)
+    if max(span) < _INT64_SPAN:  # the differences fit
+        off = np.stack([xs - x0, ys - y0], axis=1).astype(np.int64, copy=False)
+    else:
+        off = np.stack([xs.astype(object) - x0, ys.astype(object) - y0], axis=1)
     return off, (corner[0] + x0, corner[1] + y0), span
 
 
-def _step_packed(keys: np.ndarray) -> np.ndarray:
-    """One generation over sorted, non-empty packed keys; the result is
-    sorted too."""
-    neighbors = (keys[:, None] + _PACKED_OFFSETS).ravel()
+def _step_packed(keys: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """One generation over sorted, non-empty packed keys, whose neighbours
+    are at the offsets `near` (`_near`); the result is sorted too."""
+    neighbors = (keys[:, None] + near).ravel()
     neighbors.sort()
     # runs of equal neighbour keys: each run's last index, key and length
     last = np.empty(neighbors.size, dtype=bool)
@@ -227,21 +205,27 @@ def _step_packed(keys: np.ndarray) -> np.ndarray:
     return uniq[counts == 3]
 
 
-def _pack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sorted int64 keys x * 2**32 + (y + 2**31) of cells within +-2**30."""
-    return np.sort(xs * _PACK_M + ys + _PACK_HALF)
+def _near(stride: int, dtype) -> np.ndarray:
+    """The offsets of a cell's eight neighbours among keys y * stride + x."""
+    return np.array([dy * stride + dx for dx, dy in NEIGHBOR_OFFSETS], dtype=dtype)
 
 
-def _unpack(keys: np.ndarray):
-    return keys >> 32, (keys & _PACK_LOW) - _PACK_HALF
+def _positions(state) -> np.ndarray:
+    """The sorted positions y * stride + x of the live cells of a state
+    that `_orbit` yields: a packed state's keys, or a board's set bits."""
+    if not isinstance(state, int):
+        return state
+    raw = np.frombuffer(state.to_bytes((state.bit_length() + 7) // 8, "little"),
+                        dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def _offsets(state, where):
-    """(xs, ys, corner) of a board or packed state that `_orbit` yields:
-    int64 offsets of its live cells from `corner`."""
-    if len(where) == 3:
-        return (*_board_cells(state, where[2]), where[:2])
-    return (*_unpack(state), where)
+    """(xs, ys, corner) of a state that `_orbit` yields at `where` = (x0,
+    y0, stride): the offsets of its live cells from the corner (x0, y0),
+    in row-major order."""
+    at = _positions(state)
+    return at % where[2], at // where[2], where[:2]
 
 
 def _to_board(xs: np.ndarray, ys: np.ndarray, stride: int) -> int:
@@ -250,15 +234,6 @@ def _to_board(xs: np.ndarray, ys: np.ndarray, stride: int) -> int:
     bits = np.zeros((int(ys.max()) + 1) * stride, dtype=bool)
     bits[ys * stride + xs] = True
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _board_cells(board: int, stride: int):
-    """(xs, ys), the int64 columns and rows of a board's live cells: the
-    inverse of `_to_board`."""
-    raw = np.frombuffer(board.to_bytes((board.bit_length() + 7) // 8, "little"),
-                        dtype=np.uint8)
-    at = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-    return at % stride, at // stride
 
 
 @lru_cache(maxsize=16)
@@ -301,28 +276,32 @@ def _step_board(board: int, stride: int) -> int:
 
 def _orbit(frame):
     """The states of a non-empty frame at generations 0, 1, 2, ...; the
-    last is empty if the pattern dies out.
+    last is the empty board, (0, (0, 0, 1)), if the pattern dies out.
 
     The one Life runner, and the one place a state's form is chosen, each
-    time it frames a state of n cells and extent (w, h):
+    time it frames a state of n cells and extent (w, h).  A state comes as
+    (state, (x0, y0, stride)), and position y * stride + x in it is the
+    cell (x0 + x, y0 + y):
     - a board of `rows` = h + 1 + 2 * _BOARD_MARGIN rows and a stride that
       is the larger of the last board's and w + 1 + 2 * _BOARD_MARGIN
       rounded up to a multiple of 8, if stride * rows <= _BOARD_SPARSITY *
-      (n + _BOARD_FLOOR).  Its states are (board, (x0, y0, stride)): bit
-      y * stride + x is the cell (x0 + x, y0 + y).  The first state with a
+      (n + _BOARD_FLOOR); its positions are bits.  The first state with a
       live cell on the border (`_border`), or the empty one, is framed
       again.  Within one run the stride never shrinks, so the keys of a
       fate memo change stride only as the pattern widens.
-    - otherwise a frame of extent s (its larger side less one) has room =
-      (_FRAME_LIMIT - 1 - s) // 2.  With room > 0 it yields `room` states
-      as (sorted packed keys, corner): each has extent plus two below
-      _FRAME_LIMIT and offsets within +-2**30.  The state after them is
+    - otherwise sorted packed keys, the positions of the live cells.  A
+      frame of extent s (its larger side less one) gets a limit: if s + 2
+      is below _FRAME_LIMIT, that, with int64 keys; else 2 * s + 4, with
+      Python-int keys.  The stride is 4 * limit and the columns are moved
+      2 * limit right, so in the room = (limit - 1 - s) // 2 states that
+      the frame yields every column is in 1..stride-2 and the extent below
+      a quarter of the stride: no neighbour wraps into another row, and
+      two states of one stride whose keys differ by one constant are
+      translates.  The state after the room, a state on Python-int keys
+      whose extent plus two is below _FRAME_LIMIT, or the empty one, is
       framed again.
-    - any other state, and the empty one, is (frozenset, None), stepped by
-      the tally.
     Each key array is new, so a yielded state stays valid.  States go onto
-    and off a board, or out of keys, only here, through numpy; only tally
-    states are sets.
+    and off a board or keys only here, through numpy.
     """
     stride, m = 0, _BOARD_MARGIN
     while True:
@@ -330,33 +309,40 @@ def _orbit(frame):
         xs, ys = off[:, 0], off[:, 1]
         width = max(stride, (w + 2 * m + 8) // 8 * 8)
         rows = h + 1 + 2 * m
-        room = (_FRAME_LIMIT - 1 - max(w, h)) // 2
         if width * rows <= _BOARD_SPARSITY * (xs.size + _BOARD_FLOOR):
             stride = width
-            board = _to_board(xs + m, ys + m, stride)
+            state = _to_board(xs + m, ys + m, stride)
             where = corner[0] - m, corner[1] - m, stride
             border = _border(stride, rows)
             while True:
-                yield board, where
-                board = _step_board(board, stride)
-                if board & border or not board:
+                yield state, where
+                state = _step_board(state, stride)
+                if state & border or not state:
                     break
-            frame = _reframe(*_offsets(board, where))
-        elif room > 0:
-            keys = _pack(xs, ys)
-            for _ in range(room):
-                yield keys, corner
-                keys = _step_packed(keys)
-                if keys.size == 0:
-                    break
-            frame = _reframe(*_offsets(keys, corner))
         else:
-            cells = _cells(xs, ys, corner)
-            yield cells, None
-            frame = _frame(_step_tally(cells))
+            s = max(w, h)
+            wide = s + 2 >= _FRAME_LIMIT
+            limit = 2 * s + 4 if wide else _FRAME_LIMIT
+            if wide:
+                xs, ys = xs.astype(object), ys.astype(object)
+            where = corner[0] - 2 * limit, corner[1], 4 * limit
+            state = np.sort(ys * where[2] + (xs + 2 * limit))
+            near = _near(where[2], state.dtype)
+            for _ in range((limit - 1 - s) // 2):
+                yield state, where
+                state = _step_packed(state, near)
+                if not state.size or wide and _extent(state, where[2]) + 2 < _FRAME_LIMIT:
+                    break
+        frame = _reframe(*_offsets(state, where))
         if not len(frame[0]):
-            yield frozenset(), None
+            yield 0, (0, 0, 1)  # the empty board
             return
+
+
+def _extent(keys: np.ndarray, stride: int) -> int:
+    """The extent, the larger side less one, of the cells at sorted keys."""
+    xs = keys % stride
+    return max(keys[-1] // stride - keys[0] // stride, xs.max() - xs.min())
 
 
 def step(cells: Iterable) -> Pattern:
@@ -373,9 +359,9 @@ def run(cells: Iterable, steps: int) -> Pattern:
         return pattern
     leap = True
     for t, (state, where) in zip(range(steps + 1), _orbit(pattern.frame)):
-        # the first state on packed keys, which has thinned out, may leap
-        # the rest of the way, or give up and step on from where it is
-        if leap and where is not None and len(where) == 2 and t < steps:
+        # the first state on int64 packed keys, which has thinned out, may
+        # leap the rest of the way, or give up and step on from where it is
+        if leap and t < steps and not isinstance(state, int) and state.dtype == np.int64:
             leap = False
             _, tree = _leap(state, where, steps - t, _leap_budget(steps - t, state.size))
             if tree is not None:
@@ -383,8 +369,6 @@ def run(cells: Iterable, steps: int) -> Pattern:
                     raise InvalidArgument(f"{tree[0].pop} live cells at generation {steps}, "
                                           f"over {CELL_LIMIT}")
                 return Pattern(_tree_frame(*tree))
-    if where is None:
-        return _pattern(state)
     return Pattern(_reframe(*_offsets(state, where)))
 
 
@@ -435,11 +419,12 @@ def _leap_budget(steps: int, population: int) -> int:
     return min(steps * (population + _LEAP_CELLS) // (5 * _LEAP_STEP), _LEAP_WORK_LIMIT)
 
 
-def _leap(keys: np.ndarray, corner, steps: int, budget: int):
-    """(work done, tree): the tree is (root, x, y), the quadtree of the
-    packed state (keys, corner) `steps` >= 1 generations on and the corner
-    of its root, or None if it would take more than `budget` units of
-    work (nodes made, leaves too, and generations of a 16x16 board).
+def _leap(keys: np.ndarray, where, steps: int, budget: int):
+    """(work done, tree): the tree is (root, x, y), the quadtree of a
+    state on int64 packed keys (keys, where) that `_orbit` yields, `steps`
+    >= 1 generations on, and the corner of its root, or None if it would
+    take more than `budget` units of work (nodes made, leaves too, and
+    generations of a 16x16 board).
 
     The state is built into a quadtree of interned nodes (`_Node`), and
     stepped by the binary digits of `steps`: a node of level k yields its
@@ -538,7 +523,7 @@ def _leap(keys: np.ndarray, corner, steps: int, budget: int):
 
     # the leaves, then each level's nodes from the one below, keyed by
     # their position in units of their side from the corner (x0, y0)
-    xs, ys = _unpack(keys)
+    xs, ys, corner = _offsets(keys, where)
     x0, y0 = int(xs.min()), int(ys.min())
     xs, ys = xs - x0, ys - y0
     at = (ys >> 3 << 32) + (xs >> 3)
@@ -549,7 +534,7 @@ def _leap(keys: np.ndarray, corner, steps: int, budget: int):
     bits = np.zeros((blocks.size, _LEAF_BELOW), dtype=bool)
     bits[which.ravel(), (ys & 7) * _LEAF_STRIDE + (xs & 7)] = True
     raw = np.packbits(bits, axis=1, bitorder="little")
-    layer = {(b & _PACK_LOW, b >> 32): int.from_bytes(row.tobytes(), "little")
+    layer = {(b & 0xFFFF_FFFF, b >> 32): int.from_bytes(row.tobytes(), "little")
              for b, row in zip(blocks.tolist(), raw)}
     try:
         k = 3
@@ -662,29 +647,27 @@ def detect_fate(cells: Iterable, budget: int) -> FateReport:
     # Each state is memoised by a key that all its translates in the same
     # form share, as (t, anchor, where), from which `_anchor` finds the
     # cell its key starts from once the key repeats.  `seen` holds the
-    # entries of the present form (and board stride); when that changes,
-    # they wait in `waiting` by population and height.  Only a state with
-    # both can repeat one, so when one comes, the entries waiting for it
-    # are keyed by their shape, which no form change alters, into
-    # `shapes`, and it looks its own shape up there.  An entry is so
-    # shape-keyed at most once, and a state at most once.
+    # entries of the present form (a board or packed keys, and its
+    # stride); when that changes, they wait in `waiting` by population and
+    # height.  Only a state with both can repeat one, so when one comes,
+    # the entries waiting for it are keyed by their shape, which no form
+    # change alters, into `shapes`, and it looks its own shape up there.
+    # An entry is so shape-keyed at most once, and a state at most once.
     seen: dict = {}
     waiting: dict = {}
     shapes: dict = {}
-    form = None  # a board's stride, 0 for packed keys, None for the tally
+    form = None  # a board's stride, or the negated stride of packed keys
     for t, (state, where) in enumerate(_orbit(pattern.frame)):
-        if where is None:  # a wide state, or the empty one at extinction
+        if isinstance(state, int):  # a translate shifts the board's bits
             if not state:
                 return FateReport("extinct", t=t)
-            key, corner = canonical(state)
-            # the key of offset (0, 0): the corner itself
-            now, here = None, (t, _PACK_HALF, corner)
-        elif len(where) == 3:  # a translate shifts the board's bits
             low = (state & -state).bit_length() - 1
             key, now, here = state >> low, where[2], (t, low, where)
         else:  # a translate adds one constant to every packed key
-            first = int(state[0])
-            key, now, here = (state - first).tobytes(), 0, (t, first, where)
+            rest = state - state[0]
+            # by value: the bytes of an object array are its pointers
+            key = rest.tobytes() if rest.dtype == np.int64 else tuple(rest.tolist())
+            now, here = -where[2], (t, int(state[0]), where)
         if now != form:
             for old, found in seen.items():
                 for then in found:
@@ -694,7 +677,7 @@ def detect_fate(cells: Iterable, budget: int) -> FateReport:
         found = seen.setdefault(key, [])
         for then in found:
             # boards of two states with one key may be translates or not
-            if not now or _translate_of(key, then, here):
+            if now < 0 or _translate_of(key, then, here):
                 return _recurrence(_anchor(*then), _anchor(*here))
         # an emptied list stays, so that later states of its size look up
         # the shapes its entries left
@@ -713,10 +696,7 @@ def detect_fate(cells: Iterable, budget: int) -> FateReport:
 def _anchor(t, anchor, where):
     """(t, x, y) of a fate memo entry: (x, y) is the cell its key starts
     from, the lowest live bit of a board or the first packed key."""
-    if len(where) == 3:
-        y, x = divmod(anchor, where[2])
-    else:
-        x, y = _unpack(anchor)
+    y, x = divmod(anchor, where[2])
     return t, where[0] + x, where[1] + y
 
 
@@ -742,33 +722,33 @@ def _translate_of(key: int, then, here) -> bool:
     return columns & ((1 << -move) - 1) == 0
 
 
+def _state(key, anchor):
+    """The state of a fate memo entry, from its key and its anchor."""
+    if isinstance(key, int):
+        return key << anchor
+    if isinstance(key, bytes):
+        return np.frombuffer(key, dtype=np.int64) + anchor
+    return np.array(key, dtype=object) + anchor
+
+
 def _size(key, t, anchor, where) -> tuple[int, int]:
     """(population, height less one) of a fate memo entry, which every
     translate of its state shares in every form."""
-    if len(where) == 3:
-        stride = where[2]
+    stride = where[2]
+    if isinstance(key, int):
         return key.bit_count(), ((key << anchor % stride).bit_length() - 1) // stride
-    if isinstance(key, Pattern):  # a tally state's canonical pattern
-        return len(key), key.frame[2][1]
-    ys = _unpack(np.frombuffer(key, dtype=np.int64) + anchor)[1]
-    return ys.size, int(ys.max() - ys.min())
+    keys = _state(key, anchor)
+    return keys.size, int(keys[-1] // stride - keys[0] // stride)
 
 
 def _shape(key, t, anchor, where):
     """(shape, (t, x, y)) of a fate memo entry: a key that every translate
     of its state shares in every form, and the corner (x, y) of its
-    bounding box.  A tally state's shape is its canonical pattern, any
-    other's the bytes of its sorted packed offsets from the corner: the
-    tally holds only states of extent 2**30 - 2 or more, which packed keys
-    never hold, nor a board of fewer than 10**8 live cells."""
-    if isinstance(key, Pattern):
-        return key, (t, *where)
-    if len(where) == 3:
-        xs, ys = _board_cells(key << anchor, where[2])
-    else:
-        xs, ys = _unpack(np.frombuffer(key, dtype=np.int64) + anchor)
-    x0, y0 = int(xs.min()), int(ys.min())
-    return _pack(xs - x0, ys - y0).tobytes(), (t, where[0] + x0, where[1] + y0)
+    bounding box.  The shape is its cells' offsets from the corner in
+    row-major order: their bytes, or a tuple of them where they pass
+    int64."""
+    off, (x, y), _ = _reframe(*_offsets(_state(key, anchor), where))
+    return (tuple(off.ravel().tolist()) if off.dtype == object else off.tobytes()), (t, x, y)
 
 
 def _recurrence(then, here) -> FateReport:

@@ -6,6 +6,7 @@ quadratic scans.  None of it shares code with the kernels under test.
 
 import decimal
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from emergelab import life
@@ -168,17 +169,25 @@ def translate(cells, dx, dy):
     return frozenset((x + dx, y + dy) for x, y in cells)
 
 
-def life_step_sparse(cells):
-    """One Life generation by counting, for every cell next to a live one,
-    its live neighbours; coordinates stay Python ints of any size."""
-    counts = {}
+def step_tally(cells):
+    """One Life generation by neighbour counts in an associative tally;
+    coordinates stay Python ints of any size."""
+    tally = Counter()
     for x, y in cells:
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 if dx or dy:
-                    counts[(x + dx, y + dy)] = counts.get((x + dx, y + dy), 0) + 1
-    return frozenset(c for c, n in counts.items()
+                    tally[(x + dx, y + dy)] += 1
+    return frozenset(c for c, n in tally.items()
                      if n == 3 or (n == 2 and c in cells))
+
+
+def run_tally(cells, steps):
+    """`steps` generations of `step_tally`."""
+    out = frozenset(cells)
+    for _ in range(steps):
+        out = step_tally(out)
+    return out
 
 
 def raster_reference(cells):
@@ -212,7 +221,7 @@ def detect_fate_reference(cells, budget):
             return FateReport("oscillator", t=t0, period=t - t0)
         seen[canon] = (t, x0, y0)
         if t < budget:
-            state = life_step_sparse(state)
+            state = step_tally(state)
     return FateReport("unknown", budget=budget)
 
 

@@ -7,7 +7,7 @@ from emergelab import life
 from emergelab.fixtures import load_text
 
 from .oracles import (detect_fate_reference, life_run_dense, life_step_dense,
-                      translate)
+                      step_tally, translate)
 
 GLIDER = frozenset({(0, 1), (1, 2), (2, 0), (2, 1), (2, 2)})
 BLOCK = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
@@ -98,7 +98,7 @@ def test_packed_and_tally_paths_agree():
     import random
     rng = random.Random(5)
     soup = frozenset((rng.randrange(40), rng.randrange(40)) for _ in range(600))
-    assert life._step_tally(soup) == life.step(soup)
+    assert step_tally(soup) == life.step(soup)
     assert life.run(soup, 8) == life_run_dense(soup, 8)
 
 

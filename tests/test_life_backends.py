@@ -1,6 +1,6 @@
-"""The Life kernels (tally, packed loop, bitboard) and where `run` uses
-them, the vectorised RLE writer and `raster`, checked against the tally
-and the naive oracles."""
+"""The Life kernels (packed loop on int64 and Python-int keys, bitboard)
+and where `run` uses them, the vectorised RLE writer and `raster`,
+checked against the tally and the naive oracles."""
 
 import random
 
@@ -11,18 +11,10 @@ from hypothesis import given, settings, strategies as st
 from emergelab import life
 from emergelab.fixtures import load_text
 
-from .oracles import (life_run_dense, raster_reference, translate,
-                      write_rle_reference)
+from .oracles import (life_run_dense, raster_reference, run_tally, step_tally,
+                      translate, write_rle_reference)
 
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
-TALLY = life._step_tally  # bound before any test spies on it
-
-
-def tally_run(cells, steps):
-    out = frozenset(cells)
-    for _ in range(steps):
-        out = TALLY(out)
-    return out
 
 
 def soup(rng, side, n, dx=0, dy=0):
@@ -31,14 +23,15 @@ def soup(rng, side, n, dx=0, dy=0):
 
 
 def spy(monkeypatch):
-    """Record, in order, each call of the board step, the packed step and
-    the tally step."""
+    """Record, in order, each call of the board step and the packed step,
+    the latter as "_step_packed[object]" on Python-int keys."""
     calls = []
-    for name in ("_step_board", "_step_packed", "_step_tally"):
+    for name in ("_step_board", "_step_packed"):
         real = getattr(life, name)
 
         def wrapped(*args, _real=real, _name=name):
-            calls.append(_name)
+            wide = _name == "_step_packed" and args[0].dtype == object
+            calls.append(_name + "[object]" if wide else _name)
             return _real(*args)
         monkeypatch.setattr(life, name, wrapped)
     return calls
@@ -97,7 +90,7 @@ def test_backend_choice(monkeypatch):
     calls.clear()
     assert len(life.run(gun, 2000)) == 384  # pop(2000 mod 30) + 5 * (2000 // 30)
     assert len(leaps) == 1 and leaps[0][1] is not None
-    assert "_step_packed" not in calls and "_step_tally" not in calls
+    assert set(calls) == {"_step_board"}
     # position never matters
     for offset in (1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)):
         moved = translate(dense_soup, offset, -offset)
@@ -110,11 +103,11 @@ def test_backend_choice(monkeypatch):
         wide = translate(GLIDER | {(limit - 100, 0)}, dx, 0)
         assert kernels(calls, wide, 49) == ["_step_packed"]
         assert kernels(calls, wide, 50) == ["_step_packed", "_step_board"]
-        assert life.run(wide, 50) == tally_run(wide, 50)
-    # two gliders moving apart reach the limit, and the tally takes over
+        assert life.run(wide, 50) == run_tally(wide, 50)
+    # two gliders moving apart reach the limit, and Python-int keys take over
     apart = GLIDER | frozenset((12 - limit - x, y) for x, y in GLIDER)
-    assert kernels(calls, apart, 40) == ["_step_packed", "_step_tally"]
-    assert life.run(apart, 40) == tally_run(apart, 40)
+    assert kernels(calls, apart, 40) == ["_step_packed", "_step_packed[object]"]
+    assert life.run(apart, 40) == run_tally(apart, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +119,7 @@ def test_run_matches_tally_on_both_sides_of_the_threshold(side, n):
     rng = random.Random(side * n)
     cells = soup(rng, side, n, dx=-side // 2, dy=-side // 3)
     for steps in (1, 2, 7, 30):
-        assert life.run(cells, steps) == tally_run(cells, steps)
+        assert life.run(cells, steps) == run_tally(cells, steps)
     assert life.run(cells, 12) == life_run_dense(cells, 12)
 
 
@@ -136,7 +129,7 @@ def test_run_matches_tally_on_both_sides_of_the_threshold(side, n):
 @settings(max_examples=40, deadline=None)
 def test_run_matches_tally_on_random_soups(side, n, steps, dx, dy, seed):
     cells = soup(random.Random(seed), side, n, dx, dy)
-    assert life.run(cells, steps) == tally_run(cells, steps)
+    assert life.run(cells, steps) == run_tally(cells, steps)
 
 
 def test_run_near_the_packing_limit():
@@ -148,18 +141,18 @@ def test_run_near_the_packing_limit():
         cells = translate(base, dx, dy)
         for steps in (1, 9, 20):
             assert life.run(cells, steps) == \
-                translate(tally_run(base, steps), dx, dy)
+                translate(run_tally(base, steps), dx, dy)
 
 
 @pytest.mark.parametrize("offset", [10 ** 20, -(10 ** 20), 2 ** 63, 2 ** 62 - 5])
 def test_run_with_python_ints_beyond_int64(offset, monkeypatch):
     base = soup(random.Random(3), 20, 200)
     cells = translate(base, offset, -offset)
-    want = translate(tally_run(base, 6), offset, -offset)
+    want = translate(run_tally(base, 6), offset, -offset)
     calls = spy(monkeypatch)
     assert life.run(cells, 6) == want
-    assert life.step(cells) == translate(TALLY(base), offset, -offset)
-    # position never matters: both run on a board, and neither tallies
+    assert life.step(cells) == translate(step_tally(base), offset, -offset)
+    # position never matters: both run on a board alone
     assert calls == ["_step_board"] * 7
 
 
@@ -183,7 +176,7 @@ def test_grid_growing_every_generation(monkeypatch):
     monkeypatch.setattr(life, "_BOARD_MARGIN", 1)
     cells = soup(random.Random(4), 24, 300, dx=-7, dy=11)
     calls = spy(monkeypatch)
-    assert life.run(cells, 60) == tally_run(cells, 60)
+    assert life.run(cells, 60) == run_tally(cells, 60)
     assert calls[0] == "_step_board"
 
 
@@ -195,7 +188,7 @@ def test_run_switches_backend_mid_run(monkeypatch):
     # every board step comes before the first packed step
     first = calls.index("_step_packed")
     assert set(calls[:first]) == {"_step_board"} and set(calls[first:]) == {"_step_packed"}
-    assert result == tally_run(cells, 400)
+    assert result == run_tally(cells, 400)
     assert result == frozenset((x + (100 if x > 0 else -100),
                                 y + (100 if y > 0 else -100)) for x, y in cells)
 
@@ -216,12 +209,12 @@ def test_negative_steps_is_a_domain_error():
 
 def test_run_accepts_plain_sets_and_lists():
     cells = soup(random.Random(6), 30, 400)
-    want = tally_run(cells, 5)
+    want = run_tally(cells, 5)
     assert life.run(set(cells), 5) == want
     assert life.run(sorted(cells), 5) == want
     # a cell listed twice is one cell
     row = [(0, 0), (1, 0), (2, 0)]
-    assert life.run(row + row[:1], 1) == life.step(row + row) == tally_run(row, 1)
+    assert life.run(row + row[:1], 1) == life.step(row + row) == run_tally(row, 1)
 
 
 def test_packed_dense_and_tally_agree_on_step():
@@ -229,15 +222,21 @@ def test_packed_dense_and_tally_agree_on_step():
     for cells in (soup(rng, 40, 700), soup(rng, 300, 300),
                   receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
         off, (cx, cy), (w, h) = life._frame(cells)
-        want = TALLY(cells)
+        want = step_tally(cells)
         # one dead cell around the live ones, as the board step needs
         stride = (w + 10) // 8 * 8
         board = life._to_board(off[:, 0] + 1, off[:, 1] + 1, stride)
         assert board & life._border(stride, h + 3) == 0
-        xs, ys = life._board_cells(life._step_board(board, stride), stride)
-        assert life._cells(xs, ys, (cx - 1, cy - 1)) == want
-        keys = life._step_packed(life._pack(off[:, 0], off[:, 1]))
-        assert life._cells(*life._unpack(keys), (cx, cy)) == want
+        after = life._step_board(board, stride)
+        assert life._cells(*life._offsets(after, (cx - 1, cy - 1, stride))) == want
+        # packed keys y * stride + x, on int64 and on Python ints, with the
+        # columns moved one right so that no neighbour wraps
+        keys = off[:, 1] * stride + off[:, 0] + 1
+        for dtype in (np.int64, object):
+            near = life._near(stride, dtype)
+            after = life._step_packed(np.sort(keys.astype(dtype)), near)
+            assert after.dtype == dtype
+            assert life._cells(*life._offsets(after, (cx - 1, cy, stride))) == want
 
 
 @st.composite
@@ -266,10 +265,10 @@ def test_board_step_matches_the_tally(board_cells):
     xs, ys = (np.array(v, dtype=np.int64) for v in zip(*cells))
     board = life._to_board(xs, ys, stride)
     assert board & life._border(stride, rows) == 0
-    assert set(zip(*(v.tolist() for v in life._board_cells(board, stride)))) == cells
+    assert life._cells(*life._offsets(board, (0, 0, stride))) == cells
     after = life._step_board(board, stride)
-    got = set(zip(*(v.tolist() for v in life._board_cells(after, stride))))
-    assert got == TALLY(cells)
+    got = life._cells(*life._offsets(after, (0, 0, stride)))
+    assert got == step_tally(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ form, and its fallback counted in nodes made, with no timing."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emergelab import life
 from emergelab.fixtures import load_text
 
-from .oracles import translate
+from .oracles import run_tally, translate
 
 GUN = life.parse_rle(load_text("gosper_gun.rle"))
 RPENTOMINO = life.parse_rle(load_text("rpentomino.rle"))
@@ -21,8 +22,6 @@ def orbit_run(cells, steps):
     """The absolute cells at generation `steps`, from `_orbit` alone."""
     for _, (state, where) in zip(range(steps + 1), life._orbit(life._pattern(cells).frame)):
         pass
-    if where is None:
-        return frozenset(state)
     return life._cells(*life._offsets(state, where))
 
 
@@ -149,6 +148,19 @@ def test_gliders_leaping_apart_past_int64(monkeypatch):
     result = life.run(GLIDER | back, steps)
     assert result == want
     assert result.frame[0].dtype == object and max(result.frame[2]) > 2 ** 63
+
+
+@pytest.mark.parametrize("apart", [2 ** 30 - 12, 2 ** 40])
+def test_the_leap_takes_only_int64_keys(apart, monkeypatch):
+    # two gliders heading apart: from 2**30 - 12 they start on int64 keys
+    # and leap, from 2**40 they stay on Python-int keys and never leap
+    cells = GLIDER | frozenset((-x - apart, -y) for x, y in GLIDER)
+    tried = []
+    leap = life._leap
+    monkeypatch.setattr(life, "_leap", lambda *args: tried.append(args[0].dtype) or leap(*args))
+    assert life.run(cells, 300) == orbit_run(cells, 300) == run_tally(cells, 300)
+    assert life.run(cells, 2000) == orbit_run(cells, 2000)
+    assert tried == ([np.int64] * 2 if apart < life._FRAME_LIMIT else [])
 
 
 steps_near_powers = st.one_of(

@@ -1,19 +1,20 @@
 """The generation runner `life._orbit` and `life.detect_fate` on top of
 it, checked against the tally and the frozenset oracle: board and packed
-states, far offsets, states too wide to pack, re-framing, recurrences
-across a change of form or stride, receding pairs, and the empty set."""
+states, far offsets, states too wide for int64 keys, re-framing,
+recurrences across a change of form or stride, receding pairs, and the
+empty set."""
 
 import random
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emergelab import life
 from emergelab.fixtures import load_text
 
-from .oracles import detect_fate_reference, translate
+from .oracles import detect_fate_reference, run_tally, step_tally, translate
 
 CORPUS = [
     "glider", "block", "blinker", "toad", "beacon", "beehive", "loaf", "boat",
@@ -27,22 +28,23 @@ SYMMETRIES = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
 BLOCK = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
 BLINKER = frozenset({(0, -1), (0, 0), (0, 1)})
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})  # heads to +x, +y
-TALLY = life._step_tally  # bound before any test spies on it
 
 
 def corpus(name):
     return life.parse_rle(load_text(f"{name}.rle"))
 
 
-def form(where):
+def form(state, where):
     """The form of a state `_orbit` yields: its board's stride, "packed"
-    or "tally"."""
-    return "tally" if where is None else where[2] if len(where) == 3 else "packed"
+    for int64 keys or "wide" for Python-int keys."""
+    if isinstance(state, int):
+        return where[2]
+    return "packed" if state.dtype == np.int64 else "wide"
 
 
 def forms(cells, n):
     """The forms of the first n states of `_orbit` from `cells`."""
-    return [form(where) for _, (_, where) in zip(range(n), life._orbit(life._frame(cells)))]
+    return [form(*state) for _, state in zip(range(n), life._orbit(life._frame(cells)))]
 
 
 def on_board(cells):
@@ -51,10 +53,7 @@ def on_board(cells):
 
 def state_cells(state, where):
     """The cell set of a state `_orbit` yields, in any form."""
-    if where is None:
-        return state
-    xs, ys, corner = life._offsets(state, where)
-    return life._cells(xs, ys, corner)
+    return life._cells(*life._offsets(state, where))
 
 
 def transform(cells, a, b, c, d, ox=0, oy=0):
@@ -62,11 +61,12 @@ def transform(cells, a, b, c, d, ox=0, oy=0):
 
 
 def count_calls(monkeypatch, name):
+    """Record the first argument of each call of `life.<name>`."""
     calls = []
     real = getattr(life, name)
 
     def wrapped(*args):
-        calls.append(name)
+        calls.append(args[0])
         return real(*args)
 
     monkeypatch.setattr(life, name, wrapped)
@@ -118,24 +118,23 @@ def test_empty_set_is_extinct_at_zero():
 
 def test_blocks_two_to_the_31_apart_take_the_wide_path(monkeypatch):
     cells = BLOCK | translate(BLOCK, 2 ** 31, 0)
-    tallies = count_calls(monkeypatch, "_step_tally")
     packed = count_calls(monkeypatch, "_step_packed")
     report = life.detect_fate(cells, 10)
     assert report == life.FateReport("still_life", t=0, period=1)
     assert report == detect_fate_reference(cells, 10)
-    assert tallies and not packed
+    assert packed and all(keys.dtype == object for keys in packed)
 
 
 def test_wide_state_packs_again_once_it_shrinks(monkeypatch):
     # the far domino dies in one generation, leaving a blinker that packs
     # into a board
     cells = BLINKER | {(2 ** 31, 0), (2 ** 31 + 1, 0)}
-    tallies = count_calls(monkeypatch, "_step_tally")
+    packed = count_calls(monkeypatch, "_step_packed")
     boards = count_calls(monkeypatch, "_step_board")
     report = life.detect_fate(cells, 10)
     assert report == life.FateReport("oscillator", t=1, period=2)
     assert report == detect_fate_reference(cells, 10)
-    assert len(tallies) == 1 and boards
+    assert [keys.dtype for keys in packed] == [object] and boards
 
 
 @pytest.mark.parametrize("ox", [life._FRAME_LIMIT - 8, -life._FRAME_LIMIT - 4])
@@ -156,6 +155,43 @@ def test_recurrence_after_a_wide_preperiod():
     report = life.detect_fate(cells, 20)
     assert report == detect_fate_reference(cells, 20)
     assert report == life.FateReport("translator", t=1, period=4, dx=1, dy=1)
+
+
+@pytest.mark.parametrize("cells, want", [
+    (BLINKER | translate(BLINKER, 2 ** 40, 0), life.FateReport("oscillator", t=0, period=2)),
+    (GLIDER | translate(GLIDER, 2 ** 40, 0),
+     life.FateReport("translator", t=0, period=4, dx=1, dy=1)),
+], ids=["blinkers", "gliders"])
+def test_wide_states_recur_on_python_int_keys(cells, want, monkeypatch):
+    # two copies 2**40 apart stay too wide for int64 keys, so every state
+    # is on Python-int keys, and the memo must key them by value
+    packed = count_calls(monkeypatch, "_step_packed")
+    report = life.detect_fate(cells, 20)
+    assert report == want == detect_fate_reference(cells, 20)
+    assert packed and all(keys.dtype == object for keys in packed)
+
+
+cluster = st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
+                        max_size=12)
+
+
+# gliders heading apart from inside the int64 limit, and a glider leaving
+# a block past it
+WESTWARD = frozenset((5 - x, y) for x, y in GLIDER)  # heads to -x, +y
+
+
+@given(cluster, cluster, st.sampled_from([2 ** 30 - 3, 2 ** 31, 2 ** 40, 2 ** 70, 10 ** 20]),
+       st.integers(-3, 3), st.integers(1, 300))
+@example(WESTWARD, GLIDER, 2 ** 30 - 3, 0, 300)
+@example(WESTWARD, GLIDER, 2 ** 30 - 3, -3, 41)
+@example(BLOCK, GLIDER, 2 ** 40, 2, 300)
+@settings(max_examples=40, deadline=None)
+def test_wide_frames_match_the_tally(near, far, dx, dy, steps):
+    # a second cluster far off: too wide for int64 keys from the start, or
+    # crossing that limit part-way as the clusters spread, move or die
+    cells = near | translate(far, dx, dy)
+    assert life.run(cells, steps) == run_tally(cells, steps)
+    assert life.detect_fate(cells, steps) == detect_fate_reference(cells, steps)
 
 
 def dense_soup(rng, side, n):
@@ -288,7 +324,7 @@ def test_orbit_from_dense_starts_matches_the_tally(margin, monkeypatch):
         thin_boards(patch, margin)
         soups += [(near_threshold_soup(rng), True) for _ in range(6)]
     # and blinkers spread too thin for a board, on packed keys throughout
-    soups.append((frozenset((40 * i, y) for i in range(30) for y in (0, 1, 2)), False))
+    soups.append((frozenset((100 * i, y) for i in range(30) for y in (0, 1, 2)), False))
     seen, k = set(), 150
     for cells, thin in soups:
         with pytest.MonkeyPatch.context() as patch:
@@ -298,9 +334,9 @@ def test_orbit_from_dense_starts_matches_the_tally(margin, monkeypatch):
         want = cells
         for state, where in orbit:
             got = state_cells(state, where)
-            seen.add(type(form(where)))
+            seen.add(type(form(state, where)))
             assert got == want
-            want = TALLY(want)
+            want = step_tally(want)
         assert len(orbit) == k or not got  # only extinction ends the runner
     assert seen == {int, str}
 
@@ -318,9 +354,9 @@ def test_every_yielded_board_has_a_dead_border(seed, side, margin):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(life, "_BOARD_MARGIN", margin)
         for state, where in islice(life._orbit(life._frame(cells)), 200):
-            if isinstance(form(where), int) and state:
+            if isinstance(form(state, where), int) and state:
                 boards += 1
-                xs, ys = life._board_cells(state, where[2])
+                xs, ys, _ = life._offsets(state, where)
                 assert xs.min() >= 1 and xs.max() <= where[2] - 2 and ys.min() >= 1
     assert boards  # it starts on a board
 
@@ -352,17 +388,16 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
     for cells in patterns:
         states = [cells]
         while len(states) <= budget and states[-1]:
-            states.append(TALLY(states[-1]))
+            states.append(step_tally(states[-1]))
         orbit = list(islice(life._orbit(life._frame(cells)), budget + 1))
         assert len(orbit) == len(states)
-        for want, (state, corner) in zip(states, orbit):
-            if corner is None:
-                assert state == want and (not want or extent(want) + 2 >= limit)
-            elif len(corner) == 3:  # a board takes no heed of the frame limit
-                assert state_cells(state, corner) == want
-            else:
-                assert life._cells(*life._unpack(state), corner) == want
+        for want, (state, where) in zip(states, orbit):
+            assert state_cells(state, where) == want
+            # a board takes no heed of the frame limit
+            if form(state, where) == "packed":
                 assert extent(want) + 2 < limit
+            elif form(state, where) == "wide":
+                assert extent(want) + 2 >= limit
         for steps in (1, 7, 30, budget):
             assert life.run(cells, steps) == states[min(steps, len(states) - 1)]
         assert life.detect_fate(cells, budget) == detect_fate_reference(cells, budget)
