@@ -4,10 +4,11 @@ and highway detection.
 Conventions: N = (0, +1), E = (+1, 0); a left turn is counterclockwise in
 this frame.  On a white square the ant turns left, paints the square black
 and advances; on a black square it turns right, repaints it white and
-advances.  `HEADINGS` is the one heading order, clockwise from north:
-`run`, `census` and `detect_highway` carry the heading as its index there,
-and one lookup table per turn gives the new index and the move; states and
-reports keep the letter.
+advances.  `HEADINGS` is the one heading order, clockwise from north (kept
+in `errors`, so that the CLI's parser reads it without importing this
+module): `run`, `census` and `detect_highway` carry the heading as its
+index there, and one lookup table per turn gives the new index and the
+move; states and reports keep the letter.
 
 `census` steps plainly until a certificate proves that the ant is on a
 highway for all time (see `_period`); every later state then follows from
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CELL_LIMIT, InvalidArgument
+from .errors import CELL_LIMIT, HEADINGS, InvalidArgument
 
-HEADINGS = "NESW"
 _MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # unit steps, indexed like HEADINGS
 # heading index -> (new heading index, dx, dy) after a right or a left turn
 _RIGHT = tuple(((h + 1) % 4, *_MOVES[(h + 1) % 4]) for h in range(4))
@@ -38,6 +38,10 @@ _LEFT = tuple(((h - 1) % 4, *_MOVES[(h - 1) % 4]) for h in range(4))
 # detector windows are (2r + 1)**2 bits; r = 256 takes about 2 s and 0.5 GB
 # per 20,000 steps from the standard start (Python 3.11, 2-vCPU VM)
 WINDOW_RADIUS_LIMIT = 256
+# the most window bits, max_steps * (2r + 1)**2, a detector run may keep:
+# `seen` holds up to one window per step, so this bounds its memory.  Every
+# r <= 256 still runs 20,000 steps (about 5.3e9 bits at r = 256).
+WINDOW_BITS_LIMIT = 1 << 33
 # plain steps between highway checks; a check looks for periods below
 # _PERIOD_LIMIT in the last 2 * _PERIOD_LIMIT steps of a chunk
 _CHUNK = 4096
@@ -387,7 +391,8 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
     candidate period p = t2 - t1 is verified over the next `confirmations`
     multiples of p; the first verified recurrence yields the smallest
     period and the earliest onset (onset = t1, relative to `start`).
-    The window radius is at most WINDOW_RADIUS_LIMIT.
+    The window radius is at most WINDOW_RADIUS_LIMIT, and max_steps times
+    the window's (2r + 1)**2 bits at most WINDOW_BITS_LIMIT.
     """
     if max_steps < 1:
         raise InvalidArgument(f"max_steps must be >= 1, got {max_steps}")
@@ -396,9 +401,14 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
             f"window_radius must be in 1..{WINDOW_RADIUS_LIMIT}, got {window_radius}")
     if confirmations < 1:
         raise InvalidArgument(f"confirmations must be >= 1, got {confirmations}")
-
     r = window_radius
     side = 2 * r + 1
+    if max_steps * side * side > WINDOW_BITS_LIMIT:
+        raise InvalidArgument(
+            f"max_steps must be <= {WINDOW_BITS_LIMIT // (side * side)} at window_radius "
+            f"{r} (at most {WINDOW_BITS_LIMIT} window bits, max_steps * (2r + 1)**2), "
+            f"got {max_steps}")
+
     full_mask = (1 << side * side) - 1
     center_bit = 1 << (r * side + r)
     row_mask = (1 << side) - 1

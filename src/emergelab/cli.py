@@ -10,9 +10,13 @@ packed rows: ECA histories as evolved, Life and ant cells via `life.raster`.
 `life` commands read a pattern file into a `life.Pattern`, numpy offsets
 from its bounding-box corner, and run, write, render, box or classify it
 through `life`'s public functions, none of which builds a cell set.
-`life`, and numpy with it, is imported by the handlers that use it (`life`
-commands, `ant --out`, `candidate life-survival`) and numpy by `eca
---text`'s writer, so the other commands launch without loading numpy.
+Each handler imports the subsystems it calls when it runs (`eca`; `analysis`
+and `eca`; `ant`; `turing`; `candidates`; `life`), so a launch compiles and
+runs only its own command's modules: the parser reads `errors` alone, which
+holds `ant --heading`'s choices.  numpy comes with `life` (the `life`
+commands, `ant --out`, `candidate life-survival`) and with `eca --text`'s
+writer.  Calls go through the module attribute (`eca.evolve`), never a name
+bound by `from .eca import ...`, so wrappers set on a module see them.
 Outputs are deterministic: identical invocations give byte-identical files.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or
@@ -24,14 +28,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analysis, ant, candidates, eca, turing
-from .errors import EmergeLabError, InvalidArgument
+from .errors import HEADINGS, EmergeLabError, InvalidArgument
+
+if TYPE_CHECKING:  # the handlers import these themselves, when they run
+    from fractions import Fraction
+
+    from . import turing
 
 
 class EmptyImage(EmergeLabError):
@@ -120,6 +127,8 @@ def _write_text(rows, width: int, out):
 # subcommand handlers
 
 def _cmd_eca(args) -> dict | None:
+    from . import eca
+
     rule = eca.parse_rule(args.rule)
     if args.cyclic_width is not None:
         width = args.cyclic_width
@@ -180,6 +189,8 @@ def _cmd_life(args) -> dict:
 
 
 def _cmd_ant(args) -> dict:
+    from . import ant
+
     steps = args.steps if args.steps is not None else default_budget(20_000)
     start = ant.standard_start(args.heading)
     if args.detect_highway:
@@ -207,10 +218,14 @@ def _cmd_ant(args) -> dict:
 
 
 def _machine(path: str) -> turing.MachineSpec:
+    from . import turing
+
     return turing.parse_machine(_read_text(path), name=Path(path).stem)
 
 
 def _cmd_tm(args) -> dict:
+    from . import turing
+
     budget = args.budget if args.budget is not None else default_budget(10 ** 7)
     if args.tm_command == "run":
         machine = _machine(args.machine)
@@ -233,6 +248,9 @@ def _cmd_tm(args) -> dict:
                 "approx_steps": frag.approx_steps,
                 "finisher_steps": frag.finisher_steps}
     # audit
+    if args.timing_from is not None and args.max_index > turing.AUDIT_INDEX_LIMIT:
+        raise InvalidArgument(f"--max-index must be <= {turing.AUDIT_INDEX_LIMIT} with "
+                              f"--timing-from, got {args.max_index}")
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
@@ -257,6 +275,8 @@ def _cmd_tm(args) -> dict:
 
 
 def _cmd_candidate(args) -> dict:
+    from . import candidates
+
     if args.candidate_command == "sqrt-digits":
         digits = candidates.sqrt_digits(args.m, args.count)
         return {"m": args.m, "count": args.count,
@@ -280,6 +300,8 @@ def _cmd_candidate(args) -> dict:
 
 
 def _cmd_analyze(args) -> dict:
+    from . import analysis, eca
+
     if args.rule30_center is not None:
         if not 1 <= args.rule30_center <= eca.CENTER_COLUMN_STEPS + 1:
             raise eca.InvalidSteps(f"--rule30-center must be in "
@@ -303,6 +325,8 @@ def _cmd_analyze(args) -> dict:
 
 def _rational(text: str) -> Fraction:
     """argparse type: a malformed value or a zero denominator is a usage error."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -346,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ant", help="Langton's ant")
     p.set_defaults(handler=_cmd_ant)
     p.add_argument("--steps", type=int)
-    p.add_argument("--heading", choices=list(ant.HEADINGS), default="N")
+    p.add_argument("--heading", choices=list(HEADINGS), default="N")
     p.add_argument("--detect-highway", action="store_true")
     p.add_argument("--window-radius", type=int, default=16)
     p.add_argument("--confirmations", type=int, default=5)
@@ -424,10 +448,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command == "eca" and not 0 <= args.rule <= 255:
         parser.error(f"--rule must be in 0..255, got {args.rule}")
-    if args.command == "eca" and args.cyclic_width is not None \
-            and not 1 <= args.cyclic_width <= eca.HISTORY_CELL_LIMIT:
-        parser.error(f"--cyclic-width must be in 1..{eca.HISTORY_CELL_LIMIT}, "
-                     f"got {args.cyclic_width}")
+    if args.command == "eca" and args.cyclic_width is not None:
+        from . import eca
+
+        if not 1 <= args.cyclic_width <= eca.HISTORY_CELL_LIMIT:
+            parser.error(f"--cyclic-width must be in 1..{eca.HISTORY_CELL_LIMIT}, "
+                         f"got {args.cyclic_width}")
     if args.command == "tm" and args.tm_command == "audit" and args.max_index < 1:
         parser.error(f"--max-index must be >= 1, got {args.max_index}")
     return args
@@ -437,9 +463,12 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         report = args.handler(args)
-        if report is not None:
-            sys.stdout.write(json.dumps(report) + "\n" if args.json
-                             else _key_values(report))
+        if report is not None and args.json:
+            import json
+
+            sys.stdout.write(json.dumps(report) + "\n")
+        elif report is not None:
+            sys.stdout.write(_key_values(report))
     except (EmergeLabError, OSError) as exc:
         print(f"emergelab {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,15 @@
 """Common base class for all domain errors raised by this package, and the
-size caps that more than one subsystem refuses input by: CELL_LIMIT, the
-most live cells `life.parse_rle`/`parse_cells` build and black squares
-`ant.Census.black` builds, and PIXEL_LIMIT, the most pixels `life.raster`
-allocates.  They live here, in a module without numpy, so that `ant` reads
-its cap without importing `life`."""
+constants that are read without importing the subsystem they belong to.
+CELL_LIMIT is the most live cells `life.parse_rle`/`parse_cells` build and
+black squares `ant.Census.black` builds, and PIXEL_LIMIT the most pixels
+`life.raster` allocates; they live here, in a module without numpy, so that
+`ant` reads its cap without importing `life`.  HEADINGS is the ant's one
+heading order, clockwise from north, which `ant` imports and the CLI's
+parser offers as `ant --heading`'s choices without importing `ant`."""
 
 CELL_LIMIT = 10 ** 7
 PIXEL_LIMIT = 1 << 26
+HEADINGS = "NESW"
 
 
 class EmergeLabError(Exception):

@@ -35,6 +35,10 @@ OUTPUT_ACTIONS = ("-", "0", "1", "#")
 # symbol per tape, so a 3-line file asking for 2e6 tapes took 200 MB and a
 # 2e6-character message.  Every machine here uses two or three.
 TAPES_LIMIT = 64
+# the largest `tm audit --max-index` that `--timing-from` measures: it runs
+# its machine once per index, each run on its own step budget, so the work
+# grows about as n**2 (1.6-3.2 s at n = 500 on a shared 2-vCPU Xeon)
+AUDIT_INDEX_LIMIT = 500
 
 
 class MachineError(EmergeLabError):

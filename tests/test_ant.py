@@ -250,6 +250,13 @@ def test_detect_highway_argument_validation():
     with pytest.raises(InvalidArgument, match=f"1..{limit}, got {limit + 1}"):
         ant.detect_highway(ant.standard_start(), 10, window_radius=limit + 1)
     assert ant.detect_highway(ant.standard_start(), 10, window_radius=limit).steps_searched == 10
+    # at the largest radius, the steps whose windows would pass the bit cap
+    # are refused before the first one
+    most = ant.WINDOW_BITS_LIMIT // (2 * limit + 1) ** 2
+    assert most >= 20_000
+    with pytest.raises(InvalidArgument, match=f"max_steps must be <= {most} at "
+                                              f"window_radius {limit} .*, got {most + 1}$"):
+        ant.detect_highway(ant.standard_start(), most + 1, window_radius=limit)
 
 
 def test_highway_reached_from_every_heading():

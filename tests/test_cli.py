@@ -699,6 +699,21 @@ def test_ant_report_file_matches_stdout(tmp_path, capsys, mode):
     assert code == 0 and path.read_text() == out
 
 
+def test_ant_highway_past_the_window_bit_cap_is_refused(capsys, monkeypatch):
+    # the detector keeps up to one (2r + 1)**2-bit window a step; r = 16 has
+    # 33**2 bits, so this cap allows 10 steps, and 11 are refused before
+    # the detector builds its frame
+    monkeypatch.setattr(ant, "WINDOW_BITS_LIMIT", 10 * 33 ** 2)
+    code, out, _ = run_cli(capsys, "ant", "--detect-highway", "--steps", "10")
+    assert code == 0 and "steps_searched=10" in out
+    frames = []
+    monkeypatch.setattr(ant, "_frame", lambda *a: frames.append(a))
+    code, out, err = run_cli(capsys, "ant", "--detect-highway", "--steps", "11")
+    assert code == 1 and out == "" and frames == []
+    assert err == ("emergelab ant: max_steps must be <= 10 at window_radius 16 (at most "
+                   f"{10 * 33 ** 2} window bits, max_steps * (2r + 1)**2), got 11\n")
+
+
 def test_ant_json_report(capsys):
     code, out, _ = run_cli(capsys, "--json", "ant", "--steps", "500")
     assert code == 0
@@ -780,6 +795,27 @@ def test_tm_audit_max_index_must_be_positive(capsys, max_index):
     out, err_text = capsys.readouterr()
     assert err.value.code == 2 and out == ""
     assert err_text.splitlines()[-1].endswith(f"--max-index must be >= 1, got {max_index}")
+
+
+def test_tm_audit_timing_past_the_cap_is_refused(capsys, monkeypatch, tmp_path):
+    # --timing-from runs its machine once per index, so its work grows as
+    # n**2; over the cap, no machine runs, while tables bound their own
+    monkeypatch.setattr(turing, "AUDIT_INDEX_LIMIT", 3)
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--identity-values"]
+    code, out, _ = run_cli(capsys, *argv, "--max-index", "3", "--timing-from", SUCC)
+    assert code == 0 and "verdict=pass" in out
+    runs, run = [], turing.run
+    monkeypatch.setattr(turing, "run", lambda *a, **k: runs.append(a) or run(*a, **k))
+    for max_index in ("4", str(10 ** 30)):
+        code, out, err = run_cli(capsys, *argv, "--max-index", max_index,
+                                 "--timing-from", SUCC)
+        assert code == 1 and out == "" and runs == []
+        assert err == (f"emergelab tm: --max-index must be <= 3 with --timing-from, "
+                       f"got {max_index}\n")
+    timing = tmp_path / "timing.txt"
+    timing.write_text("1000 " * 6)
+    code, out, _ = run_cli(capsys, *argv, "--max-index", "6", "--timing", str(timing))
+    assert code == 0 and "index_6=" in out
 
 
 def test_tm_compose(capsys):
@@ -952,63 +988,76 @@ def test_module_invocation_round_trip(tmp_path):
     assert "word=1" in result.stdout
 
 
-# Runs each batch of argv lists (JSON in sys.argv[1]) through cli.main with
-# stdout captured, and prints each command's exit code and stdout and, after
-# each batch, which of numpy and emergelab.life are loaded.
+# Runs each argv list (JSON in sys.argv[1]) through cli.main with stdout
+# captured, and prints each command's exit code (--help's too) and stdout
+# and then which of numpy and the emergelab modules are loaded.
 LAZY_IMPORTS = """
 import contextlib, io, json, sys
 from emergelab import cli
-results = []
-for batch in json.loads(sys.argv[1]):
-    outputs = []
-    for argv in batch:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            outputs.append([cli.main(argv), out.getvalue()])
-    results.append([outputs, [name for name in ("numpy", "emergelab.life")
-                              if name in sys.modules]])
-print(json.dumps(results))
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    outputs.append([code, out.getvalue()])
+print(json.dumps([outputs, sorted(name for name in sys.modules
+                                  if name == "numpy" or name.startswith("emergelab."))]))
 """
 
 
-def test_numpy_and_life_load_only_where_used(tmp_path, capsys):
-    # tests/ imports numpy itself, so only a fresh interpreter shows which
-    # commands load it; one process runs them all, to keep the suite fast
+def test_numpy_and_life_load_only_where_used(tmp_path, capsys, monkeypatch):
+    # tests/ imports numpy and every subsystem itself, so only a fresh
+    # interpreter shows which modules a command loads; one runs each group
     dfa = str(fixture_path("even_ones.dfa"))
-    without = [
-        ["eca", "--rule", "30", "--steps", "5"],
-        ["eca", "--rule", "90", "--steps", "7", "--out", "{dir}/r90.pbm"],
-        ["tm", "run", "--machine", SUCC, "--input", "5"],
-        ["tm", "compose", "--approx", SUCC, "--finisher", COPY, "--input", "5"],
-        ["analyze", "--rule30-center", "100", "--block-k", "2"],
-        ["ant", "--steps", "500"],
-        ["ant", "--steps", "1000", "--detect-highway"],
-        ["candidate", "sqrt-digits", "--m", "2", "--count", "20"],
-        ["candidate", "digit-chain", "--sqrt", "2", "--n", "2"],
-        ["candidate", "words", "--index", "5"],
-        ["candidate", "language-count", "--dfa", dfa, "--n", "50"],
-    ]
-    using = [
-        ["eca", "--rule", "110", "--steps", "10", "--text"],
-        ["life", "fate", "--rle", GLIDER, "--budget", "50"],
-        ["ant", "--steps", "500", "--out", "{dir}/ant.pbm"],
-        ["candidate", "life-survival", "--n", "20"],
+    groups = [  # (commands, what they load besides emergelab.cli and .errors)
+        ([["eca", "--rule", "30", "--steps", "5"],
+          ["eca", "--rule", "90", "--steps", "7", "--out", "{dir}/r90.pbm"],
+          ["eca", "--rule", "30", "--steps", "5", "--cyclic-width", "9"]], ["eca"]),
+        ([["eca", "--rule", "110", "--steps", "10", "--text"]], ["eca", "numpy"]),
+        ([["analyze", "--rule30-center", "100", "--block-k", "2"]], ["analysis", "eca"]),
+        ([["tm", "run", "--machine", SUCC, "--input", "5"],
+          ["tm", "compose", "--approx", SUCC, "--finisher", COPY, "--input", "5"],
+          ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "4",
+           "--identity-values", "--timing-from", SUCC, "--c", "1/2"]], ["turing"]),
+        ([["ant", "--help"],
+          ["ant", "--steps", "500"],
+          ["ant", "--steps", "1000", "--detect-highway"]], ["ant"]),
+        ([["ant", "--steps", "500", "--out", "{dir}/ant.pbm"]], ["ant", "life", "numpy"]),
+        ([["candidate", "sqrt-digits", "--m", "2", "--count", "20"],
+          ["candidate", "digit-chain", "--sqrt", "2", "--n", "2"],
+          ["candidate", "words", "--index", "5"],
+          ["candidate", "language-count", "--dfa", dfa, "--n", "50"]], ["candidates"]),
+        ([["candidate", "life-survival", "--n", "20"]], ["candidates", "life", "numpy"]),
+        ([["life", "fate", "--rle", GLIDER, "--budget", "50"],
+          ["life", "run", "--rle", GLIDER, "--steps", "4"]], ["life", "numpy"]),
     ]
     fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
     fresh_dir.mkdir()
     here_dir.mkdir()
-    batches = [[[arg.format(dir=fresh_dir) for arg in argv] for argv in batch]
-               for batch in (without, using)]
+    # help text wraps at the terminal's width, which differs between the two
+    monkeypatch.setenv("COLUMNS", "80")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, json.dumps(batches)],
-                            env=env, capture_output=True, text=True, check=True)
-    (fresh_without, loaded_without), (fresh_using, loaded_using) = json.loads(result.stdout)
-    assert loaded_without == []
-    assert loaded_using == ["numpy", "emergelab.life"]
-    # the same exit codes, stdout and images as in this process, where
-    # numpy and life were imported before any command ran
-    for argv, fresh in zip(without + using, fresh_without + fresh_using):
-        code, out, _ = run_cli(capsys, *(arg.format(dir=here_dir) for arg in argv))
-        assert fresh == [code, out], argv
+    for batch, modules in groups:
+        argvs = [[arg.format(dir=fresh_dir) for arg in argv] for argv in batch]
+        result = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, json.dumps(argvs)],
+                                env=env, capture_output=True, text=True, check=True)
+        outputs, loaded = json.loads(result.stdout)
+        assert loaded == sorted(["emergelab.cli", "emergelab.errors",
+                                 *(m if m == "numpy" else f"emergelab.{m}" for m in modules)])
+        # the same exit codes, stdout and images as in this process, where
+        # every module was imported before any command ran
+        for argv, fresh in zip(batch, outputs):
+            try:
+                code = cli.main([arg.format(dir=here_dir) for arg in argv])
+            except SystemExit as exc:  # --help
+                code = exc.code
+            assert fresh == [code, capsys.readouterr().out], argv
+            if argv == ["ant", "--help"]:
+                # the choices the parser reads from errors.HEADINGS, in usage
+                # and in the option's line
+                assert fresh[1].count("--heading {N,E,S,W}") == 2
     for name in ("r90.pbm", "ant.pbm"):
         assert (fresh_dir / name).read_bytes() == (here_dir / name).read_bytes()
 
