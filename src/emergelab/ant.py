@@ -10,11 +10,11 @@ module): `run`, `census` and `detect_highway` carry the heading as its
 index there, and one lookup table per turn gives the new index and the
 move; states and reports keep the letter.
 
-`census` steps plainly until a certificate proves that the ant is on a
-highway for all time (see `_period`); every later state then follows from
-one recorded period by arithmetic, so n steps cost the onset plus O(1).
-`run` is a census plus the black set built from what it kept, so it costs
-the size of the result more.
+`census` steps the ant square by square until a certificate proves that
+it is on a highway for all time (see `_period`); every later state then
+follows from one recorded period by arithmetic, so n steps cost the
+onset plus O(1).  `run` is a census plus the black set built from what it
+kept, so it costs the size of the result more.
 
 The highway detector fingerprints each step by the ant's heading plus the
 black cells within a Chebyshev window around it (relative coordinates).
@@ -42,8 +42,9 @@ WINDOW_RADIUS_LIMIT = 256
 # `seen` holds up to one window per step, so this bounds its memory.  Every
 # r <= 256 still runs 20,000 steps (about 5.3e9 bits at r = 256).
 WINDOW_BITS_LIMIT = 1 << 33
-# plain steps between highway checks; a check looks for periods below
-# _PERIOD_LIMIT in the last 2 * _PERIOD_LIMIT steps of a chunk
+# steps between highway checks; a check looks for periods below
+# _PERIOD_LIMIT among the chunk's turns, and only the last 2 * _PERIOD_LIMIT
+# of them decide what it finds
 _CHUNK = 4096
 _PERIOD_LIMIT = 256
 # squares of the detector's frame beyond its window on each side: the ant
@@ -73,25 +74,10 @@ def standard_start(heading: str = "N") -> AntState:
     return AntState((0, 0), heading, frozenset(), 0)
 
 
-def _steps(black, x, y, h, n):
-    """n plain steps on the mutable black set; returns (x, y, h)."""
-    for _ in range(n):
-        pos = (x, y)
-        if pos in black:
-            black.discard(pos)
-            h, dx, dy = _RIGHT[h]
-        else:
-            black.add(pos)
-            h, dx, dy = _LEFT[h]
-        x += dx
-        y += dy
-    return x, y, h
-
-
-def _steps_recorded(black, x, y, h, n, turns):
-    """`_steps`, appending each turn to `turns`: 1 for a black square and
-    a right turn, 0 for a white square and a left turn.  A loop of its own,
-    so that the plain loop, which takes most steps, records nothing."""
+def _steps(black, x, y, h, n, turns):
+    """n steps on the mutable black set, appending each turn to `turns`:
+    1 for a black square and a right turn, 0 for a white square and a left
+    turn.  Returns (x, y, h)."""
     record = turns.append
     for _ in range(n):
         pos = (x, y)
@@ -141,7 +127,9 @@ def _line(a, b, dx, dy):
 def _repeats(turns):
     """The even p < _PERIOD_LIMIT, in increasing order, for which the last
     2p `turns` repeat.  From p = 8 on, such a p shows as a copy of the last
-    8 turns that starts p turns earlier, and `rfind` finds those."""
+    8 turns that starts p turns earlier, and `rfind` finds those; the scan
+    ends at the first copy p >= _PERIOD_LIMIT turns back, so only the last
+    2 * _PERIOD_LIMIT turns decide what it yields."""
     for p in (2, 4, 6):
         if turns[-p:] == turns[-2 * p:-p]:
             yield p
@@ -218,21 +206,19 @@ def _certify(state: AntState, n: int):
     x, y = state.pos
     h = HEADINGS.index(state.heading)
     t = 0
-    look = 2 * _PERIOD_LIMIT
     while n - t > _CHUNK:
-        x, y, h = _steps(black, x, y, h, _CHUNK - look)
         turns = bytearray()
-        x, y, h = _steps_recorded(black, x, y, h, look, turns)
+        x, y, h = _steps(black, x, y, h, _CHUNK, turns)
         t += _CHUNK
         p = _period(black, x, y, h, turns)
         if p is None or n - t < p:
             continue
         repeat = bytearray()
-        x, y, h = _steps_recorded(black, x, y, h, p, repeat)
+        x, y, h = _steps(black, x, y, h, p, repeat)
         if repeat == turns[-p:]:
             return black, x, y, h, t, bytes(repeat)
         t += p
-    x, y, h = _steps(black, x, y, h, n - t)
+    x, y, h = _steps(black, x, y, h, n - t, bytearray())
     return black, x, y, h, n, None
 
 

@@ -254,12 +254,18 @@ def _cmd_tm(args) -> dict:
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
-    values = indices if args.identity_values else _read_ints(args.values)
+    values = None if args.identity_values else _read_ints(args.values)
     if args.timing_from is not None:
         timer = _machine(args.timing_from)
         timing = [turing.run(timer, i, budget).total_steps for i in indices]
     else:
         timing = _read_ints(args.timing)
+    # the audit refuses the first index past the end of a table, so it is
+    # given none beyond that one: the tables bound its work, not --max-index
+    if values is None:
+        values = indices = indices[:len(timing) + 1]
+    else:
+        indices = indices[:min(len(values), len(timing)) + 1]
     witness = turing.BigOWitness(args.c, args.n0)
     audit = turing.audit_approximation(approx, finisher, values, timing,
                                        witness, indices, step_budget=budget)
@@ -270,8 +276,18 @@ def _cmd_tm(args) -> dict:
     for rec in audit.records:
         report[f"index_{rec.index}"] = (
             f"r={rec.intermediate} steps={rec.finisher_steps} "
-            f"bound={float(rec.bound):.3f} {'pass' if rec.passed else 'fail'}")
+            f"bound={_decimals(rec.bound)} {'pass' if rec.passed else 'fail'}")
     return report
+
+
+def _decimals(x: Fraction) -> str:
+    """x to three decimals: as a float, or exactly where it passes the
+    float range."""
+    try:
+        return f"{float(x):.3f}"
+    except OverflowError:
+        thousandths = round(abs(x) * 1000)
+        return f"{'-' if x < 0 else ''}{thousandths // 1000}.{thousandths % 1000:03d}"
 
 
 def _cmd_candidate(args) -> dict:

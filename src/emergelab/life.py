@@ -69,10 +69,7 @@ _FRAME_LIMIT = 1 << 30
 # it on; below it, sums and differences of offsets and corners fit in int64
 _INT64_SPAN = 1 << 62
 
-# a board keeps this many dead cells around the live ones when it is
-# built; its stride (bits per row) is rounded up to a multiple of 8, so it
-# grows by 8 or more, and the keys of `detect_fate`'s memo change form
-# less often
+# a board keeps this many dead cells around the live ones when it is built
 _BOARD_MARGIN = 16
 # a state goes on a board of `area` bits when
 # area <= _BOARD_SPARSITY * (population + _BOARD_FLOOR)
@@ -282,13 +279,10 @@ def _orbit(frame):
     time it frames a state of n cells and extent (w, h).  A state comes as
     (state, (x0, y0, stride)), and position y * stride + x in it is the
     cell (x0 + x, y0 + y):
-    - a board of `rows` = h + 1 + 2 * _BOARD_MARGIN rows and a stride that
-      is the larger of the last board's and w + 1 + 2 * _BOARD_MARGIN
-      rounded up to a multiple of 8, if stride * rows <= _BOARD_SPARSITY *
-      (n + _BOARD_FLOOR); its positions are bits.  The first state with a
-      live cell on the border (`_border`), or the empty one, is framed
-      again.  Within one run the stride never shrinks, so the keys of a
-      fate memo change stride only as the pattern widens.
+    - a board of stride w + 1 + 2 * _BOARD_MARGIN and h + 1 + 2 *
+      _BOARD_MARGIN rows, if stride * rows <= _BOARD_SPARSITY * (n +
+      _BOARD_FLOOR); its positions are bits.  The first state with a live
+      cell on the border (`_border`), or the empty one, is framed again.
     - otherwise sorted packed keys, the positions of the live cells.  A
       frame of extent s (its larger side less one) gets a limit: if s + 2
       is below _FRAME_LIMIT, that, with int64 keys; else 2 * s + 4, with
@@ -303,14 +297,12 @@ def _orbit(frame):
     Each key array is new, so a yielded state stays valid.  States go onto
     and off a board or keys only here, through numpy.
     """
-    stride, m = 0, _BOARD_MARGIN
+    m = _BOARD_MARGIN
     while True:
         off, corner, (w, h) = frame
         xs, ys = off[:, 0], off[:, 1]
-        width = max(stride, (w + 2 * m + 8) // 8 * 8)
-        rows = h + 1 + 2 * m
-        if width * rows <= _BOARD_SPARSITY * (xs.size + _BOARD_FLOOR):
-            stride = width
+        stride, rows = w + 1 + 2 * m, h + 1 + 2 * m
+        if stride * rows <= _BOARD_SPARSITY * (xs.size + _BOARD_FLOOR):
             state = _to_board(xs + m, ys + m, stride)
             where = corner[0] - m, corner[1] - m, stride
             border = _border(stride, rows)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -816,6 +817,50 @@ def test_tm_audit_timing_past_the_cap_is_refused(capsys, monkeypatch, tmp_path):
     timing.write_text("1000 " * 6)
     code, out, _ = run_cli(capsys, *argv, "--max-index", "6", "--timing", str(timing))
     assert code == 0 and "index_6=" in out
+
+
+def test_tm_audit_table_shorter_than_max_index_is_refused_at_once(tmp_path):
+    # the first index past a table's end is refused before any later one
+    # is made.  Each audit runs in a child limited to 1 GB of address
+    # space, so that one that built all the indices fails at once instead
+    # of exhausting memory.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    table = tmp_path / "table.txt"
+    table.write_text("5\n6\n7\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for max_index in (10 ** 12, 10 ** 30):
+        for values in (["--identity-values"], ["--values", str(table)]):
+            argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY,
+                    "--max-index", str(max_index), *values, "--timing", str(table)]
+            result = subprocess.run([sys.executable, "-m", "emergelab", *argv], env=env,
+                                    capture_output=True, text=True, preexec_fn=limit)
+            assert (result.returncode, result.stdout, result.stderr) == (
+                1, "", "emergelab tm: index 4 outside the supplied reference tables\n"), argv
+
+
+def test_tm_audit_bound_past_float_range_is_written_exactly(capsys, tmp_path):
+    # verdicts are exact fractions, and so is a bound written past the
+    # float range: to three decimals, rounded half to even
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+            "--identity-values"]
+    succ = turing.parse_machine(Path(SUCC).read_text())
+    steps = [turing.run(succ, i, 10 ** 6).total_steps for i in (1, 2, 3)]
+    code, out, err = run_cli(capsys, *argv, "--timing-from", SUCC, "--c", "1e400")
+    assert code == 0 and err == "" and "verdict=pass" in out
+    for i, t in enumerate(steps, start=1):
+        assert f"index_{i}=r={i} steps=" in out
+        assert f" bound={10 ** 400 * t // i}.000 pass\n" in out
+    # a bound within the float range reads as its float did
+    timing = tmp_path / "timing.txt"
+    timing.write_text(f"{10 ** 400 + 1} 5 6\n")
+    code, out, err = run_cli(capsys, "--json", *argv, "--timing", str(timing), "--c", "1/3")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["verdict"] == "fail"
+    assert report["index_1"] == f"r=1 steps=2 bound={'3' * 400}.667 pass"
+    assert report["index_2"] == "r=2 steps=3 bound=0.833 fail"
+    assert report["index_3"] == "r=3 steps=3 bound=0.667 fail"
 
 
 def test_tm_compose(capsys):

@@ -241,25 +241,28 @@ def test_recurrence_across_the_switch_from_board_to_keys(margin, monkeypatch):
 
 
 def test_recurrence_across_a_stride_change(monkeypatch):
-    # two vertical blinkers 4 apart fit a board of stride 8 with one dead
-    # cell around them; their horizontal phase reaches its border, and the
-    # board they are framed on again is twice as wide
+    # two vertical blinkers 4 apart fit a board of stride 7 with one dead
+    # cell around them; their horizontal phase reaches its border and is
+    # framed on a board of stride 9, and the vertical phase after it on
+    # one of stride 7 again, where it repeats the first state
     monkeypatch.setattr(life, "_BOARD_MARGIN", 1)
     cells = frozenset((x, y) for x in (0, 4) for y in (-1, 0, 1))
-    assert forms(cells, 3) == [8, 16, 16]
+    assert forms(cells, 3) == [7, 9, 7]
     report = life.detect_fate(cells, 10)
     assert report == detect_fate_reference(cells, 10) == \
         life.FateReport("oscillator", t=0, period=2)
 
 
 def test_recurrence_across_the_switch_from_a_board_to_packed_keys(monkeypatch):
-    # a lattice of dots, all dead at generation 1, widens the board; the
-    # glider alone then reaches its border and, on a board that wide,
-    # holds too few cells for it, so it goes on packed keys
+    # a lattice of dots, all dead at generation 1, fills the board between
+    # two gliders that head the same way; the pair alone then reaches its
+    # border, and a board of its frame would hold too few cells for it, so
+    # it goes on packed keys
     thin_boards(monkeypatch, 1)
     monkeypatch.setattr(life, "_BOARD_SPARSITY", 8)
     lattice = frozenset((10 + 2 * i, 2 * j) for i in range(6) for j in range(6))
-    cells = lattice | frozenset((3 - x, y) for x, y in GLIDER)  # heads to -x, +y
+    pair = frozenset((x0 - x, y) for x0 in (3, 26) for x, y in GLIDER)  # to -x, +y
+    cells = lattice | pair
     seen = forms(cells, 6)
     assert isinstance(seen[1], int) and seen[5] == "packed"
     report = life.detect_fate(cells, 20)
@@ -270,11 +273,11 @@ def test_recurrence_across_the_switch_from_a_board_to_packed_keys(monkeypatch):
 def test_recurrence_across_the_switch_from_packed_keys_to_a_board(monkeypatch):
     # a far dot makes the first frame wide and thin, so it packs, for two
     # generations under a frame limit of 64; by then the dot is dead, and
-    # the blinker is framed on a board
+    # the blinker is framed on a board, in each phase one as wide as it is
     thin_boards(monkeypatch, 1)
     monkeypatch.setattr(life, "_FRAME_LIMIT", 64)
     cells = BLINKER | {(58, 0)}
-    assert forms(cells, 4) == ["packed", "packed", 8, 8]
+    assert forms(cells, 4) == ["packed", "packed", 3, 5]
     report = life.detect_fate(cells, 10)
     assert report == detect_fate_reference(cells, 10) == \
         life.FateReport("oscillator", t=1, period=2)
