@@ -267,11 +267,12 @@ def _cmd_tm(args) -> dict:
     else:
         indices = indices[:min(len(values), len(timing)) + 1]
     witness = turing.BigOWitness(args.c, args.n0)
+    c_text = _digits(witness.c, "--c")
     audit = turing.audit_approximation(approx, finisher, values, timing,
                                        witness, indices, step_budget=budget)
     report = {"verdict": "pass" if audit.verdict else "fail",
               "vacuous": str(audit.vacuous).lower(),
-              "c": str(witness.c), "n0": witness.n0,
+              "c": c_text, "n0": witness.n0,
               "timing_note": audit.timing_note}
     for rec in audit.records:
         report[f"index_{rec.index}"] = (
@@ -287,7 +288,18 @@ def _decimals(x: Fraction) -> str:
         return f"{float(x):.3f}"
     except OverflowError:
         thousandths = round(abs(x) * 1000)
-        return f"{'-' if x < 0 else ''}{thousandths // 1000}.{thousandths % 1000:03d}"
+        whole = _digits(thousandths // 1000, "a bound")
+        return f"{'-' if x < 0 else ''}{whole}.{thousandths % 1000:03d}"
+
+
+def _digits(x: int | Fraction, name: str) -> str:
+    """str(x), or a domain error where x has more digits than Python
+    writes an integer with (`sys.get_int_max_str_digits()`)."""
+    try:
+        return str(x)
+    except ValueError:
+        raise InvalidArgument(f"{name} has more than {sys.get_int_max_str_digits()} "
+                              "digits") from None
 
 
 def _cmd_candidate(args) -> dict:

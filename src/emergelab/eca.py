@@ -9,10 +9,13 @@ stay white.
 Rows are packed into arbitrary-precision integers (bit i is one cell), and
 one kernel, `apply_rule`, computes a whole generation from the left, centre
 and right neighbour planes with the rule's algebraic normal form: a XOR of
-the monomials 1, r, c, cr, l, lr, lc, lcr.  The ring, the single unbounded
-step and the centre column all step through it; a whole unbounded history
-runs as a ring over the seed's light cone.  The naive per-cell oracles it
-is checked against live in the test suite (`tests/oracles.py`).
+the monomials 1, r, c, cr, l, lr, lc, lcr, where a full triple x, y, xy of
+two variables and their product is the one OR x | y (rule 30 is
+l ^ (c | r)).  The ring, the single unbounded step and the centre column all
+step through it; a whole unbounded history runs as a ring over the seed's
+light cone, and the centre column steps only the band of cells that can
+still reach cell 0.  The naive per-cell oracles it is checked against live
+in the test suite (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -46,9 +49,17 @@ class RowLimitExceeded(EmergeLabError):
 # Cells of a kept history, (steps + 1) x width: 2**28 holds 10,000 rows of
 # the 19,999-cell light cone of one seed cell, about 2e8 cells.
 HISTORY_CELL_LIMIT = 1 << 28
-# the most generations `center_column` runs (2**16 take about 0.7 s on a
+# the most generations `center_column` runs (2**16 take about 0.28 s on a
 # 2-vCPU Xeon; each doubling costs about four times as much)
 CENTER_COLUMN_STEPS = 1 << 16
+# `center_column` cuts its band back to the backward light cone once every
+# this many generations; in between the band grows a cell on each side
+_CLIP_PERIOD = 32
+
+# The full ANF triples x, y, xy that `apply_rule` writes as the one
+# operation x | y, each with the flag above bit 7 that stands for it: c | r,
+# l | r and l | c.  Any two share a monomial, so at most one applies.
+_FOLDS = ((0x0E, 0x100), (0x32, 0x200), (0x54, 0x400))
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,9 @@ class RuleTable:
     # variables are the set bits of m (4 = l, 2 = c, 1 = r), so the rule is
     # the XOR of the monomials with a set bit.
     anf: int = field(init=False, repr=False, compare=False)
+    # `anf` as `apply_rule` computes it: a full triple's bits replaced by
+    # its flag in `_FOLDS`.
+    _terms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Moebius transform of the truth table `number`, one variable at a time.
@@ -73,6 +87,10 @@ class RuleTable:
         a ^= (a & 0x33) << 2
         a ^= (a & 0x0F) << 4
         object.__setattr__(self, "anf", a)
+        for triple, flag in _FOLDS:
+            if a & triple == triple:
+                a ^= triple | flag
+        object.__setattr__(self, "_terms", a)
 
     @property
     def quiescent(self) -> bool:
@@ -189,10 +207,11 @@ def apply_rule(rule: RuleTable, l: int, c: int, r: int, mask: int) -> int:
 
     Bit i of the result is the rule's output for the neighbourhood (bit i of
     l, bit i of c, bit i of r), for every bit set in `mask`; bits of the
-    planes above `mask` are ignored.  Costs at most 12 big-int operations;
-    rule 30, l ^ c ^ r ^ cr, costs 6.
+    planes above `mask` are ignored.  A quiescent rule never sets a bit that
+    no plane sets, so it may take the mask -1.  Costs at most 11 big-int
+    operations; rule 30, l ^ (c | r), costs 4.
     """
-    a = rule.anf
+    a = rule._terms
     out = mask if a & 0x01 else 0
     if a & 0x02:
         out ^= r
@@ -200,12 +219,19 @@ def apply_rule(rule: RuleTable, l: int, c: int, r: int, mask: int) -> int:
         out ^= c
     if a & 0x10:
         out ^= l
-    if a & 0x88:
-        cr = c & r
-        if a & 0x08:
-            out ^= cr
-        if a & 0x80:
-            out ^= l & cr
+    if a & 0x788:
+        if a & 0x88:
+            cr = c & r
+            if a & 0x08:
+                out ^= cr
+            if a & 0x80:
+                out ^= l & cr
+        if a & 0x100:
+            out ^= c | r
+        elif a & 0x200:
+            out ^= l | r
+        elif a & 0x400:
+            out ^= l | c
     if a & 0x20:
         out ^= l & r
     if a & 0x40:
@@ -288,9 +314,9 @@ def evolve(rule: RuleTable, seed: BitRow, steps: int, max_rows: int = 10_000) ->
 def center_column(rule: RuleTable, steps: int, seed: BitRow | None = None) -> list[int]:
     """Cell 0 of generations 0..steps (seed defaults to a single black cell).
 
-    Keeps no history and only the cells that can still reach cell 0 by the
-    last generation: at generation t, those within steps - t of it (the
-    backward light cone).
+    Keeps no history and only the band of cells that can still reach cell 0
+    by the last generation: at generation t, those within steps - t of it
+    (the backward light cone), and at most `_CLIP_PERIOD` more a side.
     """
     _check_steps(steps)
     if steps > CENTER_COLUMN_STEPS:
@@ -298,18 +324,27 @@ def center_column(rule: RuleTable, steps: int, seed: BitRow | None = None) -> li
     if steps:
         _require_white_background(rule)
     row = BitRow.single(0) if seed is None else seed
-    column = [row[0]]
-    # bit j of `bits` is the cell at j - radius; the window narrows by one
-    # cell on each side per generation.
-    mask = (1 << (2 * steps + 1)) - 1
-    shift = row.offset + steps
-    bits = row.bits << min(shift, 2 * steps + 1) if shift >= 0 else row.bits >> -shift
-    bits &= mask
-    for radius in range(steps - 1, -1, -1):
-        mask >>= 2
-        bits = apply_rule(rule, bits, bits >> 1, bits >> 2, mask)
-        column.append((bits >> radius) & 1)
+    # bit i of `bits` is cell lo + i; each generation widens the band by one
+    # cell on each side, and every _CLIP_PERIOD generations `_clip` cuts it
+    # back to the cone, which narrows by one cell on each side
+    bits, lo = _clip(row.bits, row.offset, steps), -steps
+    column = [(bits >> steps) & 1]
+    for t in range(1, steps + 1):
+        bits = apply_rule(rule, bits << 2, bits << 1, bits, -1)
+        lo -= 1
+        if t % _CLIP_PERIOD == 0:
+            bits, lo = _clip(bits, lo, steps - t), t - steps
+        column.append((bits >> -lo) & 1)
     return column
+
+
+def _clip(bits: int, lo: int, radius: int) -> int:
+    """The cells of `bits` (bit i is cell lo + i) within `radius` of cell 0,
+    with bit i now cell i - radius."""
+    width = 2 * radius + 1
+    shift = lo + radius
+    bits = bits << min(shift, width) if shift >= 0 else bits >> -shift
+    return bits & ((1 << width) - 1)
 
 
 def step_cycle(rule: RuleTable, bits: int, width: int) -> int:

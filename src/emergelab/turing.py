@@ -520,11 +520,18 @@ def audit_approximation(approx: MachineSpec, finisher: MachineSpec,
     reference_values[i-1] (1-based f(i)) within witness.c * T(i) / i steps,
     where T(i) = reference_timing[i-1].
     """
+    limit = min(len(reference_values), len(reference_timing))
+    if isinstance(index_range, range):
+        # cut a range just past its smallest index outside 1..limit, the
+        # one refused below, before any set of its indices is built
+        ascending = index_range if index_range.step > 0 else index_range[::-1]
+        inside = len(range(ascending.start, limit + 1, ascending.step))
+        index_range = ascending[:inside + 1 if ascending.start >= 1 else 1]
     indices = sorted(set(index_range))
     for i in indices:
         if i < 1:
             raise InvalidArgument(f"indices must be >= 1, got {i}")
-        if i > len(reference_values) or i > len(reference_timing):
+        if i > limit:
             raise InvalidArgument(
                 f"index {i} outside the supplied reference tables")
     audited = [i for i in indices if i >= witness.n0]

@@ -863,6 +863,22 @@ def test_tm_audit_bound_past_float_range_is_written_exactly(capsys, tmp_path):
     assert report["index_3"] == "r=3 steps=3 bound=0.667 fail"
 
 
+def test_tm_audit_past_the_integer_digit_limit_is_one_line(capsys):
+    # a --c, or a bound, with more digits than Python writes an integer
+    # with is a domain error, not a traceback; --c is refused before any
+    # machine runs
+    limit = sys.get_int_max_str_digits()
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+            "--identity-values", "--timing-from", SUCC]
+    for c, name in ((f"1e{limit}", "--c"), (f"1e{10 * limit}", "--c"),
+                    (f"1e-{limit}", "--c"), (f"1e{limit - 1}", "a bound")):
+        code, out, err = run_cli(capsys, *argv, "--c", c)
+        assert (code, out, err) == (1, "", f"emergelab tm: {name} has more than "
+                                           f"{limit} digits\n"), c
+    code, out, err = run_cli(capsys, "--json", *argv, "--c", f"1e{limit}")
+    assert (code, out) == (1, "") and err.count("\n") == 1
+
+
 def test_tm_compose(capsys):
     code, out, _ = run_cli(capsys, "tm", "compose", "--approx", SUCC,
                            "--finisher", COPY, "--input", "5")

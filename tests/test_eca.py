@@ -166,9 +166,33 @@ def test_apply_rule_matches_output_table_all_rules():
         assert eca.apply_rule(rule, l, c, r, 0xFF) == n, f"rule {n}"
 
 
+def test_apply_rule_matches_output_table_on_wide_planes():
+    # planes of about 200 bits, a random mask and, for a quiescent rule,
+    # the mask -1, checked bit by bit; more planes for the rules whose
+    # normal form is a full triple x, y, xy (c, r, cr; l, r, lr; l, c, lc)
+    # or all seven non-constant monomials
+    folded = [n for n in range(256) if eca.parse_rule(n).anf in (0x0E, 0x32, 0x54, 0xFE)]
+    assert len(folded) == 4
+    rng = random.Random(6)
+    for n in range(256):
+        rule = eca.parse_rule(n)
+        for _ in range(8 if n in folded else 2):
+            l, c, r = (rng.getrandbits(rng.randint(190, 210)) for _ in range(3))
+            masks = [rng.getrandbits(200)] + ([-1] if rule.quiescent else [])
+            for mask in masks:
+                out = eca.apply_rule(rule, l, c, r, mask)
+                assert out >= 0 and out >> 211 == 0, (n, mask)
+                for i in range(211):
+                    v = 4 * (l >> i & 1) + 2 * (c >> i & 1) + (r >> i & 1)
+                    want = rule.outputs[v] & (mask >> i)
+                    assert out >> i & 1 == want, (n, mask, i)
+
+
 def test_rule30_normal_form():
     # rule 30 is l ^ c ^ r ^ cr: the monomials r, c, cr, l
     assert eca.parse_rule(30).anf == 0b00011110
+    # and `apply_rule` computes it as l ^ (c | r)
+    assert eca.parse_rule(30)._terms == 0x110
 
 
 def test_parse_rule_returns_shared_tables():
@@ -234,6 +258,57 @@ def test_center_column_seed_far_outside_the_light_cone():
 def test_center_column_rule30_long_column():
     hist = eca.evolve(eca.parse_rule(30), eca.BitRow.single(0), 500)
     assert eca.center_column(eca.parse_rule(30), 500) == [row[0] for row in hist.rows]
+
+
+# step counts around every multiple of the clip period up to 200
+CLIP_STEPS = [k * eca._CLIP_PERIOD + d for k in range(1, 200 // eca._CLIP_PERIOD + 1)
+              for d in (-1, 0, 1)]
+
+
+@st.composite
+def column_cases(draw):
+    """(steps, seed): narrow seeds anywhere from inside the light cone to
+    10**12 cells outside it on either side, and seeds wider than the cone."""
+    steps = draw(st.one_of(st.integers(0, 200), st.sampled_from(CLIP_STEPS)))
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, (1 << 24) - 1))
+        offset = draw(st.one_of(st.integers(-3 * steps - 30, 3 * steps + 30),
+                                st.integers(-10 ** 12 - 30, -10 ** 12 + 30),
+                                st.integers(10 ** 12 - 30, 10 ** 12 + 30)))
+    else:
+        width = draw(st.integers(2 * steps + 2, 2 * steps + 40))
+        bits = draw(st.integers(0, (1 << width) - 1)) | 1 | 1 << (width - 1)
+        offset = draw(st.integers(-width - 5, 5))
+    return steps, eca.BitRow.make(offset, bits)
+
+
+def reference_column(rule, steps, seed):
+    """Cell 0 of the per-cell oracle iterated."""
+    row, column = seed, [seed[0]]
+    for _ in range(steps):
+        row = step_row_reference(rule, row)
+        column.append(row[0])
+    return column
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 127), column_cases())
+def test_center_column_matches_iterated_reference(half, case):
+    # every quiescent (even) rule
+    rule, (steps, seed) = eca.parse_rule(2 * half), case
+    assert eca.center_column(rule, steps, seed) == reference_column(rule, steps, seed)
+
+
+def test_center_column_matches_iterated_reference_for_every_even_rule():
+    rng = random.Random(7)
+    for n in range(0, 256, 2):
+        rule = eca.parse_rule(n)
+        steps = rng.choice(CLIP_STEPS[:6])
+        for seed in (eca.BitRow.single(0),
+                     eca.BitRow.make(rng.randint(-steps - 10, steps + 10), rng.getrandbits(20)),
+                     eca.BitRow.make(-steps - 3, rng.getrandbits(2 * steps + 7))):
+            assert eca.center_column(rule, steps, seed) == \
+                reference_column(rule, steps, seed), (n, steps, seed)
 
 
 def test_center_column_errors():

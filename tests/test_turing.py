@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +307,56 @@ def test_audit_refuses_indices_outside_the_tables(succ, copy_last, identity_tabl
     with pytest.raises(turing.InvalidArgument, match=message):
         turing.audit_approximation(succ, copy_last, values, timing[:tables],
                                    turing.BigOWitness(Fraction(8), 1), indices)
+
+
+# One audit in a child limited to 1 GB of address space, so that one that
+# built all its indices fails at once instead of exhausting memory.
+LONG_RANGE_AUDIT = """
+import resource, sys
+from fractions import Fraction
+from emergelab import turing
+from emergelab.fixtures import load_text
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+machines = [turing.parse_machine(load_text(name))
+            for name in ("succ_enum.tm", "copy_last_block.tm")]
+try:
+    turing.audit_approximation(*machines, [1, 2, 3], [5, 6, 7],
+                               turing.BigOWitness(Fraction(8), 1),
+                               range(*map(int, sys.argv[1:])))
+except turing.InvalidArgument as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("bounds,message", [
+    ((1, 10 ** 12), "index 4 outside the supplied reference tables"),
+    ((10 ** 12, 0, -1), "index 4 outside the supplied reference tables"),
+    ((2, 10 ** 12, 3), "index 5 outside the supplied reference tables"),
+    ((-10 ** 12, 10 ** 12), f"indices must be >= 1, got {-10 ** 12}"),
+    ((10 ** 12, -10 ** 12 - 1, -1), f"indices must be >= 1, got {-10 ** 12}"),
+])
+def test_audit_refuses_a_long_range_before_building_it(bounds, message):
+    # a range of 10**12 indices is checked against 3-entry tables before
+    # any set of it is built: its smallest offending index is refused
+    env = {**os.environ, "PYTHONPATH": str(Path(turing.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", LONG_RANGE_AUDIT, *map(str, bounds)],
+                            env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, message + "\n", "")
+
+
+def test_audit_ranges_match_their_index_lists(succ, copy_last, identity_tables):
+    # inside the tables a range audits the indices its list would
+    values, timing = identity_tables
+    witness = turing.BigOWitness(Fraction(8), 2)
+    for indices in (range(1, 21), range(20, 0, -3), range(5, 5), range(19, 22, 2)):
+        outcomes = []
+        for given in (indices, list(indices)):
+            try:
+                outcomes.append(turing.audit_approximation(
+                    succ, copy_last, values, timing, witness, given))
+            except turing.InvalidArgument as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], indices
 
 
 def test_compose_finisher_without_output(succ):
