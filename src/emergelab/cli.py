@@ -7,9 +7,10 @@ it prints only text or images).  `main` then writes that report to stdout
 once, as flat `key=value` lines or, with --json, as one JSON object with the
 same keys.  Images are binary PBM (P4), all written by `render_pbm` from
 packed rows: ECA histories as evolved, Life and ant cells via `life.raster`.
-`life` commands read a pattern file into a `life.Pattern`, numpy offsets
-from its bounding-box corner, and run, write, render, box or classify it
-through `life`'s public functions, none of which builds a cell set.
+`life` commands read a pattern file into a `life.Pattern`, the sorted
+numpy keys y * width + x of its cells in their bounding box, and run,
+write, render, box or classify it through `life`'s public functions, none
+of which builds a cell set.
 Each handler imports the subsystems it calls when it runs (`eca`; `analysis`
 and `eca`; `ant`; `turing`; `candidates`; `life`), so a launch compiles and
 runs only its own command's modules: the parser reads `errors` alone, which
@@ -230,6 +231,9 @@ def _cmd_tm(args) -> dict:
     if args.tm_command == "run":
         machine = _machine(args.machine)
         trace = turing.run(machine, args.input, budget)
+        # values are at least 0, so the largest has the most digits; it is
+        # checked before any line of the trace is written
+        _digits(max(trace.values, default=0), "a trace value")
         text = turing.format_trace(trace)
         if args.trace_out:
             Path(args.trace_out).write_text(text)
@@ -243,6 +247,8 @@ def _cmd_tm(args) -> dict:
         approx = _machine(args.approx)
         finisher = _machine(args.finisher)
         value, total, frag = turing.compose(approx, finisher, args.input, budget)
+        _digits(value, "the value")
+        _digits(frag.intermediate, "the intermediate value")
         return {"value": value, "total_steps": total,
                 "intermediate": frag.intermediate,
                 "approx_steps": frag.approx_steps,
@@ -254,18 +260,12 @@ def _cmd_tm(args) -> dict:
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
-    values = None if args.identity_values else _read_ints(args.values)
+    values = indices if args.identity_values else _read_ints(args.values)
     if args.timing_from is not None:
         timer = _machine(args.timing_from)
         timing = [turing.run(timer, i, budget).total_steps for i in indices]
     else:
         timing = _read_ints(args.timing)
-    # the audit refuses the first index past the end of a table, so it is
-    # given none beyond that one: the tables bound its work, not --max-index
-    if values is None:
-        values = indices = indices[:len(timing) + 1]
-    else:
-        indices = indices[:min(len(values), len(timing)) + 1]
     witness = turing.BigOWitness(args.c, args.n0)
     c_text = _digits(witness.c, "--c")
     audit = turing.audit_approximation(approx, finisher, values, timing,
@@ -276,7 +276,8 @@ def _cmd_tm(args) -> dict:
               "timing_note": audit.timing_note}
     for rec in audit.records:
         report[f"index_{rec.index}"] = (
-            f"r={rec.intermediate} steps={rec.finisher_steps} "
+            f"r={_digits(rec.intermediate, f'r at index {rec.index}')} "
+            f"steps={rec.finisher_steps} "
             f"bound={_decimals(rec.bound)} {'pass' if rec.passed else 'fail'}")
     return report
 

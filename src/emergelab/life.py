@@ -3,16 +3,18 @@
 Cells are (x, y) pairs with x = column (rightward) and y = row (downward),
 matching RLE reading order.  The rule is fixed B3/S23.
 
-A `Pattern` holds a pattern as its frame: its cells as offsets from the
-bounding-box corner, so its position never matters, and acts as the
-frozenset of those cells.  `parse_rle` and `parse_cells` frame pattern
-text straight from numpy arrays; `run`, `step`, `write_rle`, `raster`,
-`detect_fate`, `bounding_box` and `canonical` read the frame of a Pattern
-(any other iterable of cells is framed first), so text goes through runs
-to text or image rows and no cell set is built.
+A `Pattern` holds a pattern as its frame, and acts as the frozenset of
+its cells.  The frame is the sorted keys y * width + x of its cells (x, y)
+in their bounding box, with the box's corner and width, so its position
+never matters.  `parse_rle` and `parse_cells` frame pattern text straight
+from numpy arrays; `run`, `step`, `write_rle`, `raster`, `detect_fate`,
+`bounding_box` and `canonical` read the frame of a Pattern (any other
+iterable of cells is framed first), so text goes through runs to text or
+image rows and no cell set is built.
 One runner, `_orbit`, yields a frame's states and is the one place their
 form is chosen, each time it frames a state.  Both forms hold the cell
-(x, y) at position y * stride + x from a corner:
+(x, y) at position y * stride + x from a corner, as a frame does with
+stride = width:
 - a bitboard, one Python int with that cell at bit y * stride + x over
   the bounding box plus a dead margin, stepped by about 30 big-int
   operations (full adders over the shifted bit planes): every state whose
@@ -40,8 +42,8 @@ memoises each state by a key that all its translates in its form share, so
 it stops at the first recurrence or at extinction; a board state's key is
 the board shifted down to its lowest live bit, with no numpy call per
 generation.  A state is compared with those of earlier forms by its shape,
-its cells' offsets from their corner, only when one of them has its
-population and height.
+the width and keys of its frame, only when one of them has its population
+and height.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
 which packs a pattern into the image rows `cli.render_pbm` writes.
@@ -65,8 +67,9 @@ NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
 # `_orbit` packs a state on int64 keys while its extent plus two stays
 # below this, and frames it again before that extent reaches it
 _FRAME_LIMIT = 1 << 30
-# frame offsets are int64 below this extent, Python ints (dtype object) from
-# it on; below it, sums and differences of offsets and corners fit in int64
+# a frame's keys are int64 while its width * height is below this, Python
+# ints (dtype object) from it on; below it, a key, and the sum of a corner
+# within it and an offset, fit in int64
 _INT64_SPAN = 1 << 62
 
 # a board keeps this many dead cells around the live ones when it is built
@@ -101,24 +104,25 @@ class InvalidBudget(InvalidArgument):
     """Fate budget below one generation."""
 
 
-# the frame of no cells: its (x, y) = (span + 1) is (0, 0)
-_EMPTY = (np.zeros((0, 2), dtype=np.int64), (0, 0), (-1, -1))
+# the frame of no cells
+_EMPTY = (np.zeros(0, dtype=np.int64), (0, 0, 1))
 
 
 def _frame(cells):
-    """(offsets, corner, span) of a cell set, as `_reframe` frames it; the
-    corner and span are Python ints."""
+    """The frame of a cell set, as `_reframe` frames it, its keys sorted."""
     try:
         xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
                          count=2 * len(cells)).reshape(-1, 2)
     except OverflowError:
         xy = np.array(list(chain.from_iterable(cells)), dtype=object).reshape(-1, 2)
-    return _reframe(xy[:, 0], xy[:, 1], (0, 0))
+    keys, where = _reframe(xy[:, 0], xy[:, 1], (0, 0))
+    keys.sort()
+    return keys, where
 
 
 def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
     """The cell set at offsets (xs, ys) from `corner`, int64 within +-2**62
-    or Python ints: the inverse of `_frame`."""
+    or Python ints: the inverse of `_frame`, through `_offsets`."""
     cx, cy = corner
     if max(abs(cx), abs(cy)) >= _INT64_SPAN:
         xs, ys = xs.astype(object), ys.astype(object)
@@ -126,10 +130,10 @@ def _cells(xs: np.ndarray, ys: np.ndarray, corner) -> frozenset:
 
 
 class Pattern(Set):
-    """A pattern held as its frame `(offsets, corner, span)`, in `_frame`'s
-    form, that also acts as the frozenset of its live cells.  `len` reads
-    the frame; iteration, `in`, `==` and `hash` act on `cells`, the
-    frozenset, built on first use."""
+    """A pattern held as its frame `(keys, (x0, y0, width))`, in
+    `_reframe`'s form, that also acts as the frozenset of its live cells.
+    `len` reads the frame; iteration, `in`, `==` and `hash` act on `cells`,
+    the frozenset, built on first use."""
 
     def __init__(self, frame):
         self.frame = frame
@@ -139,8 +143,7 @@ class Pattern(Set):
 
     @cached_property
     def cells(self) -> frozenset:
-        off, corner, _ = self.frame
-        return _cells(off[:, 0], off[:, 1], corner)
+        return _cells(*_offsets(*self.frame))
 
     def __iter__(self):
         return iter(self.cells)
@@ -168,19 +171,28 @@ def _pattern(cells: Iterable) -> Pattern:
 
 
 def _reframe(xs: np.ndarray, ys: np.ndarray, corner):
-    """The frame of the cells at offsets (xs, ys) from `corner`: their
-    offsets from the bounding-box corner as an (n, 2) array, int64 unless
-    the span (x1 - x0, y1 - y0) reaches 2**62, else Python ints (dtype
-    object)."""
+    """The frame `(keys, (x0, y0, width))` of the cells at offsets (xs, ys)
+    from `corner`: (x0, y0) is the corner of their bounding box and width
+    its width, so the cell (x0 + x, y0 + y) has key y * width + x.  The
+    keys are in the order of the cells, row-major if theirs is, and int64
+    while width * height is below 2**62, else Python ints (dtype object)."""
     if not xs.size:
         return _EMPTY
     x0, y0 = int(xs.min()), int(ys.min())
-    span = int(xs.max()) - x0, int(ys.max()) - y0
-    if max(span) < _INT64_SPAN:  # the differences fit
-        off = np.stack([xs - x0, ys - y0], axis=1).astype(np.int64, copy=False)
+    width = int(xs.max()) - x0 + 1
+    keys = _keys(xs, ys, x0, y0, width, int(ys.max()) - y0 + 1)
+    return keys, (corner[0] + x0, corner[1] + y0, width)
+
+
+def _keys(xs, ys, x0: int, y0: int, width: int, height: int) -> np.ndarray:
+    """The keys (y - y0) * width + x - x0 of the cells (xs, ys) in a box at
+    (x0, y0) of that width and height: int64 while width * height is below
+    2**62, else Python ints (dtype object)."""
+    if width * height < _INT64_SPAN:  # the differences and the keys fit
+        xs, ys = (xs - x0).astype(np.int64, copy=False), (ys - y0).astype(np.int64, copy=False)
     else:
-        off = np.stack([xs.astype(object) - x0, ys.astype(object) - y0], axis=1)
-    return off, (corner[0] + x0, corner[1] + y0), span
+        xs, ys = xs.astype(object) - x0, ys.astype(object) - y0
+    return ys * width + xs
 
 
 def _step_packed(keys: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -209,7 +221,7 @@ def _near(stride: int, dtype) -> np.ndarray:
 
 def _positions(state) -> np.ndarray:
     """The sorted positions y * stride + x of the live cells of a state
-    that `_orbit` yields: a packed state's keys, or a board's set bits."""
+    that `_orbit` yields or of a frame: their keys, or a board's set bits."""
     if not isinstance(state, int):
         return state
     raw = np.frombuffer(state.to_bytes((state.bit_length() + 7) // 8, "little"),
@@ -219,10 +231,11 @@ def _positions(state) -> np.ndarray:
 
 def _offsets(state, where):
     """(xs, ys, corner) of a state that `_orbit` yields at `where` = (x0,
-    y0, stride): the offsets of its live cells from the corner (x0, y0),
-    in row-major order."""
+    y0, stride), or of a frame (keys, where): the offsets of its live
+    cells from the corner (x0, y0), in row-major order."""
     at = _positions(state)
-    return at % where[2], at // where[2], where[:2]
+    ys = at // where[2]  # and xs by a product: numpy's % is some 4x slower
+    return at - ys * where[2], ys, where[:2]
 
 
 def _to_board(xs: np.ndarray, ys: np.ndarray, stride: int) -> int:
@@ -299,8 +312,8 @@ def _orbit(frame):
     """
     m = _BOARD_MARGIN
     while True:
-        off, corner, (w, h) = frame
-        xs, ys = off[:, 0], off[:, 1]
+        xs, ys, corner = _offsets(*frame)
+        w, h = frame[1][2] - 1, int(ys[-1])
         stride, rows = w + 1 + 2 * m, h + 1 + 2 * m
         if stride * rows <= _BOARD_SPARSITY * (xs.size + _BOARD_FLOOR):
             state = _to_board(xs + m, ys + m, stride)
@@ -318,7 +331,7 @@ def _orbit(frame):
             if wide:
                 xs, ys = xs.astype(object), ys.astype(object)
             where = corner[0] - 2 * limit, corner[1], 4 * limit
-            state = np.sort(ys * where[2] + (xs + 2 * limit))
+            state = ys * where[2] + (xs + 2 * limit)  # row-major, as the frame
             near = _near(where[2], state.dtype)
             for _ in range((limit - 1 - s) // 2):
                 yield state, where
@@ -562,7 +575,8 @@ def _leap(keys: np.ndarray, where, steps: int, budget: int):
 
 
 def _tree_frame(root: _Node, ox, oy):
-    """The frame of the cells of a quadtree whose corner is (ox, oy)."""
+    """The frame of the cells of a quadtree whose corner is (ox, oy), its
+    keys sorted."""
     leaves, xs, ys = [], [], []
     todo = [(root, 0, 0)]
     while todo:
@@ -585,13 +599,15 @@ def _tree_frame(root: _Node, ox, oy):
     dtype = np.int64 if root.level < 62 else object
     xs = np.array(xs, dtype=dtype)[which] + bit % _LEAF_STRIDE
     ys = np.array(ys, dtype=dtype)[which] + bit // _LEAF_STRIDE
-    return _reframe(xs, ys, (ox, oy))
+    keys, where = _reframe(xs, ys, (ox, oy))
+    keys.sort()
+    return keys, where
 
 
 def bounding_box(cells: Iterable) -> tuple[int, int, int, int] | None:
     """(min_x, min_y, max_x, max_y), or None for the empty set."""
-    off, (x0, y0), (w, h) = _pattern(cells).frame
-    return (x0, y0, x0 + w, y0 + h) if len(off) else None
+    keys, (x0, y0, width) = _pattern(cells).frame
+    return (x0, y0, x0 + width - 1, y0 + int(keys[-1]) // width) if len(keys) else None
 
 
 def canonical(cells: Iterable) -> tuple[Pattern, tuple[int, int]]:
@@ -600,8 +616,8 @@ def canonical(cells: Iterable) -> tuple[Pattern, tuple[int, int]]:
     Returns (normalised pattern, corner) so the translation can be undone;
     the empty pattern's corner is (0, 0).
     """
-    off, corner, span = _pattern(cells).frame
-    return Pattern((off, (0, 0), span)), corner
+    keys, (x0, y0, width) = _pattern(cells).frame
+    return Pattern((keys, (0, 0, width))), (x0, y0)
 
 
 @dataclass(frozen=True)
@@ -736,11 +752,11 @@ def _size(key, t, anchor, where) -> tuple[int, int]:
 def _shape(key, t, anchor, where):
     """(shape, (t, x, y)) of a fate memo entry: a key that every translate
     of its state shares in every form, and the corner (x, y) of its
-    bounding box.  The shape is its cells' offsets from the corner in
-    row-major order: their bytes, or a tuple of them where they pass
-    int64."""
-    off, (x, y), _ = _reframe(*_offsets(_state(key, anchor), where))
-    return (tuple(off.ravel().tolist()) if off.dtype == object else off.tobytes()), (t, x, y)
+    bounding box.  The shape is the width and keys of its frame: the keys'
+    bytes, or a tuple of them where they pass int64; keys alone would not
+    tell apart states of two widths."""
+    keys, (x, y, width) = _reframe(*_offsets(_state(key, anchor), where))
+    return (width, tuple(keys.tolist()) if keys.dtype == object else keys.tobytes()), (t, x, y)
 
 
 def _recurrence(then, here) -> FateReport:
@@ -763,6 +779,9 @@ _RLE_HEADER = re.compile(
     re.IGNORECASE)
 
 RLE_LINE_LIMIT = 69
+# a line of RLE body: the most whole tokens (each ends in its tag) that fit
+# in RLE_LINE_LIMIT characters, or one token longer than that
+_RLE_LINES = re.compile(rf".{{1,{RLE_LINE_LIMIT}}}(?<=[bo$!])|\d+[bo$!]")
 # the most digits of one RLE run count: reading a count costs time
 # quadratic in its length, and a coordinate past 4300 digits cannot be
 # printed.  Twenty digits hold every 64-bit count, so `write_rle` output of
@@ -920,44 +939,30 @@ def _frame_runs(kind, counts, live, n):
     if not n.size:
         return _EMPTY
     x0, y0 = int(xs.min()), int(ys[0])
-    span = int((xs + n).max()) - 1 - x0, int(ys[-1]) - y0
-    xs, ys = xs - x0, ys - y0
-    if xs.dtype == object and max(span) < _INT64_SPAN:
-        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
-    # the cells of each run: its start repeated, plus the cell's index
+    width = int((xs + n).max()) - x0
+    firsts = _keys(xs, ys, x0, y0, width, int(ys[-1]) - y0 + 1)
+    # the keys of each run: its first key repeated, plus the cell's index,
+    # less the cells of the runs before it
     ends = n.cumsum()
-    off = np.empty((int(ends[-1]), 2), dtype=xs.dtype)
-    np.add((xs - (ends - n)).repeat(n), np.arange(off.shape[0]), out=off[:, 0])
-    off[:, 1] = ys.repeat(n)
-    if revisit:
-        if off.dtype == object:
-            off = np.array(sorted(set(map(tuple, off.tolist()))), dtype=object)
-        else:
-            off = np.unique(off, axis=0)
-    return off, (x0, y0), span
+    keys = (firsts - (ends - n)).repeat(n) + np.arange(int(ends[-1]))
+    if revisit:  # a row gone over again may hold a cell twice, and out of order
+        keys = np.unique(keys)
+    return keys, (x0, y0, width)
 
 
 def write_rle(cells: Iterable) -> str:
     """Encode a pattern as canonical RLE text.
 
-    The pattern is translated so the bounding-box corner sits at (0, 0);
-    output lines never exceed 69 characters and the encoding is
-    byte-deterministic.
+    The pattern is translated so the bounding-box corner sits at (0, 0),
+    and the encoding is byte-deterministic.  Output lines never exceed
+    RLE_LINE_LIMIT characters, but for a run count longer than that, which
+    takes a line of its own (and which `parse_rle` refuses).
     """
-    off, _, (w, h) = _pattern(cells).frame
-    if not len(off):
+    keys, where = _pattern(cells).frame
+    if not len(keys):
         return "x = 0, y = 0, rule = B3/S23\n!\n"
-    width, height = w + 1, h + 1
-    header = f"x = {width}, y = {height}, rule = B3/S23\n"
-
-    if width * height >= _INT64_SPAN:  # keep row-major keys exact
-        off = off.astype(object)
-    keys = off[:, 1] * width + off[:, 0]
-    if (keys[1:] > keys[:-1]).all():  # the frame of a board or of RLE text
-        xs, ys = off[:, 0], off[:, 1]
-    else:
-        keys.sort()
-        ys, xs = keys // width, keys % width
+    xs, ys, _ = _offsets(keys, where)
+    header = f"x = {where[2]}, y = {int(ys[-1]) + 1}, rule = B3/S23\n"
     # runs of live cells: a run starts on a new row or after a gap
     starts = np.flatnonzero(np.concatenate(
         ([True], (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1))))
@@ -973,30 +978,17 @@ def write_rle(cells: Iterable) -> str:
     keep = counts > 0
     counts, tags = counts[keep], tags[keep]
 
-    # one byte row per token: [newline][count digits, none for 1][tag]
+    # one byte row per token: its count's digits, none for 1, then its tag
     places = len(str(counts.max()))
-    table = np.zeros((counts.size + 1, places + 2), dtype=np.uint8)
-    table[:-1, -1] = tags
-    table[-1, -1] = ord("!")
-    length = np.ones(counts.size + 1, dtype=np.int64)  # of each token
+    table = np.zeros((counts.size, places + 1), dtype=np.uint8)
+    table[:, -1] = tags
     multi = counts > 1
     for col in range(places):
         place = 10 ** (places - 1 - col)
         digit = (counts // place % 10 + ord("0")).astype(np.uint8)
-        shown = multi & (counts >= place)
-        table[:-1, col + 1] = np.where(shown, digit, 0)
-        length[:-1] += shown
-    # greedy line filling: a token starts a new line when it would take the
-    # current one past RLE_LINE_LIMIT characters
-    ends = np.cumsum(length)
-    line_start = 0
-    while True:
-        i = int(ends.searchsorted(line_start + RLE_LINE_LIMIT, side="right"))
-        if i == ends.size:
-            break
-        table[i, 0] = ord("\n")
-        line_start = int(ends[i - 1])
-    return header + table[table != 0].tobytes().decode("ascii") + "\n"
+        table[:, col] = np.where(multi & (counts >= place), digit, 0)
+    body = table[table != 0].tobytes().decode("ascii") + "!"
+    return header + "\n".join(_RLE_LINES.findall(body)) + "\n"
 
 
 def image_size(box: tuple[int, int, int, int] | None) -> tuple[int, int]:
@@ -1015,12 +1007,12 @@ def raster(cells: Iterable) -> tuple[list[int], int]:
     """A pattern as image rows over its bounding box, `(rows, width)`:
     cell (x, y) is bit x - min x of rows[y - min y].  Refuses what
     `image_size` refuses."""
-    off, _, (w, h) = _pattern(cells).frame
-    image_size((0, 0, w, h) if len(off) else None)
-    grid = np.zeros((h + 1, w + 1), dtype=bool)
-    grid[off[:, 1], off[:, 0]] = True
-    packed = np.packbits(grid, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed], w + 1
+    keys, (_, _, width) = _pattern(cells).frame
+    width, height = image_size((0, 0, width - 1, int(keys[-1]) // width) if len(keys) else None)
+    grid = np.zeros(height * width, dtype=bool)
+    grid[keys] = True
+    packed = np.packbits(grid.reshape(height, width), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], width
 
 
 _CELLS_OTHER = re.compile(r"[^.O]")

@@ -520,7 +520,9 @@ def audit_approximation(approx: MachineSpec, finisher: MachineSpec,
     reference_values[i-1] (1-based f(i)) within witness.c * T(i) / i steps,
     where T(i) = reference_timing[i-1].
     """
-    limit = min(len(reference_values), len(reference_timing))
+    # min(len(values), len(timing)), but through a slice, which measures a
+    # range of values longer than sys.maxsize too
+    limit = len(reference_values[:len(reference_timing)])
     if isinstance(index_range, range):
         # cut a range just past its smallest index outside 1..limit, the
         # one refused below, before any set of its indices is built

@@ -885,6 +885,75 @@ def test_tm_compose(capsys):
     assert code == 0 and "value=5" in out
 
 
+# writes each bit of its input twice, then '#': the bits of n, doubled
+DOUBLE_BITS = """name double
+tapes 2
+start scan
+halt done
+scan 0 0 -> zero 0 0 S S 0
+zero 0 0 -> scan 0 0 R S 0
+scan 1 0 -> one 1 0 S S 1
+one 1 0 -> scan 1 0 R S 1
+scan # 0 -> done # 0 S S #
+"""
+
+
+def doubled_bits(n: int) -> int:
+    return int("".join(2 * bit for bit in format(n, "b")), 2)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_tm_values_past_the_integer_digit_limit_are_one_line(capsys, tmp_path, json_flag):
+    # on 10**3999 the machine writes a value of about 8000 digits, more
+    # than Python writes an integer with: a domain error, checked before
+    # any line of the trace is written
+    machine = tmp_path / "double.tm"
+    machine.write_text(DOUBLE_BITS)
+    limit = sys.get_int_max_str_digits()
+    n = str(10 ** 3999)
+    trace = tmp_path / "trace.txt"
+    run = [*json_flag, "tm", "run", "--machine", str(machine), "--input", n]
+    for argv in (run, run + ["--trace-out", str(trace)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"emergelab tm: a trace value has more than "
+                                           f"{limit} digits\n")
+    assert not trace.exists()
+    for approx, finisher in ((machine, COPY), (COPY, machine)):
+        code, out, err = run_cli(capsys, *json_flag, "tm", "compose", "--approx", str(approx),
+                                 "--finisher", str(finisher), "--input", n)
+        assert (code, out, err) == (1, "", f"emergelab tm: the value has more than "
+                                           f"{limit} digits\n")
+    # within the limit, the values are written whole, and as JSON numbers
+    n = 10 ** 1000
+    value = doubled_bits(n)
+    code, out, err = run_cli(capsys, "tm", "run", "--machine", str(machine),
+                             "--input", str(n), "--trace-out", str(trace))
+    assert code == 0 and err == "" and trace.read_text().startswith(f"1 {value} ")
+    code, out, err = run_cli(capsys, *json_flag, "tm", "compose", "--approx", str(machine),
+                             "--finisher", COPY, "--input", str(n))
+    report = json.loads(out) if json_flag else dict(line.split("=") for line in out.split())
+    assert code == 0 and err == ""
+    assert int(report["value"]) == int(report["intermediate"]) == value
+    if json_flag:
+        assert out.startswith(f'{{"value": {value}, ')
+
+
+def test_tm_audit_intermediate_past_the_integer_digit_limit_is_one_line(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    audit = turing.audit_approximation
+
+    def huge_intermediate(*args, **kwargs):
+        report = audit(*args, **kwargs)
+        records = (report.records[0]._replace(intermediate=10 ** limit),) + report.records[1:]
+        return turing.AuditReport(records, report.verdict, report.vacuous, report.witness,
+                                  report.reference_timing)
+
+    monkeypatch.setattr(turing, "audit_approximation", huge_intermediate)
+    code, out, err = run_cli(capsys, *AUDIT)
+    assert (code, out, err) == (1, "", f"emergelab tm: r at index 1 has more than "
+                                       f"{limit} digits\n")
+
+
 def test_candidate_subcommands(capsys):
     code, out, _ = run_cli(capsys, "candidate", "sqrt-digits", "--m", "2",
                            "--count", "5")

@@ -1,5 +1,6 @@
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -277,6 +278,20 @@ def test_write_rle_wraps_long_lines():
     assert all(len(line) <= life.RLE_LINE_LIMIT for line in text.splitlines()[1:])
 
 
+def test_write_rle_puts_a_run_count_longer_than_a_line_on_a_line_of_its_own():
+    # a gap of 10**70 - 1 dead cells is a token of 71 characters, more than
+    # a line holds; the cells on either side of it take lines of their own
+    text = life.write_rle({(0, 0), (10 ** 70, 0)})
+    assert text.splitlines() == [f"x = {10 ** 70 + 1}, y = 1, rule = B3/S23",
+                                 "o", "9" * 70 + "b", "o!"]
+    # a token that just fits joins the line before it
+    text = life.write_rle({(0, 0), (10 ** 67, 0)})
+    assert text.splitlines()[1:] == ["o" + "9" * 67 + "b", "o!"]
+    with pytest.raises(life.RleParseError,
+                       match="run count longer than 20 digits at line 3, column 21"):
+        life.parse_rle(life.write_rle({(0, 0), (10 ** 70, 0)}))
+
+
 def test_parse_cells_format():
     cells = life.parse_cells(load_text("glider.cells"))
     assert cells == life.parse_rle(load_text("glider.rle"))
@@ -375,3 +390,95 @@ def test_pattern_pipeline_builds_no_cell_set(monkeypatch):
         pattern = life.run(life.parse_rle(text), 30)
         assert life.write_rle(pattern) == rle
         assert life.raster(pattern) == life.raster(life.parse_rle(rle))
+
+
+# ---------------------------------------------------------------------------
+# The frame: the sorted keys y * width + x of the cells in their box
+
+def assert_framed(pattern):
+    """The frame invariant of a Pattern and of its normal form: the keys
+    strictly increase; the box is tight, a cell in its row 0, its column 0
+    and its last column; the keys are int64 exactly when width * height is
+    below 2**62, else Python ints; and, where every run count has at most
+    20 digits, the frame reads back from its RLE."""
+    for p in (pattern, life.canonical(pattern)[0]):
+        keys, (_, _, width) = p.frame
+        if not len(keys):
+            assert p.frame[1] == (0, 0, 1) and keys.dtype == np.int64
+            continue
+        ys, xs = keys // width, keys % width
+        height = int(ys[-1]) + 1
+        values = keys.tolist()
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert ys[0] == 0 and xs.min() == 0 and xs.max() == width - 1
+        assert keys.dtype == (np.int64 if width * height < 2 ** 62 else object)
+        assert len(p) == len(values)
+        if max(width, height) < 10 ** 20:
+            back, where = life.parse_rle(life.write_rle(p)).frame
+            assert back.tolist() == values and where == (0, 0, width)
+
+
+@st.composite
+def rle_bodies(draw):
+    """RLE text of a few runs: counts of none to 20 digits ('o' runs short,
+    so the cells stay few), '0$' and '0o', and whitespace inside counts."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 12))):
+        tag = draw(st.sampled_from("bo$"))
+        sizes = [0, 1, 1, 2] if tag == "o" else [0, 1, 1, 2, 3, 19, 20]
+        count = str(draw(st.integers(0, 10 ** draw(st.sampled_from(sizes)) - 1)))
+        if draw(st.booleans()):
+            count = "" if count == "1" else count
+        if len(count) > 1 and draw(st.booleans()):
+            cut = draw(st.integers(1, len(count) - 1))
+            count = count[:cut] + draw(st.sampled_from([" ", "\n", "\t "])) + count[cut:]
+        tokens.append(count + tag)
+    return "x = 0, y = 0\n" + "".join(tokens) + "!\n"
+
+
+@given(rle_bodies())
+@example("x = 0, y = 0\n3o0$b0o$99999999999999999999b2o0$o!")
+@example("x = 0, y = 0\n12345678901234567890$o0$2o0o12345 678901234567890bo!")
+@settings(max_examples=300, deadline=None)
+def test_frames_read_from_rle_keep_the_invariant(text):
+    assert_framed(life.parse_rle(text))
+
+
+@given(st.lists(st.text(".O", max_size=12), max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_frames_read_from_cells_keep_the_invariant(rows):
+    assert_framed(life.parse_cells("\n".join(rows)))
+
+
+@given(st.one_of(far_cells(), cells_strategy))
+@example(frozenset({(-2 ** 62, 0), (2 ** 62, 0)}))
+@example(frozenset({(0, 0), (2 ** 31 - 1, 2 ** 31 - 2)}))  # 2**62 - 2**31 cells
+@example(frozenset({(0, 0), (2 ** 31 - 1, 2 ** 31 - 1)}))  # 2**62
+@settings(max_examples=200, deadline=None)
+def test_frames_of_cell_sets_keep_the_invariant(cells):
+    assert_framed(life.run(cells, 0))
+
+
+@given(st.sampled_from([0, 3, 200, 5000, 2 ** 29, 2 ** 40]),
+       st.sampled_from([1, 2, 5, 40, 300]), cells_strategy)
+@settings(max_examples=120, deadline=None)
+def test_frames_of_runs_keep_the_invariant(apart, steps, soup):
+    # a soup on a board, or with a glider far from it: packed keys, on
+    # int64 or on Python ints
+    cells = soup | translate(GLIDER, apart + 30, apart) if apart else soup
+    assert_framed(life.step(cells))
+    assert_framed(life.run(cells, steps))
+
+
+@pytest.mark.parametrize("apart", [3, 200, 2 ** 29])
+@pytest.mark.parametrize("steps", [2000, 2 ** 64 + 3])
+def test_frames_through_the_leap_keep_the_invariant(apart, steps, monkeypatch):
+    # two gliders heading apart leap from int64 packed keys, 2**64 + 3
+    # generations on to a frame over 2**63 wide, of Python-int keys
+    leaps = []
+    tree_frame = life._tree_frame
+    monkeypatch.setattr(life, "_tree_frame", lambda *args: leaps.append(args) or tree_frame(*args))
+    back = frozenset((-x, -y) for x, y in GLIDER)
+    result = life.run(back | translate(GLIDER, apart + 30, apart), steps)
+    assert len(leaps) == 1 and len(result) == 10
+    assert_framed(result)

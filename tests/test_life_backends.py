@@ -221,17 +221,18 @@ def test_packed_dense_and_tally_agree_on_step():
     rng = random.Random(7)
     for cells in (soup(rng, 40, 700), soup(rng, 300, 300),
                   receding_gliders(), life.parse_rle(load_text("gosper_gun.rle"))):
-        off, (cx, cy), (w, h) = life._frame(cells)
+        xs, ys, (cx, cy) = life._offsets(*life._frame(cells))
+        w, h = int(xs.max()), int(ys[-1])
         want = step_tally(cells)
         # one dead cell around the live ones, as the board step needs
         stride = (w + 10) // 8 * 8
-        board = life._to_board(off[:, 0] + 1, off[:, 1] + 1, stride)
+        board = life._to_board(xs + 1, ys + 1, stride)
         assert board & life._border(stride, h + 3) == 0
         after = life._step_board(board, stride)
         assert life._cells(*life._offsets(after, (cx - 1, cy - 1, stride))) == want
         # packed keys y * stride + x, on int64 and on Python ints, with the
         # columns moved one right so that no neighbour wraps
-        keys = off[:, 1] * stride + off[:, 0] + 1
+        keys = ys * stride + xs + 1
         for dtype in (np.int64, object):
             near = life._near(stride, dtype)
             after = life._step_packed(np.sort(keys.astype(dtype)), near)

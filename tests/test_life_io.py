@@ -91,14 +91,15 @@ def test_parse_rle_corpus_matches_the_reference():
 
 
 def test_read_rle_frames_without_a_cell_set():
-    off, corner, span = life.parse_rle("x = 3, y = 3\n2$3bo$2b2o!").frame
-    assert off.dtype == np.int64 and off.tolist() == [[1, 0], [0, 1], [1, 1]]
-    assert corner == (2, 2) and span == (1, 1)
-    off, corner, span = life.parse_rle(f"x = 1, y = 1\no{2 ** 63}bo!").frame
-    assert off.dtype == object and off.tolist() == [[0, 0], [2 ** 63 + 1, 0]]
-    assert corner == (0, 0) and span == (2 ** 63 + 1, 0)
-    off, corner, span = life.parse_rle("x = 0, y = 0\n!").frame
-    assert off.shape == (0, 2) and span == (-1, -1)
+    # the cells (3, 2), (2, 3) and (3, 3): keys y * 2 + x in a 2x2 box at (2, 2)
+    keys, (x0, y0, width) = life.parse_rle("x = 3, y = 3\n2$3bo$2b2o!").frame
+    assert keys.dtype == np.int64 and keys.tolist() == [1, 2, 3]
+    assert (x0, y0) == (2, 2) and (width, keys[-1] // width + 1) == (2, 2)
+    keys, (x0, y0, width) = life.parse_rle(f"x = 1, y = 1\no{2 ** 63}bo!").frame
+    assert keys.dtype == object and keys.tolist() == [0, 2 ** 63 + 1]
+    assert (x0, y0) == (0, 0) and (width, keys[-1] // width + 1) == (2 ** 63 + 2, 1)
+    keys, where = life.parse_rle("x = 0, y = 0\n!").frame
+    assert keys.shape == (0,) and where == (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
