@@ -11,11 +11,11 @@ one kernel, `apply_rule`, computes a whole generation from the left, centre
 and right neighbour planes with the rule's algebraic normal form: a XOR of
 the monomials 1, r, c, cr, l, lr, lc, lcr, where a full triple x, y, xy of
 two variables and their product is the one OR x | y (rule 30 is
-l ^ (c | r)).  The ring, the single unbounded step and the centre column all
-step through it; a whole unbounded history runs as a ring over the seed's
-light cone, and the centre column steps only the band of cells that can
-still reach cell 0.  The naive per-cell oracles it is checked against live
-in the test suite (`tests/oracles.py`).
+l ^ (c | r)).  The ring steps through it, and so do the single unbounded
+step and a whole unbounded history, as a ring over their light cone; the
+centre column steps only the band of cells that can still reach cell 0.
+The naive per-cell oracles it is checked against live in the test suite
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -259,18 +259,11 @@ def _check_steps(steps: int, max_rows: int | None = None, width: int = 0):
 
 
 def step_row(rule: RuleTable, row: BitRow) -> BitRow:
-    """Advance one generation on the unbounded background (packed kernel).
-
-    The next row covers one extra cell on each side; the result is trimmed
-    back to canonical form.
-    """
+    """Advance one generation on the unbounded background: a ring step over
+    the row's light cone, one white cell wider on each side, so the wrap
+    reads only white cells; the result is trimmed to canonical form."""
     _require_white_background(rule)
-    m = row.bits
-    if m == 0:
-        return row
-    # Output cell (row.offset - 1) + j has neighbours m bits j-2, j-1, j.
-    mask = (1 << (row.width + 2)) - 1
-    return BitRow.make(row.offset - 1, apply_rule(rule, m << 2, m << 1, m, mask))
+    return BitRow.make(row.offset - 1, step_cycle(rule, row.bits << 1, row.width + 2))
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,17 @@ it stops at the first recurrence or at extinction; a board state's key is
 the board shifted down to its lowest live bit, with no numpy call per
 generation.  A state is compared with those of earlier forms by its shape,
 the width and keys of its frame, only when one of them has its population
-and height.
+and height.  The leap's leaves are the 8-row strips of a stride-16 board
+that `_to_board` writes and `_positions` reads, the one bit codec here.
 
 Pattern I/O: RLE (read and write), plaintext .cells (read), and `raster`,
-which packs a pattern into the image rows `cli.render_pbm` writes.
+which cuts the image rows `cli.render_pbm` writes from a `_to_board` board.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -438,7 +440,8 @@ def _leap(keys: np.ndarray, where, steps: int, budget: int):
     of four squares made of their middles (for a shorter step), memoised
     by (node, j).  So a pattern that repeats itself, such as a stream of
     gliders, costs a node per new shape, not a step per generation.  The
-    nodes and the memo live only in this call.
+    nodes and the memo live only in this call.  Leaf i is the 8-row strip
+    from row 8i of one board of stride 16 that `_to_board` writes.
     """
     nodes: dict = {}
     empty = [0, 0, 0, 0]  # the empty node of each level, leaves' 0 at 3
@@ -536,11 +539,11 @@ def _leap(keys: np.ndarray, where, steps: int, budget: int):
     work = blocks.size  # nodes made, leaves too, and board generations
     if work > budget:
         return budget, None
-    bits = np.zeros((blocks.size, _LEAF_BELOW), dtype=bool)
-    bits[which.ravel(), (ys & 7) * _LEAF_STRIDE + (xs & 7)] = True
-    raw = np.packbits(bits, axis=1, bitorder="little")
-    layer = {(b & 0xFFFF_FFFF, b >> 32): int.from_bytes(row.tobytes(), "little")
-             for b, row in zip(blocks.tolist(), raw)}
+    size = _LEAF_BELOW // 8
+    raw = _to_board(xs & 7, which.ravel() * 8 + (ys & 7), _LEAF_STRIDE).to_bytes(
+        size * blocks.size, "little")
+    layer = {(b & 0xFFFF_FFFF, b >> 32): int.from_bytes(raw[size * i:size * (i + 1)], "little")
+             for i, b in enumerate(blocks.tolist())}
     try:
         k = 3
         while len(layer) > 1 or k < 4:
@@ -576,7 +579,7 @@ def _leap(keys: np.ndarray, where, steps: int, budget: int):
 
 def _tree_frame(root: _Node, ox, oy):
     """The frame of the cells of a quadtree whose corner is (ox, oy), its
-    keys sorted."""
+    keys sorted: its live leaves are read as the 8-row strips of one board."""
     leaves, xs, ys = [], [], []
     todo = [(root, 0, 0)]
     while todo:
@@ -590,12 +593,9 @@ def _tree_frame(root: _Node, ox, oy):
             half = 1 << node.level - 1
             todo += ((node.nw, x, y), (node.ne, x + half, y),
                      (node.sw, x, y + half), (node.se, x + half, y + half))
-    if not leaves:
-        return _EMPTY
-    raw = np.frombuffer(b"".join(leaf.to_bytes(_LEAF_BELOW // 8, "little")
-                                 for leaf in leaves), dtype=np.uint8)
-    which, bit = np.unpackbits(raw.reshape(len(leaves), -1), axis=1,
-                               bitorder="little").nonzero()
+    size = _LEAF_BELOW // 8
+    board = int.from_bytes(b"".join(leaf.to_bytes(size, "little") for leaf in leaves), "little")
+    which, bit = np.divmod(_positions(board), _LEAF_BELOW)
     dtype = np.int64 if root.level < 62 else object
     xs = np.array(xs, dtype=dtype)[which] + bit % _LEAF_STRIDE
     ys = np.array(ys, dtype=dtype)[which] + bit // _LEAF_STRIDE
@@ -962,7 +962,11 @@ def write_rle(cells: Iterable) -> str:
     if not len(keys):
         return "x = 0, y = 0, rule = B3/S23\n!\n"
     xs, ys, _ = _offsets(keys, where)
-    header = f"x = {where[2]}, y = {int(ys[-1]) + 1}, rule = B3/S23\n"
+    try:
+        header = f"x = {where[2]}, y = {int(ys[-1]) + 1}, rule = B3/S23\n"
+    except ValueError:  # more digits than Python writes an int with
+        raise InvalidArgument(f"a side has more than {sys.get_int_max_str_digits()} "
+                              "digits") from None
     # runs of live cells: a run starts on a new row or after a gap
     starts = np.flatnonzero(np.concatenate(
         ([True], (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1))))
@@ -1007,12 +1011,12 @@ def raster(cells: Iterable) -> tuple[list[int], int]:
     """A pattern as image rows over its bounding box, `(rows, width)`:
     cell (x, y) is bit x - min x of rows[y - min y].  Refuses what
     `image_size` refuses."""
-    keys, (_, _, width) = _pattern(cells).frame
-    width, height = image_size((0, 0, width - 1, int(keys[-1]) // width) if len(keys) else None)
-    grid = np.zeros(height * width, dtype=bool)
-    grid[keys] = True
-    packed = np.packbits(grid.reshape(height, width), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed], width
+    keys, where = _pattern(cells).frame
+    xs, ys, _ = _offsets(keys, where)
+    width, height = image_size((0, 0, where[2] - 1, int(ys[-1])) if len(keys) else None)
+    size = (width + 7) // 8  # a row's bytes: the board's stride is 8 * size
+    raw = _to_board(xs, ys, 8 * size).to_bytes(size * height, "little")
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)], width
 
 
 _CELLS_OTHER = re.compile(r"[^.O]")

@@ -215,8 +215,11 @@ def test_step_row_matches_naive_random_rows():
     rng = random.Random(3)
     for n in range(0, 256, 2):  # the 128 quiescent rules
         rule = eca.parse_rule(n)
-        for _ in range(6):
-            row = eca.BitRow.make(rng.randint(-200, 200), rng.getrandbits(rng.randint(1, 90)))
+        rows = [eca.BitRow.make(rng.randint(-200, 200), rng.getrandbits(rng.randint(1, 90)))
+                for _ in range(6)]
+        # far offsets and the empty row: the light cone's ring at either end
+        rows += [eca.BitRow.make(sign * 10 ** 12, rng.getrandbits(40) | 1) for sign in (1, -1)]
+        for row in rows + [eca.BitRow()]:
             assert eca.step_row(rule, row) == step_row_reference(rule, row), f"rule {n}"
 
 

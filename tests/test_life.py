@@ -1,4 +1,5 @@
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +291,18 @@ def test_write_rle_puts_a_run_count_longer_than_a_line_on_a_line_of_its_own():
     with pytest.raises(life.RleParseError,
                        match="run count longer than 20 digits at line 3, column 21"):
         life.parse_rle(life.write_rle({(0, 0), (10 ** 70, 0)}))
+
+
+def test_write_rle_refuses_a_side_past_the_integer_digit_limit():
+    # a side of 10**5000 + 1 cells has more digits than Python writes an
+    # int with: a one-line InvalidArgument, not a bare ValueError
+    limit = sys.get_int_max_str_digits()
+    for cells in ({(0, 0), (10 ** 5000, 0)}, {(0, 0), (0, 10 ** 5000)}):
+        with pytest.raises(life.InvalidArgument, match=f"^a side has more than {limit} digits$"):
+            life.write_rle(cells)
+    # a side of as many digits as the limit is written
+    text = life.write_rle({(0, 0), (0, 10 ** (limit - 1))})
+    assert text.splitlines()[0] == f"x = 1, y = {10 ** (limit - 1) + 1}, rule = B3/S23"
 
 
 def test_parse_cells_format():

@@ -131,6 +131,17 @@ def test_the_leap_refuses_a_result_over_the_cell_limit(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_leap_to_extinction_returns_the_empty_frame(monkeypatch):
+    # a domino on packed keys leaps 1000 generations: the tree it dies into
+    # has no live leaf, and its frame is the frame of no cells
+    monkeypatch.setattr(life, "_BOARD_SPARSITY", 0)
+    monkeypatch.setattr(life, "_leap_budget", lambda steps, population: 10 ** 7)
+    leaps = record_leaps(monkeypatch)
+    keys, where = life.run({(0, 0), (1, 0)}, 1000).frame
+    assert [(left, gave_up) for left, _, _, gave_up in leaps] == [(1000, False)]
+    assert keys.dtype == np.int64 and keys.size == 0 and where == (0, 0, 1)
+
+
 @pytest.mark.parametrize("offset", [1 << 40, -(1 << 40), 10 ** 20, -(10 ** 20)])
 def test_the_leap_keeps_position(offset):
     moved = translate(GUN, offset, -offset)
