@@ -124,25 +124,6 @@ def _line(a, b, dx, dy):
     return (a - q * dx, b - q * dy), q
 
 
-def _repeats(turns):
-    """The even p < _PERIOD_LIMIT, in increasing order, for which the last
-    2p `turns` repeat.  From p = 8 on, such a p shows as a copy of the last
-    8 turns that starts p turns earlier, and `rfind` finds those; the scan
-    ends at the first copy p >= _PERIOD_LIMIT turns back, so only the last
-    2 * _PERIOD_LIMIT turns decide what it yields."""
-    for p in (2, 4, 6):
-        if turns[-p:] == turns[-2 * p:-p]:
-            yield p
-    tail, end = turns[-8:], len(turns) - 1
-    while (i := turns.rfind(tail, 0, end)) >= 0:
-        p = len(turns) - 8 - i
-        if p >= _PERIOD_LIMIT:
-            return
-        if p >= 8 and p % 2 == 0 and turns[-p:] == turns[-2 * p:-p]:
-            yield p
-        end = i + 7
-
-
 def _period(black, x, y, h, turns) -> int | None:
     """The smallest p < _PERIOD_LIMIT that passes the highway certificate's
     check with the ant at (x, y), heading index h, on `black`, after steps
@@ -171,9 +152,9 @@ def _period(black, x, y, h, turns) -> int | None:
     harm, and no check that the highway never re-enters its trail is
     needed.
     """
-    for p in _repeats(turns):
+    for p in range(2, _PERIOD_LIMIT, 2):
         last = turns[-p:]
-        if (p - 2 * last.count(1)) % 4:
+        if last != turns[-2 * p:-p] or (p - 2 * last.count(1)) % 4:
             continue
         offsets = _walk(h, last)[0]  # the heading p steps ago was h
         dx, dy = offsets.pop()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -28,9 +29,6 @@ from .errors import EmergeLabError, InvalidArgument
 # digits per int-to-str conversion: under the smallest limit on their
 # number that Python allows (640)
 _STR_CHUNK = 512
-# the most digits a chain value may have: Python's default limit on
-# int/str conversion, past which the value could not be read or printed
-CHAIN_VALUE_DIGITS = 4300
 # the most digits `sqrt_digits` computes, for any caller (about 0.4 s on a
 # 2-vCPU Xeon; each doubling costs about four times as much)
 SQRT_DIGITS = 100_000
@@ -166,7 +164,8 @@ def digit_chain(stream: DigitStream, n: int) -> list[int]:
 
     A block may keep leading zeros for its length while its value is the
     plain decimal integer; a value of 0 stops the chain (ChainDegenerate),
-    and one longer than CHAIN_VALUE_DIGITS digits is refused
+    and one with more digits than Python reads an integer with
+    (`sys.get_int_max_str_digits()`, 4300 by default) is refused
     (InvalidArgument).
     """
     if n < 1:
@@ -177,11 +176,12 @@ def digit_chain(stream: DigitStream, n: int) -> list[int]:
         text = "".join(map(str, stream.take(length))).lstrip("0")
         if not text:
             raise ChainDegenerate(k)
-        if len(text) > CHAIN_VALUE_DIGITS:
+        try:
+            value = int(text)
+        except ValueError:
             raise InvalidArgument(
                 f"chain value f({k}) has {len(text)} digits, more than "
-                f"{CHAIN_VALUE_DIGITS}")
-        value = int(text)
+                f"{sys.get_int_max_str_digits()}") from None
         values.append(value)
         length = value
     return values

@@ -100,6 +100,10 @@ def _read_ints(path: str) -> list[int]:
         try:
             values.append(int(token))
         except ValueError:
+            digits = token[1:] if token[0] in "+-" else token
+            if digits.isascii() and digits.isdigit():  # past Python's digit limit
+                raise InvalidArgument(f"{path} holds an integer of more than "
+                                      f"{sys.get_int_max_str_digits()} digits") from None
             raise InvalidArgument(f"{path} must hold integers, got {token!r}") from None
     return values
 

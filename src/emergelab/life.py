@@ -25,8 +25,8 @@ stride = width:
   loop: every other state, such as the Gosper gun's long stream of
   gliders.  The keys are int64 while the state's extent plus two is below
   2**30; a wider state goes on Python-int keys (dtype object) with a
-  stride sized to its frame, and is framed again as soon as it is no
-  longer that wide.
+  stride sized to its frame, and is framed again after every generation,
+  so it leaves them as soon as it is no longer that wide.
 
 `detect_fate` reads every state of the runner.  `run` reads them up to the
 first on int64 packed keys, and from there leaps over the generations left
@@ -306,9 +306,8 @@ def _orbit(frame):
       the frame yields every column is in 1..stride-2 and the extent below
       a quarter of the stride: no neighbour wraps into another row, and
       two states of one stride whose keys differ by one constant are
-      translates.  The state after the room, a state on Python-int keys
-      whose extent plus two is below _FRAME_LIMIT, or the empty one, is
-      framed again.
+      translates.  On Python-int keys the room is one state.  The state
+      after the room, or the empty one, is framed again.
     Each key array is new, so a yielded state stays valid.  States go onto
     and off a board or keys only here, through numpy.
     """
@@ -335,21 +334,15 @@ def _orbit(frame):
             where = corner[0] - 2 * limit, corner[1], 4 * limit
             state = ys * where[2] + (xs + 2 * limit)  # row-major, as the frame
             near = _near(where[2], state.dtype)
-            for _ in range((limit - 1 - s) // 2):
+            for _ in range(1 if wide else (limit - 1 - s) // 2):
                 yield state, where
                 state = _step_packed(state, near)
-                if not state.size or wide and _extent(state, where[2]) + 2 < _FRAME_LIMIT:
+                if not state.size:
                     break
         frame = _reframe(*_offsets(state, where))
         if not len(frame[0]):
             yield 0, (0, 0, 1)  # the empty board
             return
-
-
-def _extent(keys: np.ndarray, stride: int) -> int:
-    """The extent, the larger side less one, of the cells at sorted keys."""
-    xs = keys % stride
-    return max(keys[-1] // stride - keys[0] // stride, xs.max() - xs.min())
 
 
 def step(cells: Iterable) -> Pattern:

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import count, islice, product
 
 import mpmath
@@ -147,6 +148,17 @@ def test_digit_chain_rejects_values_past_the_digit_limit():
         cd.digit_chain(stream, 3)
     stream = cd.DigitStream.from_text("4" + "4301" + "0" + "1" * 4300)
     assert cd.digit_chain(stream, 3)[2] == int("1" * 4300)
+    # the limit is the one Python reads integers with, whatever it is set to
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        stream = cd.DigitStream.from_text("3" + "700" + "1" * 700)
+        with pytest.raises(InvalidArgument, match="f\\(3\\) has 700 digits, more than 640$"):
+            cd.digit_chain(stream, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

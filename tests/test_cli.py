@@ -879,6 +879,25 @@ def test_tm_audit_past_the_integer_digit_limit_is_one_line(capsys):
     assert (code, out) == (1, "") and err.count("\n") == 1
 
 
+def test_tm_audit_table_integer_past_the_digit_limit_is_named(capsys, tmp_path):
+    # an integer of more digits than Python reads one with is named as
+    # such, not echoed whole as a token that is no integer
+    limit = sys.get_int_max_str_digits()
+    table = tmp_path / "table.txt"
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3"]
+    for sources in (["--values", str(table), "--timing-from", SUCC],
+                    ["--identity-values", "--timing", str(table)]):
+        for token in ("1" * (limit + 1), "-" + "9" * (limit + 1), "+" + "5" * (10 * limit)):
+            table.write_text(f"1 2\n{token}\n")
+            code, out, err = run_cli(capsys, *argv, *sources)
+            assert (code, out, err) == (1, "", f"emergelab tm: {table} holds an integer of "
+                                               f"more than {limit} digits\n")
+        table.write_text("1 2x 3\n")  # not an integer at all
+        code, out, err = run_cli(capsys, *argv, *sources)
+        assert (code, out, err) == (1, "", f"emergelab tm: {table} must hold integers, "
+                                           f"got '2x'\n")
+
+
 def test_tm_compose(capsys):
     code, out, _ = run_cli(capsys, "tm", "compose", "--approx", SUCC,
                            "--finisher", COPY, "--input", "5")

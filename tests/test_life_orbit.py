@@ -373,7 +373,10 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
     # At a frame limit of 40 a frame runs few generations before it is
     # framed again, and states cross the limit both ways: gliders part and
     # meet, soups spread and settle.  Every state `_orbit` yields is in the
-    # form its extent asks for, whatever the frame it came from.
+    # form its extent asks for, whatever the frame it came from.  Most of
+    # them go on boards, so the patterns run again with no board at all,
+    # where their states go on packed keys, int64 or Python ints, and a
+    # state on Python-int keys is framed again after every generation.
     limit = 40
     monkeypatch.setattr(life, "_FRAME_LIMIT", limit)
     rng = random.Random(12)
@@ -388,19 +391,25 @@ def test_reframing_under_a_small_frame_limit(monkeypatch):
                                      for _ in range(rng.randrange(10, 300)))
                            for side in rng.choices(range(6, 46), k=20)) if soup]
     budget = 120
+    histories = []
     for cells in patterns:
         states = [cells]
         while len(states) <= budget and states[-1]:
             states.append(step_tally(states[-1]))
-        orbit = list(islice(life._orbit(life._frame(cells)), budget + 1))
-        assert len(orbit) == len(states)
-        for want, (state, where) in zip(states, orbit):
-            assert state_cells(state, where) == want
-            # a board takes no heed of the frame limit
-            if form(state, where) == "packed":
-                assert extent(want) + 2 < limit
-            elif form(state, where) == "wide":
-                assert extent(want) + 2 >= limit
-        for steps in (1, 7, 30, budget):
-            assert life.run(cells, steps) == states[min(steps, len(states) - 1)]
-        assert life.detect_fate(cells, budget) == detect_fate_reference(cells, budget)
+        histories.append(states)
+    for sparsity in (life._BOARD_SPARSITY, 0):
+        monkeypatch.setattr(life, "_BOARD_SPARSITY", sparsity)
+        for cells, states in zip(patterns, histories):
+            orbit = list(islice(life._orbit(life._frame(cells)), budget + 1))
+            assert len(orbit) == len(states)
+            for want, (state, where) in zip(states, orbit):
+                assert state_cells(state, where) == want
+                # a board takes no heed of the frame limit
+                if form(state, where) == "packed":
+                    assert extent(want) + 2 < limit
+                elif form(state, where) == "wide":
+                    assert extent(want) + 2 >= limit
+                    assert where[2] == 4 * (2 * extent(want) + 4)  # its own frame's stride
+            for steps in (1, 7, 30, budget):
+                assert life.run(cells, steps) == states[min(steps, len(states) - 1)]
+            assert life.detect_fate(cells, budget) == detect_fate_reference(cells, budget)
