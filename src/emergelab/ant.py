@@ -317,9 +317,9 @@ def window_fingerprint(state: AntState, radius: int) -> tuple[str, int]:
     """(heading, packed window) built directly from the black set.
 
     Bit (dy + r) * (2r + 1) + (dx + r) is set when the square at the ant's
-    position plus (dx, dy) is black.  Reads the set square by square, apart
-    from `detect_highway`'s frame, so tests and the demo can replay its
-    reports without the incremental bookkeeping.
+    position plus (dx, dy) is black.  Reads the set square by square: it
+    gives `detect_highway` its first window, which the detector then keeps
+    by shifts, and lets tests and the demo replay its reports.
     """
     side = 2 * radius + 1
     x, y = state.pos[0] - radius, state.pos[1] - radius
@@ -391,9 +391,7 @@ def detect_highway(start: AntState, max_steps: int, window_radius: int = 16,
     h = HEADINGS.index(start.heading)
     rows, cols = _frame(black, x, y, r)
     i = j = r + _FRAME_MARGIN  # the ant's indices in the frame
-    window = 0
-    for k in range(side):
-        window |= (rows[_FRAME_MARGIN + k] >> _FRAME_MARGIN & row_mask) << k * side
+    window = window_fingerprint(start, r)[1]
     seen: dict[tuple[int, int], tuple[int, int, int]] = {(h, window): (0, x, y)}
     candidate = None  # (base_t, base_fp, base_x, base_y, period, dx, dy, k)
 

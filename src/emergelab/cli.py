@@ -30,11 +30,13 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
+import reprlib
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HEADINGS, EmergeLabError, InvalidArgument
+from .errors import HEADINGS, EmergeLabError, InvalidArgument, decimal
 
 if TYPE_CHECKING:  # the handlers import these themselves, when they run
     from fractions import Fraction
@@ -69,13 +71,11 @@ def default_budget(fallback: int) -> int:
     env = os.environ.get("EMERGELAB_BUDGET")
     if env is None:
         return fallback
-    try:
-        value = int(env)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise EmergeLabError(f"EMERGELAB_BUDGET must be a positive integer, got {env!r}")
-    return value
+    values = _read_ints(env, "EMERGELAB_BUDGET", "be a positive integer")
+    if len(values) != 1 or values[0] < 1:
+        raise EmergeLabError(f"EMERGELAB_BUDGET must be a positive integer, "
+                             f"got {reprlib.repr(env)}")
+    return values[0]
 
 
 def _key_values(report: dict) -> str:
@@ -94,17 +94,19 @@ def _read_text(path: str) -> str:
         raise UnreadableFile(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_ints(path: str) -> list[int]:
+def _read_ints(text: str, name: str, wanted: str = "hold integers") -> list[int]:
+    """The whitespace-separated integers of `text` (`name` in refusals): a
+    token past Python's digit limit is refused naming it, any other quoted short."""
     values = []
-    for token in _read_text(path).split():
+    for token in text.split():
         try:
             values.append(int(token))
         except ValueError:
-            digits = token[1:] if token[0] in "+-" else token
-            if digits.isascii() and digits.isdigit():  # past Python's digit limit
-                raise InvalidArgument(f"{path} holds an integer of more than "
+            # what int reads, any Unicode digits too: refused only past the limit
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", token):
+                raise InvalidArgument(f"{name} holds an integer of more than "
                                       f"{sys.get_int_max_str_digits()} digits") from None
-            raise InvalidArgument(f"{path} must hold integers, got {token!r}") from None
+            raise InvalidArgument(f"{name} must {wanted}, got {reprlib.repr(token)}") from None
     return values
 
 
@@ -237,7 +239,7 @@ def _cmd_tm(args) -> dict:
         trace = turing.run(machine, args.input, budget)
         # values are at least 0, so the largest has the most digits; it is
         # checked before any line of the trace is written
-        _digits(max(trace.values, default=0), "a trace value")
+        decimal(max(trace.values, default=0), "a trace value")
         text = turing.format_trace(trace)
         if args.trace_out:
             Path(args.trace_out).write_text(text)
@@ -251,8 +253,8 @@ def _cmd_tm(args) -> dict:
         approx = _machine(args.approx)
         finisher = _machine(args.finisher)
         value, total, frag = turing.compose(approx, finisher, args.input, budget)
-        _digits(value, "the value")
-        _digits(frag.intermediate, "the intermediate value")
+        decimal(value, "the value")
+        decimal(frag.intermediate, "the intermediate value")
         return {"value": value, "total_steps": total,
                 "intermediate": frag.intermediate,
                 "approx_steps": frag.approx_steps,
@@ -264,14 +266,17 @@ def _cmd_tm(args) -> dict:
     approx = _machine(args.approx)
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
-    values = indices if args.identity_values else _read_ints(args.values)
+    values = (indices if args.identity_values
+              else _read_ints(_read_text(args.values), args.values))
     if args.timing_from is not None:
         timer = _machine(args.timing_from)
-        timing = [turing.run(timer, i, budget).total_steps for i in indices]
     else:
-        timing = _read_ints(args.timing)
+        timing = _read_ints(_read_text(args.timing), args.timing)
     witness = turing.BigOWitness(args.c, args.n0)
-    c_text = _digits(witness.c, "--c")
+    c_text = decimal(witness.c, "--c")
+    if args.timing_from is not None:
+        # as far as the values go: the audit refuses the index after them
+        timing = [turing.run(timer, i, budget).total_steps for i in indices[:len(values)]]
     audit = turing.audit_approximation(approx, finisher, values, timing,
                                        witness, indices, step_budget=budget)
     report = {"verdict": "pass" if audit.verdict else "fail",
@@ -280,7 +285,7 @@ def _cmd_tm(args) -> dict:
               "timing_note": audit.timing_note}
     for rec in audit.records:
         report[f"index_{rec.index}"] = (
-            f"r={_digits(rec.intermediate, f'r at index {rec.index}')} "
+            f"r={decimal(rec.intermediate, f'r at index {rec.index}')} "
             f"steps={rec.finisher_steps} "
             f"bound={_decimals(rec.bound)} {'pass' if rec.passed else 'fail'}")
     return report
@@ -293,18 +298,8 @@ def _decimals(x: Fraction) -> str:
         return f"{float(x):.3f}"
     except OverflowError:
         thousandths = round(abs(x) * 1000)
-        whole = _digits(thousandths // 1000, "a bound")
+        whole = decimal(thousandths // 1000, "a bound")
         return f"{'-' if x < 0 else ''}{whole}.{thousandths % 1000:03d}"
-
-
-def _digits(x: int | Fraction, name: str) -> str:
-    """str(x), or a domain error where x has more digits than Python
-    writes an integer with (`sys.get_int_max_str_digits()`)."""
-    try:
-        return str(x)
-    except ValueError:
-        raise InvalidArgument(f"{name} has more than {sys.get_int_max_str_digits()} "
-                              "digits") from None
 
 
 def _cmd_candidate(args) -> dict:

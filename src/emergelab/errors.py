@@ -1,11 +1,14 @@
-"""Common base class for all domain errors raised by this package, and the
-constants that are read without importing the subsystem they belong to.
+"""Common base class for all domain errors raised by this package, `decimal`,
+the one refusal of a number too long to write, and the constants that are
+read without importing the subsystem they belong to.
 CELL_LIMIT is the most live cells `life.parse_rle`/`parse_cells` build and
 black squares `ant.Census.black` builds, and PIXEL_LIMIT the most pixels
 `life.raster` allocates; they live here, in a module without numpy, so that
 `ant` reads its cap without importing `life`.  HEADINGS is the ant's one
 heading order, clockwise from north, which `ant` imports and the CLI's
 parser offers as `ant --heading`'s choices without importing `ant`."""
+
+import sys
 
 CELL_LIMIT = 10 ** 7
 PIXEL_LIMIT = 1 << 26
@@ -24,3 +27,13 @@ class InvalidArgument(EmergeLabError, ValueError):
 
 class InvalidSteps(InvalidArgument):
     """Negative generation count."""
+
+
+def decimal(x, name: str) -> str:
+    """str(x) of an int or Fraction x, or InvalidArgument where x has more
+    digits than Python writes an integer with (`sys.get_int_max_str_digits()`)."""
+    try:
+        return str(x)
+    except ValueError:
+        raise InvalidArgument(f"{name} has more than {sys.get_int_max_str_digits()} "
+                              "digits") from None

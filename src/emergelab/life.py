@@ -53,7 +53,6 @@ which cuts the image rows `cli.render_pbm` writes from a `_to_board` board.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -61,7 +60,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import CELL_LIMIT, PIXEL_LIMIT, EmergeLabError, InvalidArgument, InvalidSteps
+from .errors import (CELL_LIMIT, PIXEL_LIMIT, EmergeLabError, InvalidArgument, InvalidSteps,
+                     decimal)
 
 NEIGHBOR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                          if (dx, dy) != (0, 0))
@@ -489,32 +489,28 @@ def _leap(keys: np.ndarray, where, steps: int, budget: int):
             for _ in range(1 << j):
                 board = _step_board(board, _LEAF_STRIDE)
             found = board >> _LEAF_MIDDLE & _LEAF_MASK
-        elif j == node.level - 2:
-            # nine overlapping children half the way on, then the four
-            # squares they make the other half
-            j -= 1
-            n00, n02, n20, n22 = result(nw, j), result(ne, j), result(sw, j), result(se, j)
-            n01 = result(join(nw.ne, ne.nw, nw.se, ne.sw), j)
-            n10 = result(join(nw.sw, nw.se, sw.nw, sw.ne), j)
-            n11 = result(join(nw.se, ne.sw, sw.ne, se.nw), j)
-            n12 = result(join(ne.sw, ne.se, se.nw, se.ne), j)
-            n21 = result(join(sw.ne, se.nw, sw.se, se.sw), j)
-            found = join(result(join(n00, n01, n10, n11), j),
-                         result(join(n01, n02, n11, n12), j),
-                         result(join(n10, n11, n20, n21), j),
-                         result(join(n11, n12, n21, n22), j))
         else:
-            # the middles of the nine overlapping children make the four
-            # squares whose results are the quarters of this one
-            m00 = middle(nw.nw, nw.ne, nw.sw, nw.se)
-            m01 = middle(nw.ne, ne.nw, nw.se, ne.sw)
-            m02 = middle(ne.nw, ne.ne, ne.sw, ne.se)
-            m10 = middle(nw.sw, nw.se, sw.nw, sw.ne)
-            m11 = middle(nw.se, ne.sw, sw.ne, se.nw)
-            m12 = middle(ne.sw, ne.se, se.nw, se.ne)
-            m20 = middle(sw.nw, sw.ne, sw.sw, sw.se)
-            m21 = middle(sw.ne, se.nw, sw.se, se.sw)
-            m22 = middle(se.nw, se.ne, se.sw, se.se)
+            # the nine overlapping children's middles, half the way on (for
+            # j = k - 2) or now (a shorter step), make the four squares
+            # whose results are the quarters of this one
+            if j == node.level - 2:
+                j -= 1
+                m00, m02, m20, m22 = result(nw, j), result(ne, j), result(sw, j), result(se, j)
+                m01 = result(join(nw.ne, ne.nw, nw.se, ne.sw), j)
+                m10 = result(join(nw.sw, nw.se, sw.nw, sw.ne), j)
+                m11 = result(join(nw.se, ne.sw, sw.ne, se.nw), j)
+                m12 = result(join(ne.sw, ne.se, se.nw, se.ne), j)
+                m21 = result(join(sw.ne, se.nw, sw.se, se.sw), j)
+            else:
+                m00 = middle(nw.nw, nw.ne, nw.sw, nw.se)
+                m01 = middle(nw.ne, ne.nw, nw.se, ne.sw)
+                m02 = middle(ne.nw, ne.ne, ne.sw, ne.se)
+                m10 = middle(nw.sw, nw.se, sw.nw, sw.ne)
+                m11 = middle(nw.se, ne.sw, sw.ne, se.nw)
+                m12 = middle(ne.sw, ne.se, se.nw, se.ne)
+                m20 = middle(sw.nw, sw.ne, sw.sw, sw.se)
+                m21 = middle(sw.ne, se.nw, sw.se, se.sw)
+                m22 = middle(se.nw, se.ne, se.sw, se.se)
             found = join(result(join(m00, m01, m10, m11), j),
                          result(join(m01, m02, m11, m12), j),
                          result(join(m10, m11, m20, m21), j),
@@ -955,11 +951,8 @@ def write_rle(cells: Iterable) -> str:
     if not len(keys):
         return "x = 0, y = 0, rule = B3/S23\n!\n"
     xs, ys, _ = _offsets(keys, where)
-    try:
-        header = f"x = {where[2]}, y = {int(ys[-1]) + 1}, rule = B3/S23\n"
-    except ValueError:  # more digits than Python writes an int with
-        raise InvalidArgument(f"a side has more than {sys.get_int_max_str_digits()} "
-                              "digits") from None
+    header = (f"x = {decimal(where[2], 'a side')}, "
+              f"y = {decimal(int(ys[-1]) + 1, 'a side')}, rule = B3/S23\n")
     # runs of live cells: a run starts on a new row or after a gap
     starts = np.flatnonzero(np.concatenate(
         ([True], (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1] + 1))))

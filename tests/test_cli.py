@@ -840,6 +840,29 @@ def test_tm_audit_table_shorter_than_max_index_is_refused_at_once(tmp_path):
                 1, "", "emergelab tm: index 4 outside the supplied reference tables\n"), argv
 
 
+def test_tm_audit_refuses_bad_arguments_before_the_timer_runs(capsys, monkeypatch,
+                                                              tmp_path):
+    # --c and --n0 are refused before the --timing-from machine runs, and it
+    # runs only as far as a short --values table goes, whose next index the
+    # audit refuses
+    limit = sys.get_int_max_str_digits()
+    values = tmp_path / "values.txt"
+    values.write_text("1\n2\n3\n")
+    runs, run = [], turing.run
+    monkeypatch.setattr(turing, "run", lambda *a, **k: runs.append(a) or run(*a, **k))
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "500",
+            "--timing-from", SUCC]
+    for extra, most, message in (
+            (["--identity-values", "--c", f"1e{10 * limit}"], 0,
+             f"--c has more than {limit} digits"),
+            (["--identity-values", "--n0", "0"], 0, "n0 must be positive, got 0"),
+            (["--values", str(values)], 3, "index 4 outside the supplied reference tables")):
+        runs.clear()
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out, err) == (1, "", f"emergelab tm: {message}\n"), extra
+        assert len(runs) <= most, extra
+
+
 def test_tm_audit_bound_past_float_range_is_written_exactly(capsys, tmp_path):
     # verdicts are exact fractions, and so is a bound written past the
     # float range: to three decimals, rounded half to even
@@ -896,6 +919,27 @@ def test_tm_audit_table_integer_past_the_digit_limit_is_named(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv, *sources)
         assert (code, out, err) == (1, "", f"emergelab tm: {table} must hold integers, "
                                            f"got '2x'\n")
+
+
+def test_tm_audit_table_tokens_are_not_echoed_whole(capsys, tmp_path):
+    # int reads underscores between digits and any Unicode digit, so these
+    # are integers past the digit limit too; a token that is no integer is
+    # quoted cut to 30 characters, however long
+    limit = sys.get_int_max_str_digits()
+    table = tmp_path / "timing.txt"
+    argv = ["tm", "audit", "--approx", SUCC, "--finisher", COPY, "--max-index", "3",
+            "--identity-values", "--timing", str(table)]
+    for token in ("1_" + "1" * (limit + 700), "\u0661" * (limit + 700)):
+        table.write_text(f"1 2\n{token}\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"emergelab tm: {table} holds an integer of "
+                                           f"more than {limit} digits\n")
+    for token, quoted in (("1" * (limit + 700) + "x", "'111111111111...111111111111x'"),
+                          ("x" * 5000, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'")):
+        table.write_text(f"1 2\n{token}\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"emergelab tm: {table} must hold integers, "
+                                           f"got {quoted}\n")
 
 
 def test_tm_compose(capsys):
@@ -1100,6 +1144,21 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EMERGELAB_BUDGET", value)
         code, _, err = run_cli(capsys, "tm", "run", "--machine", SUCC, "--input", "3")
         assert code == 1 and f"EMERGELAB_BUDGET must be a positive integer, got {value!r}" in err
+
+
+def test_budget_env_past_the_digit_limit_is_one_short_line(capsys, monkeypatch):
+    # a budget too long for int is named with the limit, not called "not a
+    # positive integer", and a long value that is no integer is quoted short
+    limit = sys.get_int_max_str_digits()
+    argv = ["tm", "run", "--machine", SUCC, "--input", "3"]
+    monkeypatch.setenv("EMERGELAB_BUDGET", "1" * (limit + 700))
+    assert run_cli(capsys, *argv) == (
+        1, "", f"emergelab tm: EMERGELAB_BUDGET holds an integer of more than {limit} "
+               "digits\n")
+    monkeypatch.setenv("EMERGELAB_BUDGET", "x" * 5000)
+    assert run_cli(capsys, *argv) == (
+        1, "", "emergelab tm: EMERGELAB_BUDGET must be a positive integer, "
+               "got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
 
 
 def test_life_run_past_the_step_budget_refuses_a_live_pattern(capsys, monkeypatch):

@@ -64,6 +64,8 @@ def test_the_gun_leaps_and_matches_the_orbit(monkeypatch):
     for steps, (left, budget, made, gave_up) in zip((2000, 2001), rest):
         assert left == steps - 886 and not gave_up
         assert 1000 < made < budget
+    # the nodes and board generations of the leap to 2000, to the one
+    assert rest[0][1:] == (4414, 3666, False)
 
 
 @pytest.mark.parametrize("steps", [10 ** 4, 10 ** 5, 10 ** 5 + 17, 2 ** 20])
@@ -77,6 +79,8 @@ def test_the_gun_far_on_matches_the_closed_form(steps, monkeypatch):
     # work grows with the digits of the steps, not with the steps
     [(left, budget, made, gave_up)] = leaps
     assert left == steps - 886 and not gave_up and made < 6000
+    if steps == 10 ** 5:
+        assert made == 5047  # the work of this leap, to the one
 
 
 def test_chaos_gives_up_within_its_budget(monkeypatch):
@@ -126,9 +130,13 @@ def test_the_leap_refuses_a_result_over_the_cell_limit(monkeypatch):
     monkeypatch.setattr(life, "CELL_LIMIT", 10 ** 7)
     want = gun_population(10 ** 18)
     assert want == 166_666_666_666_666_713
+    leaps = record_leaps(monkeypatch)
     with pytest.raises(life.InvalidArgument, match=f"^{want} live cells at generation {10 ** 18}"):
         life.run(GUN, 10 ** 18)
     assert len(built) == 1
+    # the leap's work, to the one, recorded before the refusal
+    assert [(left, made, gave_up) for left, _, made, gave_up in leaps] == [
+        (10 ** 18 - 886, 14965, False)]
 
 
 def test_a_leap_to_extinction_returns_the_empty_frame(monkeypatch):
