@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import EmergeLabError, InvalidArgument
+from .errors import EmergeLabError, InvalidArgument, integer
 
 
 # digits per int-to-str conversion: under the smallest limit on their
@@ -285,17 +285,16 @@ def parse_dfa(text: str) -> DfaSpec:
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
-        try:
-            if tokens[0] == "accept":
-                accepting.update(int(t) for t in tokens[1:])
-                continue
-            if tokens[0] in ("states", "start") and len(tokens) == 2:
-                table, key, value = header, tokens[0], int(tokens[1])
-            elif tokens[0] == "trans" and len(tokens) == 4 and tokens[2] in ("0", "1"):
-                table, key, value = transition, (int(tokens[1]), tokens[2]), int(tokens[3])
-            else:
-                raise ValueError
-        except ValueError:
+        name = f"DFA line {lineno}"
+        if tokens[0] == "accept":
+            accepting.update(integer(t, name) for t in tokens[1:])
+            continue
+        if tokens[0] in ("states", "start") and len(tokens) == 2:
+            table, key, value = header, tokens[0], integer(tokens[1], name)
+        elif tokens[0] == "trans" and len(tokens) == 4 and tokens[2] in ("0", "1"):
+            table, key, value = (transition, (integer(tokens[1], name), tokens[2]),
+                                 integer(tokens[3], name))
+        else:
             raise EmergeLabError(f"bad DFA line {lineno}: {line!r}")
         if key in table:
             raise EmergeLabError(f"duplicate DFA line {lineno}: {line!r}")

@@ -30,13 +30,12 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import reprlib
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HEADINGS, EmergeLabError, InvalidArgument, decimal
+from .errors import HEADINGS, EmergeLabError, InvalidArgument, decimal, integer
 
 if TYPE_CHECKING:  # the handlers import these themselves, when they run
     from fractions import Fraction
@@ -71,11 +70,11 @@ def default_budget(fallback: int) -> int:
     env = os.environ.get("EMERGELAB_BUDGET")
     if env is None:
         return fallback
-    values = _read_ints(env, "EMERGELAB_BUDGET", "be a positive integer")
-    if len(values) != 1 or values[0] < 1:
+    value = integer(env, "EMERGELAB_BUDGET", "be a positive integer")
+    if value < 1:
         raise EmergeLabError(f"EMERGELAB_BUDGET must be a positive integer, "
                              f"got {reprlib.repr(env)}")
-    return values[0]
+    return value
 
 
 def _key_values(report: dict) -> str:
@@ -92,22 +91,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def _read_ints(text: str, name: str, wanted: str = "hold integers") -> list[int]:
-    """The whitespace-separated integers of `text` (`name` in refusals): a
-    token past Python's digit limit is refused naming it, any other quoted short."""
-    values = []
-    for token in text.split():
-        try:
-            values.append(int(token))
-        except ValueError:
-            # what int reads, any Unicode digits too: refused only past the limit
-            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", token):
-                raise InvalidArgument(f"{name} holds an integer of more than "
-                                      f"{sys.get_int_max_str_digits()} digits") from None
-            raise InvalidArgument(f"{name} must {wanted}, got {reprlib.repr(token)}") from None
-    return values
 
 
 def _write_text(rows, width: int, out):
@@ -267,11 +250,13 @@ def _cmd_tm(args) -> dict:
     finisher = _machine(args.finisher)
     indices = range(1, args.max_index + 1)
     values = (indices if args.identity_values
-              else _read_ints(_read_text(args.values), args.values))
+              else [integer(token, args.values, "hold integers")
+                    for token in _read_text(args.values).split()])
     if args.timing_from is not None:
         timer = _machine(args.timing_from)
     else:
-        timing = _read_ints(_read_text(args.timing), args.timing)
+        timing = [integer(token, args.timing, "hold integers")
+                  for token in _read_text(args.timing).split()]
     witness = turing.BigOWitness(args.c, args.n0)
     c_text = decimal(witness.c, "--c")
     if args.timing_from is not None:
@@ -358,7 +343,8 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {reprlib.repr(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

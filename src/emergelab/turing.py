@@ -20,12 +20,13 @@ the report says so, since a provably fastest machine is not constructible.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmergeLabError, InvalidArgument
+from .errors import EmergeLabError, InvalidArgument, integer
 
 SYMBOLS = ("0", "1", "#")
 MOVES = {"L": -1, "R": 1, "S": 0}  # move letter -> head delta
@@ -238,14 +239,12 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
     for key in ("tapes", "start", "halt"):
         if key not in header:
             raise MachineParseError(f"missing header line '{key} ...'")
-    try:
-        k = int(header["tapes"])
-    except ValueError:
-        raise MachineParseError(f"tapes must be an integer, got {header['tapes']!r}")
+    k = integer(header["tapes"], "tapes")
     if k < 2:
-        raise TooFewTapes(f"need at least 2 work tapes, got {k}")
+        raise TooFewTapes(f"need at least 2 work tapes, got {reprlib.repr(k)}")
     if k > TAPES_LIMIT:
-        raise MachineParseError(f"at most {TAPES_LIMIT} work tapes, got {k}")
+        raise MachineParseError(f"at most {TAPES_LIMIT} work tapes, "
+                                f"got {reprlib.repr(k)}")
 
     halt = header["halt"]
     transitions: dict[tuple[str, tuple[str, ...]], Transition] = {}
@@ -257,7 +256,7 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
                 f"got {len(tokens)}", line=lineno)
         state = tokens[0]
         if state == halt:
-            raise MachineParseError(f"transition out of halt state {state!r}",
+            raise MachineParseError(f"transition out of halt state {reprlib.repr(state)}",
                                     line=lineno)
         reads = tuple(tokens[1:1 + k])
         if tokens[1 + k] != "->":
@@ -268,12 +267,12 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
         output = tokens[3 + 3 * k]
         for s in reads + writes:
             if s not in SYMBOLS:
-                raise MachineParseError(f"unknown symbol {s!r}", line=lineno)
+                raise MachineParseError(f"unknown symbol {reprlib.repr(s)}", line=lineno)
         for m in moves:
             if m not in MOVES:
-                raise MachineParseError(f"unknown move {m!r}", line=lineno)
+                raise MachineParseError(f"unknown move {reprlib.repr(m)}", line=lineno)
         if output not in OUTPUT_ACTIONS:
-            raise MachineParseError(f"unknown output action {output!r}", line=lineno)
+            raise MachineParseError(f"unknown output action {reprlib.repr(output)}", line=lineno)
         key = (state, reads)
         if key in transitions:
             raise MachineParseError(
@@ -287,7 +286,7 @@ def parse_machine(text: str, name: str | None = None) -> MachineSpec:
     for state, lineno in entered.items():
         if state != halt and state not in defined:
             raise MachineParseError(
-                f"state {state!r} is reached but never defined", line=lineno)
+                f"state {reprlib.repr(state)} is reached but never defined", line=lineno)
     return MachineSpec(name=header.get("name", name or "machine"), tapes=k,
                        start=header["start"], halt=halt, transitions=transitions)
 

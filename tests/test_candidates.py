@@ -330,6 +330,19 @@ def test_parse_dfa_rejects_symbols_other_than_0_and_1(symbol):
         cd.parse_dfa(text)
 
 
+@pytest.mark.parametrize("line", ["states {}", "start {}", "accept 0 {}", "trans 0 1 {}"])
+def test_parse_dfa_names_the_digit_limit_and_quotes_a_bad_number(line):
+    # each number of a DFA line is read alike: past Python's digit limit it
+    # is named with the limit, and a token that is no integer is quoted
+    text = "states 1\nstart 0\n" + line
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InvalidArgument,
+                       match=f"^DFA line 3 holds an integer of more than {limit} digits$"):
+        cd.parse_dfa(text.format("1" * 5000))
+    with pytest.raises(InvalidArgument, match="^DFA line 3 must be an integer, got 'x'$"):
+        cd.parse_dfa(text.format("x"))
+
+
 @pytest.mark.parametrize("line", ["trans 0 0 1", "trans 0 0 0", "states 2", "start 0"])
 def test_parse_dfa_refuses_a_second_line_for_one_slot(line):
     text = "states 2\nstart 0\naccept 0\ntrans 0 0 1\ntrans 0 1 0\ntrans 1 0 1\ntrans 1 1 1\n"

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import reprlib
 import resource
 import subprocess
 import sys
@@ -301,11 +302,13 @@ def cli_files(tmp_path_factory):
     with no transition for state 0 on 1, with a transition to a state that
     does not exist, with no start line and with a second `trans`, `states`
     or `start` line for one slot, machines with two `tapes` lines, with
-    `tapes two` and with one tape past the cap, two cells 2**40 apart, an
-    RLE run of 3e9 live cells, a run count of 5000 digits, a run count with
-    nothing to repeat, a lone cell that dies in one generation, digit files
-    that are blank or hold the non-ASCII digits '²' and '٣', and paths that
-    do not exist."""
+    `tapes two` and with one tape past the cap, a machine whose `tapes` header
+    has 5000 digits and one with a write symbol of 5000 characters, DFAs with
+    a number of 5000 digits in a `states`, `start`, `accept` or `trans` line,
+    two cells 2**40 apart, an RLE run of 3e9 live cells, a run count of 5000
+    digits, a run count with nothing to repeat, a lone cell that dies in one
+    generation, digit files that are blank or hold the non-ASCII digits '²'
+    and '٣', and paths that do not exist."""
     root = tmp_path_factory.mktemp("cli")
     (root / "dir").mkdir()
     (root / "latin1").write_bytes(b"caf\xe9 0 1\n")
@@ -321,6 +324,12 @@ def cli_files(tmp_path_factory):
     (root / "two_tapes_lines").write_text("tapes 2\ntapes 2\nstart s\nhalt h\n")
     (root / "tapes_word").write_text("tapes two\nstart s\nhalt h\n")
     (root / "many_tapes").write_text(f"tapes {turing.TAPES_LIMIT + 1}\nstart s\nhalt h\n")
+    long = "1" * 5000
+    (root / "long_tapes").write_text(f"tapes {long}\nstart s\nhalt h\n")
+    (root / "long_symbol").write_text(f"tapes 2\nstart s\nhalt h\ns 0 0 -> h {long} 0 S S -\n")
+    for name, line in (("states", f"states {long}"), ("start", f"start {long}"),
+                       ("accept", f"accept 0 {long}"), ("trans", f"trans 0 1 {long}")):
+        (root / f"long_{name}_dfa").write_text(f"states 1\nstart 0\n{line}\n")
     (root / "ints").write_text("1 2 3 4 5 6 7 8 9 10\n")
     (root / "bits").write_text("0110 1001 0111 0100 1011\n")
     (root / "far_apart").write_text(f"x = 0, y = 0\no{(1 << 40) - 1}bo!\n")
@@ -333,9 +342,10 @@ def cli_files(tmp_path_factory):
     (root / "arabic_digits").write_text("2\u0663\u0663\n", encoding="utf-8")
     names = ("dir", "latin1", "garbage", "bad_ints", "partial_dfa", "stray_dfa",
              "startless_dfa", "two_trans_dfa", "two_states_dfa", "two_starts_dfa",
-             "two_tapes_lines", "tapes_word", "many_tapes", "ints", "bits", "far_apart",
-             "huge_run", "long_count", "dangling", "dies", "blank_digits",
-             "superscript_digits", "arabic_digits", "missing", "out")
+             "two_tapes_lines", "tapes_word", "many_tapes", "long_tapes", "long_symbol",
+             "long_states_dfa", "long_start_dfa", "long_accept_dfa", "long_trans_dfa",
+             "ints", "bits", "far_apart", "huge_run", "long_count", "dangling", "dies",
+             "blank_digits", "superscript_digits", "arabic_digits", "missing", "out")
     return {f"{{{name}}}": str(root / name) for name in names}
 
 
@@ -398,6 +408,13 @@ DFA = str(fixture_path("even_ones.dfa"))
     ["candidate", "language-count", "--dfa", "{two_trans_dfa}", "--n", "3"],
     ["candidate", "language-count", "--dfa", "{two_states_dfa}", "--n", "3"],
     ["candidate", "language-count", "--dfa", "{two_starts_dfa}", "--n", "3"],
+    ["tm", "run", "--machine", "{long_tapes}", "--input", "3"],
+    ["tm", "run", "--machine", "{long_symbol}", "--input", "3"],
+    ["candidate", "language-count", "--dfa", "{long_states_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{long_start_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{long_accept_dfa}", "--n", "3"],
+    ["candidate", "language-count", "--dfa", "{long_trans_dfa}", "--n", "3"],
+    AUDIT + ["--c", "1" * 5000],
 ])
 def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
     argv = fill(argv, cli_files)
@@ -407,12 +424,15 @@ def test_domain_and_file_errors_are_one_line(capsys, cli_files, argv):
         code = exc.code
     out, err = capsys.readouterr()
     assert "Traceback" not in err
-    if "--c" in argv and argv[-1] in ("abc", "1/0"):
+    if "--c" in argv and argv[-1] in ("abc", "1/0", "1" * 5000):
+        # argparse's usage lines come first; a long value is quoted short
         assert code == 2 and err.splitlines()[-1].endswith(
-            f"argument --c: not a rational number: {argv[-1]!r}")
+            f"argument --c: not a rational number: {reprlib.repr(argv[-1])}")
+        err = err.splitlines()[-1]
     else:
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("emergelab ")
+    assert len(err.encode()) < 200  # no input token is echoed whole
 
 
 @pytest.mark.parametrize("argv", [
@@ -1151,10 +1171,11 @@ def test_budget_env_past_the_digit_limit_is_one_short_line(capsys, monkeypatch):
     # positive integer", and a long value that is no integer is quoted short
     limit = sys.get_int_max_str_digits()
     argv = ["tm", "run", "--machine", SUCC, "--input", "3"]
-    monkeypatch.setenv("EMERGELAB_BUDGET", "1" * (limit + 700))
-    assert run_cli(capsys, *argv) == (
-        1, "", f"emergelab tm: EMERGELAB_BUDGET holds an integer of more than {limit} "
-               "digits\n")
+    for value in ("1" * (limit + 700), f" {'1' * (limit + 700)}\n"):
+        monkeypatch.setenv("EMERGELAB_BUDGET", value)
+        assert run_cli(capsys, *argv) == (
+            1, "", f"emergelab tm: EMERGELAB_BUDGET holds an integer of more than {limit} "
+                   "digits\n")
     monkeypatch.setenv("EMERGELAB_BUDGET", "x" * 5000)
     assert run_cli(capsys, *argv) == (
         1, "", "emergelab tm: EMERGELAB_BUDGET must be a positive integer, "

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emergelab import turing
+from emergelab.errors import InvalidArgument
 from emergelab.fixtures import load_text
 
 from .oracles import tm_run_reference
@@ -45,6 +46,39 @@ def test_parse_caps_the_tape_count():
     assert turing.parse_machine(header.format(limit)).tapes == limit
     with pytest.raises(turing.MachineParseError, match=f"at most {limit} work tapes"):
         turing.parse_machine(header.format(limit + 1))
+    # a count Python reads but that is far out of range is quoted short
+    for tapes in ("1" * 4000, "-" + "1" * 4000):
+        with pytest.raises(turing.MachineParseError) as err:
+            turing.parse_machine(header.format(tapes))
+        assert len(str(err.value)) < 80
+
+
+def test_parse_names_the_digit_limit_of_a_tapes_header():
+    # a header past the limit Python reads integers with is named with that
+    # limit, whatever it is set to; a header that is no integer is quoted
+    header = "name t\ntapes {}\nstart a\nhalt z\n"
+    with pytest.raises(InvalidArgument, match="^tapes must be an integer, got 'two'$"):
+        turing.parse_machine(header.format("two"))
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InvalidArgument,
+                       match=f"^tapes holds an integer of more than {limit} digits$"):
+        turing.parse_machine(header.format("1" * 5000))
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(InvalidArgument,
+                           match="^tapes holds an integer of more than 640 digits$"):
+            turing.parse_machine(header.format("1" * 700))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_quotes_a_long_symbol_short():
+    text = f"name t\ntapes 2\nstart a\nhalt z\na 0 0 -> z {'2' * 5000} 0 S S -\n"
+    with pytest.raises(turing.MachineParseError) as err:
+        turing.parse_machine(text)
+    assert str(err.value) == "unknown symbol '222222222222...2222222222222' (line 5)"
 
 
 def test_parse_rejects_bad_symbol():
